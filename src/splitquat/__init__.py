@@ -31,7 +31,6 @@ from .errors import (
 from .matrices import (
     F_MATRIX,
     Mat4,
-    SRankCase,
     TRankCase,
     left_matrix,
     linear_system_consistent,
@@ -39,12 +38,7 @@ from .matrices import (
     nullspace_basis,
     quaternion_term_decomposition,
     right_matrix,
-    s_det,
-    s_eigenvalues,
     s_matrix,
-    s_rank_case,
-    t_det,
-    t_eigenvalues,
     t_matrix,
     t_rank_case,
     unvec,
@@ -102,7 +96,6 @@ __all__ = [
     "PROBE_YS",
     "ParseError",
     "RealInputError",
-    "SRankCase",
     "SolutionFamily",
     "SolveOutcome",
     "SplitQuaternion",
@@ -131,10 +124,7 @@ __all__ = [
     "projectors",
     "quaternion_term_decomposition",
     "right_matrix",
-    "s_det",
-    "s_eigenvalues",
     "s_matrix",
-    "s_rank_case",
     "solve_ax0",
     "solve_axb",
     "solve_axd",
@@ -143,8 +133,6 @@ __all__ = [
     "solve_xa_bx",
     "solve_xa_bxbar",
     "solve_xad",
-    "t_det",
-    "t_eigenvalues",
     "t_matrix",
     "t_rank_case",
     "to_polar",

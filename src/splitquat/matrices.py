@@ -7,14 +7,21 @@ of ``x*a = b*x`` and ``x*a = b*conj(x)``.
 
 Rank, determinant, nullspaces, and the Moore-Penrose inverse (by
 full-rank factorization) are computed by Gaussian elimination, exactly
-over rationals.  Closed-form spectra and determinants are provided as
-cross-checks; elimination is the source of truth for every rank
-decision taken elsewhere in the library.
+over rationals; elimination is the source of truth for every rank
+decision taken elsewhere in the library.  The closed-form spectra and
+determinants of ``t_matrix`` and ``s_matrix`` live in the test suite,
+as oracles checked against elimination.
+
+The sixteen products ``L(e_i) R(e_j)`` of the basis units are signed
+permutation matrices, pairwise orthogonal with squared Frobenius norm
+4, so splitting a matrix into two-sided terms is one inner product per
+term.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,9 +33,7 @@ from .scalars import (
     Scalar,
     as_scalar,
     format_scalar,
-    is_exact,
     scalar_is_zero,
-    scalar_sqrt,
     scalars_close,
 )
 
@@ -133,12 +138,6 @@ class Mat4:
 # ----------------------------------------------------------------------
 
 
-def _zero_entry(x: Scalar, eps: float) -> bool:
-    if isinstance(x, float):
-        return abs(x) <= eps
-    return x == 0
-
-
 def _rref(rows: List[List[Scalar]], eps: float) -> Tuple[List[List[Scalar]], List[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
     m = len(rows)
@@ -152,7 +151,7 @@ def _rref(rows: List[List[Scalar]], eps: float) -> Tuple[List[List[Scalar]], Lis
         best = None
         for rr in range(r, m):
             v = rows[rr][c]
-            if not _zero_entry(v, eps) and (best is None or abs(v) > best):
+            if not scalar_is_zero(v, eps) and (best is None or abs(v) > best):
                 best, best_row = abs(v), rr
         if best_row is None:
             continue
@@ -177,7 +176,7 @@ def _det(rows: List[List[Scalar]], eps: float) -> Scalar:
         best = None
         for rr in range(c, n):
             v = rows[rr][c]
-            if not _zero_entry(v, eps) and (best is None or abs(v) > best):
+            if not scalar_is_zero(v, eps) and (best is None or abs(v) > best):
                 best, best_row = abs(v), rr
         if best_row is None:
             return Fraction(0) if exact else 0.0
@@ -260,21 +259,8 @@ def s_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
 
 
 # ----------------------------------------------------------------------
-# spectra, determinants, rank cases
+# rank cases
 # ----------------------------------------------------------------------
-
-Complexish = Tuple[Scalar, Scalar]  # (real, imaginary) parts
-
-
-def _sqrt_signed(x: Scalar) -> Complexish:
-    """Square root of a scalar as a (re, im) pair; im > 0 when x < 0."""
-    if x < 0:
-        root = scalar_sqrt(-x)
-        zero: Scalar = Fraction(0) if is_exact(root) else 0.0
-        return (zero, root)
-    root = scalar_sqrt(x)
-    zero = Fraction(0) if is_exact(root) else 0.0
-    return (root, zero)
 
 
 class TRankCase(enum.Enum):
@@ -289,40 +275,6 @@ class TRankCase(enum.Enum):
         return {"nonsingular": 4, "rank2": 2, "rank3": 3}[self.value]
 
 
-class SRankCase(enum.Enum):
-    """Degeneration taxonomy for s_matrix."""
-
-    NONSINGULAR = "nonsingular"
-    RANK1 = "rank1"  # conj(a) + b = 0
-    RANK3A = "rank3a"  # equal quadratic forms, conj(a)+b non-lightlike
-    RANK3B = "rank3b"  # equal quadratic forms, conj(a)+b nonzero lightlike
-    RANK3C = "rank3c"  # distinct quadratic forms, conj(a)+b nonzero lightlike
-
-    @property
-    def rank(self) -> int:
-        return {"nonsingular": 4, "rank1": 1, "rank3a": 3, "rank3b": 3, "rank3c": 3}[self.value]
-
-
-def t_eigenvalues(a: SplitQuaternion, b: SplitQuaternion) -> Tuple[Complexish, ...]:
-    """The four eigenvalues (a0 +/- sqrt(Ka)) - (b0 +/- sqrt(Kb)) as (re, im) pairs."""
-    sa = _sqrt_signed(a.im_squared)
-    sb = _sqrt_signed(b.im_squared)
-    d = a.q0 - b.q0
-    return tuple(
-        (d + s1 * sa[0] - s2 * sb[0], s1 * sa[1] - s2 * sb[1])
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-    )
-
-
-def t_det(a: SplitQuaternion, b: SplitQuaternion) -> Scalar:
-    """Closed-form determinant d^4 - 2d^2(Ka+Kb) + (Ka-Kb)^2, d = a0-b0."""
-    d = a.q0 - b.q0
-    ka, kb = a.im_squared, b.im_squared
-    d2 = d * d
-    return d2 * d2 - 2 * d2 * (ka + kb) + (ka - kb) * (ka - kb)
-
-
 def t_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> TRankCase:
     """Classify the degeneration of t_matrix(a, b).
 
@@ -334,41 +286,6 @@ def t_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
     if not scalars_close(a.q0, b.q0, eps) and scalar_is_zero(t_matrix(a, b).det(eps), eps):
         return TRankCase.RANK3
     return TRankCase.NONSINGULAR
-
-
-def s_eigenvalues(a: SplitQuaternion, b: SplitQuaternion) -> Tuple[Complexish, ...]:
-    """Eigenvalues a0 +/- sqrt(Ka + Ib) and a0+b0 +/- sqrt(Ka+Kb+2(a1b1-a2b2-a3b3))."""
-    r1 = a.im_squared + b.quadratic_form
-    r2 = a.im_squared + b.im_squared + 2 * (a.q1 * b.q1 - a.q2 * b.q2 - a.q3 * b.q3)
-    s1 = _sqrt_signed(r1)
-    s2 = _sqrt_signed(r2)
-    a0, ab0 = a.q0, a.q0 + b.q0
-    return (
-        (a0 + s1[0], s1[1]),
-        (a0 - s1[0], -s1[1]),
-        (ab0 + s2[0], s2[1]),
-        (ab0 - s2[0], -s2[1]),
-    )
-
-
-def s_det(a: SplitQuaternion, b: SplitQuaternion) -> Scalar:
-    """Closed-form determinant (Ia - Ib) * I(conj(a) + b)."""
-    return (a.quadratic_form - b.quadratic_form) * (a.conjugate() + b).quadratic_form
-
-
-def s_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> SRankCase:
-    w = a.conjugate() + b
-    forms_equal = scalars_close(a.quadratic_form, b.quadratic_form, eps)
-    w_lightlike = scalar_is_zero(w.quadratic_form, eps)
-    if forms_equal:
-        if w.is_zero(eps):
-            return SRankCase.RANK1
-        if not w_lightlike:
-            return SRankCase.RANK3A
-        return SRankCase.RANK3B
-    if w_lightlike:
-        return SRankCase.RANK3C
-    return SRankCase.NONSINGULAR
 
 
 # ----------------------------------------------------------------------
@@ -431,35 +348,34 @@ _BASIS = (ONE, I, J, K)
 
 
 @lru_cache(maxsize=1)
-def _product_basis_inverse() -> Tuple[Tuple[Fraction, ...], ...]:
-    """Inverse of the 16x16 change of basis from {L(e_i) R(e_j)} to matrix units.
+def _product_patterns() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Nonzero (flat index, sign) entries of each L(e_i) R(e_j), row-major.
 
     The sixteen products span all 4x4 real matrices, so any linear map
     on the algebra can be rewritten as a finite sum of maps
     y -> l * y * r.
     """
-    columns = []
-    for bi in _BASIS:
-        for bj in _BASIS:
-            prod = left_matrix(bi) @ right_matrix(bj)
-            columns.append([x for row in prod.rows for x in row])
-    big = [[columns[c][r] for c in range(16)] for r in range(16)]
-    return tuple(tuple(row) for row in _inverse(big))
+    patterns = []
+    for bi, bj in itertools.product(_BASIS, _BASIS):
+        prod = left_matrix(bi) @ right_matrix(bj)
+        flat = [x for row in prod.rows for x in row]
+        patterns.append(tuple((idx, int(x)) for idx, x in enumerate(flat) if x != 0))
+    return tuple(patterns)
 
 
 def quaternion_term_decomposition(
     m: Mat4,
 ) -> Tuple[Tuple[SplitQuaternion, SplitQuaternion], ...]:
-    """Express the linear map of ``m`` as a sum of terms y -> l*y*r."""
-    inv = _product_basis_inverse()
+    """Express the linear map of ``m`` as a sum of terms y -> l*y*r.
+
+    The coefficient of L(e_i) R(e_j) is the inner product
+    <m, L(e_i) R(e_j)> / 4; summing in flat-index order and dividing
+    last fixes the float rounding.
+    """
     flat = [x for row in m.rows for x in row]
-    coeffs = [sum(inv[r][c] * flat[c] for c in range(16)) for r in range(16)]
     terms = []
-    idx = 0
-    for bi in _BASIS:
-        for bj in _BASIS:
-            c = coeffs[idx]
-            idx += 1
-            if c != 0:
-                terms.append((bi * c, bj))
+    for (bi, bj), pattern in zip(itertools.product(_BASIS, _BASIS), _product_patterns()):
+        c = sum(sign * flat[idx] for idx, sign in pattern) / 4
+        if c != 0:
+            terms.append((bi * c, bj))
     return tuple(terms)

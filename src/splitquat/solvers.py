@@ -15,6 +15,7 @@ would hide the structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .core import ONE, SplitQuaternion, ZERO
@@ -38,8 +39,8 @@ class SolutionFamily:
     """Affine solution set y -> constant + sum_k left_k * y * right_k.
 
     The linear part is a real-linear map on the algebra; its matrix is
-    sum_k L(left_k) R(right_k) and its rank is the dimension of the
-    solution set.
+    sum_k L(left_k) R(right_k), built once per family, and its rank is
+    the dimension of the solution set.
     """
 
     constant: SplitQuaternion
@@ -53,7 +54,7 @@ class SolutionFamily:
 
     __call__ = at
 
-    @property
+    @cached_property
     def linear_matrix(self) -> Mat4:
         m = Mat4.zero()
         for left, right in self.terms:
@@ -62,7 +63,7 @@ class SolutionFamily:
 
     @property
     def dimension(self) -> int:
-        return self.linear_matrix.rank()
+        return len(self.basis())
 
     def basis(self, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
         """A basis of the linear part's image: the directions of the solution set."""
@@ -73,8 +74,14 @@ class SolutionFamily:
 
     @classmethod
     def from_matrix(cls, constant: SplitQuaternion, matrix: Mat4) -> "SolutionFamily":
-        """Build a family whose linear part is a given vec-matrix."""
-        return cls(constant, quaternion_term_decomposition(matrix))
+        """Build a family whose linear part is a given vec-matrix.
+
+        The matrix itself becomes ``linear_matrix``; it is never rebuilt
+        from the decomposed terms.
+        """
+        family = cls(constant, quaternion_term_decomposition(matrix))
+        vars(family)["linear_matrix"] = matrix
+        return family
 
 
 @dataclass(frozen=True)

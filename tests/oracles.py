@@ -1,0 +1,104 @@
+"""Closed-form spectra, determinants and S-rank cases, used as test oracles.
+
+The library decides ranks and determinants of ``t_matrix`` and
+``s_matrix`` by elimination; the closed forms below are independent
+derivations that the tests compare against it.
+"""
+
+from __future__ import annotations
+
+import enum
+from fractions import Fraction
+from typing import Tuple
+
+from splitquat import SplitQuaternion
+from splitquat.scalars import (
+    DEFAULT_EPS,
+    Scalar,
+    is_exact,
+    scalar_is_zero,
+    scalar_sqrt,
+    scalars_close,
+)
+
+Complexish = Tuple[Scalar, Scalar]  # (real, imaginary) parts
+
+
+def _sqrt_signed(x: Scalar) -> Complexish:
+    """Square root of a scalar as a (re, im) pair; im > 0 when x < 0."""
+    if x < 0:
+        root = scalar_sqrt(-x)
+        zero: Scalar = Fraction(0) if is_exact(root) else 0.0
+        return (zero, root)
+    root = scalar_sqrt(x)
+    zero = Fraction(0) if is_exact(root) else 0.0
+    return (root, zero)
+
+
+class SRankCase(enum.Enum):
+    """Degeneration taxonomy for s_matrix."""
+
+    NONSINGULAR = "nonsingular"
+    RANK1 = "rank1"  # conj(a) + b = 0
+    RANK3A = "rank3a"  # equal quadratic forms, conj(a)+b non-lightlike
+    RANK3B = "rank3b"  # equal quadratic forms, conj(a)+b nonzero lightlike
+    RANK3C = "rank3c"  # distinct quadratic forms, conj(a)+b nonzero lightlike
+
+    @property
+    def rank(self) -> int:
+        return {"nonsingular": 4, "rank1": 1, "rank3a": 3, "rank3b": 3, "rank3c": 3}[self.value]
+
+
+def t_eigenvalues(a: SplitQuaternion, b: SplitQuaternion) -> Tuple[Complexish, ...]:
+    """The four eigenvalues (a0 +/- sqrt(Ka)) - (b0 +/- sqrt(Kb)) as (re, im) pairs."""
+    sa = _sqrt_signed(a.im_squared)
+    sb = _sqrt_signed(b.im_squared)
+    d = a.q0 - b.q0
+    return tuple(
+        (d + s1 * sa[0] - s2 * sb[0], s1 * sa[1] - s2 * sb[1])
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+    )
+
+
+def t_det(a: SplitQuaternion, b: SplitQuaternion) -> Scalar:
+    """Closed-form determinant d^4 - 2d^2(Ka+Kb) + (Ka-Kb)^2, d = a0-b0."""
+    d = a.q0 - b.q0
+    ka, kb = a.im_squared, b.im_squared
+    d2 = d * d
+    return d2 * d2 - 2 * d2 * (ka + kb) + (ka - kb) * (ka - kb)
+
+
+def s_eigenvalues(a: SplitQuaternion, b: SplitQuaternion) -> Tuple[Complexish, ...]:
+    """Eigenvalues a0 +/- sqrt(Ka + Ib) and a0+b0 +/- sqrt(Ka+Kb+2(a1b1-a2b2-a3b3))."""
+    r1 = a.im_squared + b.quadratic_form
+    r2 = a.im_squared + b.im_squared + 2 * (a.q1 * b.q1 - a.q2 * b.q2 - a.q3 * b.q3)
+    s1 = _sqrt_signed(r1)
+    s2 = _sqrt_signed(r2)
+    a0, ab0 = a.q0, a.q0 + b.q0
+    return (
+        (a0 + s1[0], s1[1]),
+        (a0 - s1[0], -s1[1]),
+        (ab0 + s2[0], s2[1]),
+        (ab0 - s2[0], -s2[1]),
+    )
+
+
+def s_det(a: SplitQuaternion, b: SplitQuaternion) -> Scalar:
+    """Closed-form determinant (Ia - Ib) * I(conj(a) + b)."""
+    return (a.quadratic_form - b.quadratic_form) * (a.conjugate() + b).quadratic_form
+
+
+def s_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> SRankCase:
+    w = a.conjugate() + b
+    forms_equal = scalars_close(a.quadratic_form, b.quadratic_form, eps)
+    w_lightlike = scalar_is_zero(w.quadratic_form, eps)
+    if forms_equal:
+        if w.is_zero(eps):
+            return SRankCase.RANK1
+        if not w_lightlike:
+            return SRankCase.RANK3A
+        return SRankCase.RANK3B
+    if w_lightlike:
+        return SRankCase.RANK3C
+    return SRankCase.NONSINGULAR

@@ -33,7 +33,6 @@ from splitquat import (
     solve_axb,
     solve_xa_bx,
     solve_xa_bxbar,
-    t_eigenvalues,
     t_matrix,
     to_polar,
     vec,
@@ -52,6 +51,7 @@ from conftest import (
     rand_with_im_squared_minus,
     rand_with_im_squared_plus,
 )
+from oracles import s_det, t_det, t_eigenvalues
 
 SUBSTITUTION_PROBES = (ZERO, ONE, I, J, K, ONE + I + J + K)
 
@@ -298,24 +298,23 @@ def test_criterion_7_dimension_oracle():
     rng = random.Random(707)
     failures = []
     pairs = 0
+
+    def check_pair(kind, a, b):
+        if solve_xa_bx(a, b).dimension != 4 - t_matrix(a, b).rank():
+            failures.append(f"{kind} t-dimension mismatch: {a}, {b}")
+        if solve_xa_bxbar(a, b).dimension != 4 - s_matrix(a, b).rank():
+            failures.append(f"{kind} s-dimension mismatch: {a}, {b}")
+        if t_det(a, b) != t_matrix(a, b).det() or s_det(a, b) != s_matrix(a, b).det():
+            failures.append(f"{kind} closed-form determinant mismatch: {a}, {b}")
+
     for _ in range(200):
-        a, b = rand_nonreal(rng), rand_nonreal(rng)
-        fam_t = solve_xa_bx(a, b)
-        if fam_t.dimension != 4 - t_matrix(a, b).rank():
-            failures.append(f"t-dimension mismatch: {a}, {b}")
-        fam_s = solve_xa_bxbar(a, b)
-        if fam_s.dimension != 4 - s_matrix(a, b).rank():
-            failures.append(f"s-dimension mismatch: {a}, {b}")
+        check_pair("random", rand_nonreal(rng), rand_nonreal(rng))
         pairs += 1
     for _ in range(120):
-        a, b = rand_similar_pair(rng)
-        if solve_xa_bx(a, b).dimension != 4 - t_matrix(a, b).rank():
-            failures.append(f"rank-2 dimension mismatch: {a}, {b}")
+        check_pair("rank-2", *rand_similar_pair(rng))
         pairs += 1
     for _ in range(80):
-        a, b = rand_rank3_pair(rng)
-        if solve_xa_bx(a, b).dimension != 4 - t_matrix(a, b).rank():
-            failures.append(f"rank-3 dimension mismatch: {a}, {b}")
+        check_pair("rank-3", *rand_rank3_pair(rng))
         pairs += 1
     for _ in range(100):
         a, b = rand_lightlike(rng), rand_lightlike(rng)
@@ -325,4 +324,4 @@ def test_criterion_7_dimension_oracle():
             failures.append(f"two-sided dimension mismatch: {a}, {b}")
         pairs += 1
     assert pairs == 500
-    _report(7, "dimension oracle on 500 pairs", failures)
+    _report(7, "dimension and determinant oracles on 500 pairs", failures)

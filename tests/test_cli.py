@@ -123,6 +123,36 @@ class TestAnalysisCommands:
         assert doc["result"]["family"]["dimension"] == 1
         assert doc["verified"] is True
 
+    def test_consim_solve_golden_terms(self, capsys):
+        exact_terms = [
+            ["1/4", "1"], ["-1/4i", "i"], ["1/5j", "j"],
+            ["3/20j", "k"], ["-3/20k", "j"], ["1/5k", "k"],
+        ]
+        approx_terms = [
+            ["0.25", "1"], ["-2.08166817117e-16", "i"],
+            ["3.40873163029e-16", "j"], ["-2.09901540593e-16", "k"],
+            ["2.08166817117e-16i", "1"], ["-0.25i", "i"],
+            ["1.19695919842e-16i", "j"], ["4.3107878378e-16i", "k"],
+            ["-1.44849410244e-16j", "1"], ["3.52148865623e-16j", "i"],
+            ["0.2j", "j"], ["0.15j", "k"],
+            ["3.72965547335e-16k", "1"], ["2.76688394418e-16k", "i"],
+            ["-0.15k", "j"], ["0.2k", "k"],
+        ]
+        golden = {
+            "exact": (exact_terms, ["9/10-3/10i"]),
+            "approx": (approx_terms, ["0.9-0.3i+4.16333634234e-17j-6.93889390391e-17k"]),
+        }
+        for backend, (terms, basis) in golden.items():
+            code, doc, _ = run_json(
+                capsys, "consim-solve", "1+2i+3j+4k", "2+i+3j+4k", "--backend", backend
+            )
+            assert code == 0
+            family = doc["result"]["family"]
+            assert family["terms"] == terms
+            assert family["basis"] == basis
+            assert family["dimension"] == 1
+            assert doc["verified"] is True
+
 
 class TestSolveCommands:
     def test_solvable(self, capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from splitquat import (
     I,
     J,
+    K,
     Mat4,
     ONE,
-    SRankCase,
     TRankCase,
     ZERO,
     left_matrix,
@@ -20,12 +20,7 @@ from splitquat import (
     parse_quat,
     quaternion_term_decomposition,
     right_matrix,
-    s_det,
-    s_eigenvalues,
     s_matrix,
-    s_rank_case,
-    t_det,
-    t_eigenvalues,
     t_matrix,
     t_rank_case,
     vec,
@@ -33,6 +28,7 @@ from splitquat import (
 from splitquat.solvers import SolutionFamily
 
 from conftest import lightlike_quats, quats, rand_quat
+from oracles import SRankCase, s_det, s_eigenvalues, s_rank_case, t_det, t_eigenvalues
 
 
 def det_by_permutation_expansion(m: Mat4):
@@ -248,6 +244,17 @@ class TestMatrixPseudoInverse:
 
 
 class TestTermDecomposition:
+    def test_products_are_orthogonal_with_norm_four(self):
+        basis = (ONE, I, J, K)
+        products = [
+            [x for row in (left_matrix(p) @ right_matrix(q)).rows for x in row]
+            for p in basis
+            for q in basis
+        ]
+        for s, u in enumerate(products):
+            for t, v in enumerate(products):
+                assert sum(x * y for x, y in zip(u, v)) == (4 if s == t else 0)
+
     @given(quats, quats)
     @settings(max_examples=40)
     def test_two_sided_products_roundtrip(self, l, r):
@@ -265,6 +272,19 @@ class TestTermDecomposition:
                 )
             )
             family = SolutionFamily.from_matrix(ZERO, m)
-            assert family.linear_matrix == m
+            assert family.linear_matrix is m
+            assert SolutionFamily(ZERO, family.terms).linear_matrix == m
             rng_probe = rand_quat(rng)
             assert vec(family.at(rng_probe)) == m.apply(vec(rng_probe))
+
+    def test_float_matrix_roundtrip(self):
+        rng = random.Random(43)
+        for k in (-20, -3, 0, 7, 20):
+            m = Mat4(tuple(tuple(rng.uniform(-5, 5) * 2.0**k for _ in range(4)) for _ in range(4)))
+            rebuilt = SolutionFamily(ZERO, quaternion_term_decomposition(m)).linear_matrix
+            assert rebuilt.isclose(m, 1e-12 * 2.0**k)
+
+    def test_linear_matrix_is_built_once(self):
+        family = SolutionFamily(ZERO, ((ONE + J, I), (K, ONE)))
+        assert family.linear_matrix is family.linear_matrix
+        assert family.dimension == len(family.basis()) == family.linear_matrix.rank()
