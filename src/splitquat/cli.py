@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"float-backend tolerance (default {DEFAULT_EPS}, or SPLITQ_EPS)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for witness searches")
+    common.add_argument(
+        "--seed", type=int, default=0, help="deprecated and ignored: witnesses are deterministic"
+    )
 
     parser = argparse.ArgumentParser(
         prog="splitquat", description="Split-quaternion algebra toolkit"
@@ -87,22 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _family_payload(family: SolutionFamily) -> Dict:
-    return {
-        "dimension": family.dimension,
+def _family_output(family: SolutionFamily, eps: float) -> Tuple[Dict, List[str]]:
+    """JSON payload and text lines of a family, from one elimination at eps."""
+    basis = family.basis(eps)
+    payload = {
+        "dimension": len(basis),
         "constant": str(family.constant),
         "terms": [[str(l), str(r)] for l, r in family.terms],
-        "basis": [str(v) for v in family.basis()],
+        "basis": [str(v) for v in basis],
     }
-
-
-def _family_text(family: SolutionFamily) -> List[str]:
-    lines = [f"dimension: {family.dimension}", f"constant: {family.constant}"]
+    lines = [f"dimension: {len(basis)}", f"constant: {family.constant}"]
     for left, right in family.terms:
         lines.append(f"term: ({left}) y ({right})")
-    basis = family.basis()
     lines.append("basis: " + (", ".join(str(v) for v in basis) if basis else "(empty)"))
-    return lines
+    return payload, lines
 
 
 def _verify_family(family: SolutionFamily, residual, eps: float) -> bool:
@@ -114,9 +114,9 @@ def _solve_output(
 ) -> Tuple[Dict, List[str], bool, int]:
     if outcome.solvable:
         verified = _verify_family(outcome.family, residual, eps)
-        payload = {"solvable": True, "family": _family_payload(outcome.family)}
-        lines = ["solvable"] + _family_text(outcome.family)
-        return payload, lines, verified, 0
+        family_payload, family_lines = _family_output(outcome.family, eps)
+        payload = {"solvable": True, "family": family_payload}
+        return payload, ["solvable"] + family_lines, verified, 0
     verified = not linear_system_consistent(matrix, rhs, eps)
     payload = {"solvable": False, "certificate": str(outcome.certificate)}
     lines = ["unsolvable", f"certificate: {outcome.certificate}"]
@@ -179,13 +179,9 @@ def _run(args, eps: float) -> Tuple[Dict, List[str], bool, int, List[SplitQuater
         a = parse(args.a)
         family = solvers.solve_ax0(a, eps)
         verified = _verify_family(family, lambda x: a * x, eps)
-        return (
-            {"solvable": True, "family": _family_payload(family)},
-            ["solvable"] + _family_text(family),
-            verified,
-            0,
-            [a],
-        )
+        family_payload, family_lines = _family_output(family, eps)
+        payload = {"solvable": True, "family": family_payload}
+        return payload, ["solvable"] + family_lines, verified, 0, [a]
 
     if cmd == "solve-axd":
         a, d = parse(args.a), parse(args.d)
@@ -205,7 +201,7 @@ def _run(args, eps: float) -> Tuple[Dict, List[str], bool, int, List[SplitQuater
 
     if cmd == "similar":
         a, b = parse(args.a), parse(args.b)
-        verdict = similarity.is_similar(a, b, eps, seed=args.seed)
+        verdict = similarity.is_similar(a, b, eps)
         if verdict:
             w = verdict.witness
             verified = (w * a).isclose(b * w, eps) and not w.is_lightlike(eps)
@@ -218,17 +214,12 @@ def _run(args, eps: float) -> Tuple[Dict, List[str], bool, int, List[SplitQuater
         a, b = parse(args.a), parse(args.b)
         family = similarity.solve_xa_bx(a, b, eps)
         verified = _verify_family(family, lambda x: x * a - b * x, eps)
-        return (
-            {"family": _family_payload(family)},
-            _family_text(family),
-            verified,
-            0,
-            [a, b],
-        )
+        family_payload, family_lines = _family_output(family, eps)
+        return {"family": family_payload}, family_lines, verified, 0, [a, b]
 
     if cmd == "canonical":
         a = parse(args.a)
-        form = similarity.canonical_form(a, eps, seed=args.seed)
+        form = similarity.canonical_form(a, eps)
         tol = eps if not form.exact else 0.0
         verified = (form.conjugator * a).isclose(
             form.target * form.conjugator, max(tol, eps)
@@ -256,13 +247,8 @@ def _run(args, eps: float) -> Tuple[Dict, List[str], bool, int, List[SplitQuater
         a, b = parse(args.a), parse(args.b)
         family = consimilarity.solve_xa_bxbar(a, b, eps)
         verified = _verify_family(family, lambda x: x * a - b * x.conjugate(), eps)
-        return (
-            {"family": _family_payload(family)},
-            _family_text(family),
-            verified,
-            0,
-            [a, b],
-        )
+        family_payload, family_lines = _family_output(family, eps)
+        return {"family": family_payload}, family_lines, verified, 0, [a, b]
 
     if cmd == "matrix":
         expected = 1 if args.kind in ("L", "R") else 2

@@ -38,7 +38,11 @@ class CaseMismatchError(SplitQuaternionError):
 
 
 class WitnessSearchExhaustedError(SplitQuaternionError):
-    """No invertible witness found within the iteration cap."""
+    """No probe point of a witness family gives an invertible element.
+
+    Cannot happen for a family that holds an invertible element; see
+    ``similarity.PROBE_YS``.
+    """
 
 
 class IllConditionedWarning(UserWarning):

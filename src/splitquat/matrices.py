@@ -202,12 +202,18 @@ def _transpose(a: List[List[Scalar]]) -> List[List[Scalar]]:
 
 
 def _inverse(rows: List[List[Scalar]]) -> List[List[Scalar]]:
-    """Inverse of a small square matrix by Gauss-Jordan; raises if singular."""
+    """Inverse of a small square matrix by Gauss-Jordan; raises if singular.
+
+    Pivots are tested against zero, not a tolerance: the callers pass
+    Gram blocks that are nonsingular by construction and whose entries
+    scale as the square of the input, so any absolute cutoff would
+    misjudge small inputs.
+    """
     n = len(rows)
     exact = not any(isinstance(x, float) for row in rows for x in row)
     one: Scalar = Fraction(1) if exact else 1.0
     aug = [list(row) + [one * (i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots = _rref(aug, 0.0 if exact else DEFAULT_EPS)
+    reduced, pivots = _rref(aug, 0.0)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in reduced]
@@ -332,12 +338,14 @@ def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
 
 
 def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAULT_EPS) -> bool:
-    """Whether m . x = rhs has a solution, by rank comparison."""
-    plain = [list(r) for r in m.rows]
-    _, pivots = _rref([row[:] for row in plain], eps)
-    augmented = [row + [as_scalar(v)] for row, v in zip(plain, rhs)]
-    _, aug_pivots = _rref(augmented, eps)
-    return len(aug_pivots) == len(pivots)
+    """Whether m . x = rhs has a solution: the rhs column is not a pivot.
+
+    Pivot choice in the columns of m never reads the rhs column, so one
+    elimination of the augmented matrix decides it.
+    """
+    augmented = [list(row) + [as_scalar(v)] for row, v in zip(m.rows, rhs)]
+    _, pivots = _rref(augmented, eps)
+    return 4 not in pivots
 
 
 # ----------------------------------------------------------------------

@@ -14,14 +14,16 @@ t_matrix(a, b); it degenerates in two ways:
 Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
 or a0 + i + j when k = 0.
+
+Witnesses are deterministic: the first invertible value of the rank-2
+family at the fixed points PROBE_YS.
 """
 
 from __future__ import annotations
 
-import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import I, J, K, ONE, SplitQuaternion, ZERO
 from .errors import (
@@ -34,13 +36,13 @@ from .matrices import t_matrix, t_rank_case, TRankCase
 from .scalars import DEFAULT_EPS, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
 from .solvers import SolutionFamily
 
-from fractions import Fraction
-
-#: Deterministic instantiation points tried before seeded random probing.
+#: Instantiation points of a witness family, tried in order: the four
+#: units and their six pairwise sums.  The family's image is spanned by
+#: the images x(e_a), x(e_b) of two units; a quadratic form vanishing on
+#: x(e_a), x(e_b) and x(e_a + e_b) vanishes on their whole span by
+#: polarization, so when the span holds an invertible element one of
+#: these points reaches one.
 PROBE_YS = (ONE, I, J, K, ONE + I, ONE + J, ONE + K, I + J, I + K, J + K)
-
-#: Iteration cap for the invertible-witness search.
-WITNESS_SEARCH_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -137,32 +139,14 @@ def solve_xa_bx(
     return SolutionFamily(ZERO, ())
 
 
-def _candidate_ys(seed: int, exact: bool) -> Iterator[SplitQuaternion]:
+def _search_invertible(family: SolutionFamily, eps: float) -> SplitQuaternion:
+    """First invertible family.at(y) over PROBE_YS, in order."""
     for y in PROBE_YS:
-        yield y
-    rng = random.Random(seed)
-    while True:
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-        if all(c == 0 for c in coeffs):
-            continue
-        y = SplitQuaternion(*coeffs)
-        yield y if exact else y.to_float()
-
-
-def _search_invertible(
-    family: SolutionFamily, eps: float, seed: int
-) -> SplitQuaternion:
-    exact = family.constant.is_exact and all(l.is_exact for l, _ in family.terms)
-    count = 0
-    for y in _candidate_ys(seed, exact):
         x = family.at(y)
         if not scalar_is_zero(x.quadratic_form, eps):
             return x
-        count += 1
-        if count >= WITNESS_SEARCH_CAP:
-            break
     raise WitnessSearchExhaustedError(
-        f"no invertible element found after {WITNESS_SEARCH_CAP} instantiations"
+        f"no invertible element among the {len(PROBE_YS)} probe instantiations"
     )
 
 
@@ -174,8 +158,10 @@ def is_similar(
     Non-real pairs are similar exactly when real parts and im_squared
     invariants match; real numbers are similar only to themselves, and a
     real number is never similar to a non-real one (conjugation fixes
-    the reals).  The witness search probes a fixed list of instantiation
-    points and then seeded random ones, so results are reproducible.
+    the reals).  The witness is the first invertible element of the
+    rank-2 solution family at the points PROBE_YS, so it is deterministic.
+    ``seed`` is deprecated and ignored; it is accepted only so that
+    existing callers keep working.
     """
     a_real, b_real = a.is_real(eps), b.is_real(eps)
     if a_real and b_real:
@@ -187,7 +173,7 @@ def is_similar(
         scalars_close(a.q0, b.q0, eps) and scalars_close(a.im_squared, b.im_squared, eps)
     ):
         return Verdict(False, None)
-    witness = _search_invertible(solve_sim_rank2(a, b, eps), eps, seed)
+    witness = _search_invertible(solve_sim_rank2(a, b, eps), eps)
     return Verdict(True, witness)
 
 
@@ -215,6 +201,7 @@ def canonical_form(
     k != 0 the conjugator comes from probing the rank-2 solution family
     of x*a = target*x.  When k is not a perfect rational square the
     computation escalates to floats and the result is flagged inexact.
+    ``seed`` is deprecated and ignored, as in is_similar.
     """
     _require_nonreal(a, eps, "a")
     k = a.im_squared
@@ -248,5 +235,5 @@ def canonical_form(
     else:
         target = SplitQuaternion(a.q0, root, 0, 0)
     family = solve_sim_rank2(a, target, eps)
-    conjugator = _search_invertible(family, eps, seed)
+    conjugator = _search_invertible(family, eps)
     return CanonicalForm(target, conjugator, exact)

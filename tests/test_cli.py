@@ -44,6 +44,19 @@ class TestVerdictCommands:
         w = parse_quat(doc["result"]["witness"])
         assert w * a == b * w
 
+    def test_similar_golden_witness(self, capsys):
+        golden = {
+            "exact": "315/388-33/388i-45/388j+141/388k",
+            "approx": "0.811855670103-0.0850515463918i-0.115979381443j+0.363402061856k",
+        }
+        for backend, witness in golden.items():
+            code, doc, _ = run_json(
+                capsys, "similar", "1+5i+3j+4k", "1+13i+12j+5k", "--backend", backend
+            )
+            assert code == 0
+            assert doc["result"]["witness"] == witness
+            assert doc["verified"] is True
+
 
 class TestAnalysisCommands:
     def test_classify(self, capsys):
@@ -94,6 +107,11 @@ class TestAnalysisCommands:
         assert doc["result"]["exact"] is True
         assert doc["verified"] is True
 
+    def test_canonical_golden_conjugator(self, capsys):
+        code, doc, _ = run_json(capsys, "canonical", "1+3i+2j+k")
+        assert code == 0
+        assert doc["result"]["conjugator"] == "5/6+1/6j-1/3k"
+
     def test_matrix_layout(self, capsys):
         code, doc, _ = run_json(capsys, "matrix", "L", "i")
         assert code == 0
@@ -119,6 +137,16 @@ class TestAnalysisCommands:
 
     def test_consim_solve(self, capsys):
         code, doc, _ = run_json(capsys, "consim-solve", "1+2i+3j+4k", "2+i+3j+4k")
+        assert code == 0
+        assert doc["result"]["family"]["dimension"] == 1
+        assert doc["verified"] is True
+        # small float inputs: the pseudoinverse's Gram blocks are of order 1e-10
+        code, doc, _ = run_json(
+            capsys,
+            "consim-solve",
+            "0.00001+0.00002i+0.00003j+0.00004k",
+            "0.00002+0.00001i+0.00003j+0.00004k",
+        )
         assert code == 0
         assert doc["result"]["family"]["dimension"] == 1
         assert doc["verified"] is True
@@ -205,6 +233,21 @@ class TestGlobalFlags:
         assert out1.strip() == "spacelike"
         _, out2, _ = run(capsys, "classify", "1+1.00000001j", "--eps", "0.001")
         assert out2.strip() == "lightlike"
+
+    def test_eps_flag_reaches_family_dimension(self, capsys):
+        # each family's dimension is read at --eps, the tolerance that chose its case
+        cases = (
+            (("sim-solve", "1+5i+5j+2k", "2+i+j+3.0001k"), 1),
+            (("consim-solve", "1+2i+3j+4k", "2+i+3j+4.0001k"), 1),
+            (("solve-ax0", "1+1.0001j"), 2),
+        )
+        for argv, dimension in cases:
+            code, doc, _ = run_json(capsys, *argv, "--eps", "1e-3")
+            assert code == 0
+            family = doc["result"]["family"]
+            assert family["dimension"] == dimension == len(family["basis"])
+            _, out, _ = run(capsys, *argv, "--eps", "1e-3")
+            assert f"dimension: {dimension}" in out.splitlines()
 
     def test_eps_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SPLITQ_EPS", "0.001")

@@ -11,7 +11,9 @@ from splitquat import (
     Mat4,
     ONE,
     RealInputError,
+    SolutionFamily,
     SplitQuaternion,
+    WitnessSearchExhaustedError,
     ZERO,
     canonical_form,
     is_similar,
@@ -25,6 +27,7 @@ from splitquat import (
     solve_xa_bx,
     t_matrix,
 )
+from splitquat.similarity import PROBE_YS, _search_invertible
 from conftest import (
     rand_conjugate,
     rand_invertible,
@@ -224,6 +227,25 @@ class TestIsSimilar:
         w1 = is_similar(a, b, seed=3).witness
         w2 = is_similar(a, b, seed=3).witness
         assert w1 == w2
+
+    def test_witness_is_first_invertible_probe(self):
+        rng = random.Random(44)
+        for k_zero in (False, True):
+            for _ in range(10):
+                a, b = rand_similar_pair(rng, k_zero=k_zero)
+                for x, y in ((a, b), (a.to_float(), b.to_float())):
+                    family = solve_sim_rank2(x, y)
+                    values = [family.at(p) for p in PROBE_YS]
+                    first = next(v for v in values if v.quadratic_form != 0)
+                    assert is_similar(x, y).witness == first
+                    assert is_similar(x, y, seed=7).witness == first  # seed is ignored
+
+    def test_null_family_exhausts_probes_at_once(self):
+        # every (1+j)*y is a zero divisor, so no probe can give a witness
+        for one_plus_j in (ONE + J, (ONE + J).to_float()):
+            family = SolutionFamily(ZERO, ((one_plus_j, ONE),))
+            with pytest.raises(WitnessSearchExhaustedError):
+                _search_invertible(family, 1e-9)
 
     def test_conjugation_preserves_invariants(self):
         rng = random.Random(43)
