@@ -94,10 +94,6 @@ class Mat4:
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
         )
 
-    def scale(self, s) -> "Mat4":
-        s = as_scalar(s)
-        return Mat4(tuple(tuple(a * s for a in row) for row in self.rows))
-
     def __truediv__(self, s) -> "Mat4":
         s = as_scalar(s)
         return Mat4(tuple(tuple(a / s for a in row) for row in self.rows))

@@ -17,6 +17,7 @@ fractions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -32,7 +33,8 @@ def parse_quat(text: str, backend: Optional[str] = None) -> SplitQuaternion:
 
     ``backend`` may be None (decimals produce floats), "exact" (decimals
     become exact decimal fractions) or "approx" (everything becomes
-    float).  Raises ParseError with the offending offset on bad input.
+    float).  Raises ParseError with the offending offset on bad input,
+    and at offset 0 when a float coefficient would not be finite.
     """
     if backend not in (None, "exact", "approx"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -50,26 +52,31 @@ def parse_quat(text: str, backend: Optional[str] = None) -> SplitQuaternion:
     coeffs: list = [Fraction(0), Fraction(0), Fraction(0), Fraction(0)]
     i = 0
     first = True
-    while i < n:
-        sign = 1
-        if stripped[i] in "+-":
-            sign = -1 if stripped[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", offset(i))
-        value, i = _scan_coefficient(stripped, i, offset, backend)
-        unit = None
-        if i < n and stripped[i] in _UNIT_INDEX:
-            unit = stripped[i]
-            i += 1
-        if value is None and unit is None:
-            raise ParseError("expected a coefficient or one of 'i', 'j', 'k'", offset(i))
-        idx = _UNIT_INDEX[unit] if unit else 0
-        coeffs[idx] = coeffs[idx] + sign * (value if value is not None else 1)
-        first = False
-    q = SplitQuaternion(*coeffs)
-    if backend == "approx":
-        return q.to_float()
+    try:
+        while i < n:
+            sign = 1
+            if stripped[i] in "+-":
+                sign = -1 if stripped[i] == "-" else 1
+                i += 1
+            elif not first:
+                raise ParseError("expected '+' or '-' between terms", offset(i))
+            value, i = _scan_coefficient(stripped, i, offset, backend)
+            unit = None
+            if i < n and stripped[i] in _UNIT_INDEX:
+                unit = stripped[i]
+                i += 1
+            if value is None and unit is None:
+                raise ParseError("expected a coefficient or one of 'i', 'j', 'k'", offset(i))
+            idx = _UNIT_INDEX[unit] if unit else 0
+            coeffs[idx] = coeffs[idx] + sign * (value if value is not None else 1)
+            first = False
+        q = SplitQuaternion(*coeffs)
+        if backend == "approx":
+            q = q.to_float()
+    except OverflowError:  # an integer or rational too large for a float
+        q = None
+    if q is None or not (q.is_exact or all(map(math.isfinite, q.coeffs))):
+        raise ParseError("coefficient is not finite as a float", 0)
     return q
 
 

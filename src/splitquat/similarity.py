@@ -150,9 +150,7 @@ def _search_invertible(family: SolutionFamily, eps: float) -> SplitQuaternion:
     )
 
 
-def is_similar(
-    a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS, seed: int = 0
-) -> Verdict:
+def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> Verdict:
     """Decide similarity and, when similar, return an invertible q with q*a = b*q.
 
     Non-real pairs are similar exactly when real parts and im_squared
@@ -160,8 +158,6 @@ def is_similar(
     real number is never similar to a non-real one (conjugation fixes
     the reals).  The witness is the first invertible element of the
     rank-2 solution family at the points PROBE_YS, so it is deterministic.
-    ``seed`` is deprecated and ignored; it is accepted only so that
-    existing callers keep working.
     """
     a_real, b_real = a.is_real(eps), b.is_real(eps)
     if a_real and b_real:
@@ -191,9 +187,7 @@ def _reduce_lightlike_im(a: SplitQuaternion, eps: float) -> SplitQuaternion:
     return p
 
 
-def canonical_form(
-    a: SplitQuaternion, eps: float = DEFAULT_EPS, seed: int = 0
-) -> CanonicalForm:
+def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalForm:
     """Conjugacy normal form of a non-real element with an explicit conjugator.
 
     k = im_squared(a) > 0 maps to a0 + sqrt(k)*j, k < 0 to a0 + sqrt(-k)*i,
@@ -201,7 +195,6 @@ def canonical_form(
     k != 0 the conjugator comes from probing the rank-2 solution family
     of x*a = target*x.  When k is not a perfect rational square the
     computation escalates to floats and the result is flagged inexact.
-    ``seed`` is deprecated and ignored, as in is_similar.
     """
     _require_nonreal(a, eps, "a")
     k = a.im_squared

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from splitquat import parse_quat
 from splitquat.cli import main
 
@@ -220,6 +222,11 @@ class TestGlobalFlags:
         assert code == 2
         assert "offset 2" in err
 
+    def test_non_finite_literal_exit_two(self, capsys):
+        code, out, err = run(capsys, "classify", "1e400")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_backend_approx(self, capsys):
         code, doc, _ = run_json(capsys, "classify", "1+j", "--backend", "approx")
         assert doc["backend"] == "approx"
@@ -254,10 +261,29 @@ class TestGlobalFlags:
         _, out, _ = run(capsys, "classify", "1+1.00000001j")
         assert out.strip() == "lightlike"
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+    def test_bad_eps_flag_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "1.0+j", "--eps", value])
+        assert exc.value.code == 2
+        assert "invalid tolerance value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+    def test_bad_eps_env_exit_two(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SPLITQ_EPS", value)
+        code, out, err = run(capsys, "classify", "1.0+j")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_seed_fixes_witness(self, capsys):
-        _, doc1, _ = run_json(capsys, "similar", "1+5i+3j+4k", "1+13i+12j+5k", "--seed", "9")
-        _, doc2, _ = run_json(capsys, "similar", "1+5i+3j+4k", "1+13i+12j+5k", "--seed", "9")
+        _, doc1, _ = run_json(capsys, "similar", "1+5i+3j+4k", "1+13i+12j+5k")
+        _, doc2, _ = run_json(capsys, "similar", "1+5i+3j+4k", "1+13i+12j+5k")
         assert doc1["result"]["witness"] == doc2["result"]["witness"]
+
+    def test_library_warning_is_one_line(self, capsys):
+        code, out, err = run(capsys, "roots", "1+j", "-n", "2")
+        assert code == 0 and len(out.splitlines()) == 2
+        assert err == "warning: nth roots are generally irrational; computing in floats\n"
 
     def test_json_quaternions_reparse(self, capsys):
         _, doc, _ = run_json(capsys, "solve-axd", "1+j", "1+j")
@@ -268,3 +294,35 @@ class TestGlobalFlags:
             parse_quat(right)
         for b in family["basis"]:
             parse_quat(b)
+
+
+#: The command lines of README § Command line, with the T matrix its comment names.
+README_LINES = (
+    ("classify", "1+3i+2j+k"),
+    ("pinv", "1+j"),
+    ("roots", "1+j", "-n", "2"),
+    ("power", "1+j", "-n", "3"),
+    ("solve-axb", "1+j", "1+j", "1+j"),
+    ("solve-ax0", "1+j"),
+    ("solve-axd", "1+j", "1+j"),
+    ("solve-xad", "1+j", "0"),
+    ("similar", "1+5i+3j+4k", "1+13i+12j+5k"),
+    ("sim-solve", "1+5i+5j+2k", "2+i+j+3k"),
+    ("canonical", "1+3i+2j+k"),
+    ("consimilar", "1+2i+3j+4k", "2+i+3j+4k"),
+    ("consim-solve", "1+2i+3j+4k", "2+i+3j+4k"),
+    ("matrix", "L", "i"),
+    ("matrix", "T", "1+5i+3j+4k", "1+13i+12j+5k"),
+)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize("line", README_LINES, ids=" ".join)
+def test_readme_line_document(capsys, line, backend):
+    code, doc, _ = run_json(capsys, *line, "--backend", backend)
+    assert code == 0
+    assert doc["verified"] is True
+    assert doc["op"] == line[0]
+    literals = line[1 : line.index("-n")] if "-n" in line else line[1:]
+    assert doc["inputs"] == list(literals)
+    assert doc["backend"] == backend

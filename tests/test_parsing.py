@@ -7,6 +7,9 @@ from splitquat import ParseError, SplitQuaternion, parse_quat
 
 from conftest import quats
 
+#: A 401-digit integer: exact, but too large for a float.
+HUGE = "1" + "0" * 400
+
 
 class TestGrammar:
     @pytest.mark.parametrize(
@@ -79,6 +82,29 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_quat("1 + ")
         assert exc.value.position == 4
+
+    @pytest.mark.parametrize(
+        "text,backend",
+        [
+            ("1e400", None),
+            ("1e308+1e308", None),
+            ("-1e400k", "approx"),
+            (HUGE, "approx"),
+            (HUGE + "/3", "approx"),
+            (HUGE + "+1.5i", None),
+            (HUGE + "+1.5", None),
+        ],
+        ids=["1e400", "1e308+1e308", "-1e400k", "huge", "huge/3", "huge+1.5i", "huge+1.5"],
+    )
+    def test_float_coefficient_must_be_finite(self, text, backend):
+        with pytest.raises(ParseError) as exc:
+            parse_quat(text, backend=backend)
+        assert exc.value.position == 0
+
+    @pytest.mark.parametrize("text", [HUGE, HUGE + "+1.5i", "1e400"], ids=["huge", "huge+1.5i", "1e400"])
+    def test_exact_backend_takes_any_size(self, text):
+        q = parse_quat(text, backend="exact")
+        assert q.is_exact and q.q0 >= 10**400
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
