@@ -19,6 +19,7 @@ from .errors import (
     CaseMismatchError,
     ExactnessWarning,
     IllConditionedWarning,
+    NonFiniteError,
     NotInvertibleError,
     NotLightlikeError,
     ParseError,
@@ -90,6 +91,7 @@ __all__ = [
     "K",
     "LightlikePolar",
     "Mat4",
+    "NonFiniteError",
     "NotInvertibleError",
     "NotLightlikeError",
     "ONE",

@@ -13,8 +13,11 @@ the zero divisors, and they are what most of this library is about.
 
 Coefficients are either all :class:`~fractions.Fraction` (exact backend)
 or all :class:`float` (approximate backend with absolute tolerance
-``eps``); mixing converts the whole value to floats.  Values are
-immutable, so they are safe to share between threads.
+``eps``); mixing converts the whole value to floats.  A float value,
+or a quadratic form of one, that is not finite raises
+:class:`~.errors.NonFiniteError` instead of flowing on as ``inf`` or
+``nan``.  Values are immutable, so they are safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Tuple
 
-from .errors import NotInvertibleError
+from .errors import NonFiniteError, NotInvertibleError
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
@@ -61,6 +65,8 @@ class SplitQuaternion:
         coeffs = tuple(as_scalar(c) for c in (self.q0, self.q1, self.q2, self.q3))
         if any(isinstance(c, float) for c in coeffs):
             coeffs = tuple(float(c) for c in coeffs)
+            if not all(map(isfinite, coeffs)):
+                raise NonFiniteError("coefficient is not finite on the float backend")
         for name, value in zip(("q0", "q1", "q2", "q3"), coeffs):
             object.__setattr__(self, name, value)
 
@@ -179,12 +185,15 @@ class SplitQuaternion:
     @property
     def quadratic_form(self) -> Scalar:
         """The multiplicative form q0^2 + q1^2 - q2^2 - q3^2."""
-        return self.q0 * self.q0 + self.q1 * self.q1 - self.q2 * self.q2 - self.q3 * self.q3
+        return _finite(
+            self.q0 * self.q0 + self.q1 * self.q1 - self.q2 * self.q2 - self.q3 * self.q3,
+            "quadratic form",
+        )
 
     @property
     def im_squared(self) -> Scalar:
         """Scalar value of im(q)*im(q): -q1^2 + q2^2 + q3^2, a similarity invariant."""
-        return -self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3
+        return _finite(-self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3, "im_squared")
 
     @property
     def im_norm_sq(self) -> Scalar:
@@ -269,6 +278,13 @@ class SplitQuaternion:
 
     def __repr__(self) -> str:
         return f"SplitQuaternion({str(self)!r})"
+
+
+def _finite(x: Scalar, what: str) -> Scalar:
+    """x itself, unless it is a float that overflowed to inf or nan."""
+    if isinstance(x, float) and not isfinite(x):
+        raise NonFiniteError(f"{what} is not finite on the float backend ({x!r})")
+    return x
 
 
 def _coerce(x):

@@ -33,6 +33,10 @@ class RealInputError(SplitQuaternionError):
     """Operation is only defined for non-real quaternions."""
 
 
+class NonFiniteError(SplitQuaternionError):
+    """A float-backend value, or its quadratic form, overflowed to inf or nan."""
+
+
 class CaseMismatchError(SplitQuaternionError):
     """Inputs do not satisfy the preconditions of the requested case."""
 

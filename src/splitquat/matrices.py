@@ -5,12 +5,16 @@ and ``x -> x*q`` acting on coefficient columns.  ``t_matrix`` and
 ``s_matrix`` are the operator matrices whose kernels carry the solutions
 of ``x*a = b*x`` and ``x*a = b*conj(x)``.
 
-Rank, determinant, nullspaces, and the Moore-Penrose inverse (by
-full-rank factorization) are computed by Gaussian elimination, exactly
-over rationals; elimination is the source of truth for every rank
-decision taken elsewhere in the library.  The closed-form spectra and
-determinants of ``t_matrix`` and ``s_matrix`` live in the test suite,
-as oracles checked against elimination.
+An exact :class:`Mat4` holds sixteen ``int`` numerators over one
+positive ``int`` denominator, reduced by their ``gcd``; ``rows`` builds
+the Fractions on first read.  A float matrix holds sixteen floats.
+Rank, determinant, nullspace, column basis and Moore-Penrose inverse
+come from the elimination kernel of the matrix's backend (see
+:mod:`.elimination`): fraction-free on the numerators, or with partial
+pivoting and the tolerance ``eps`` on floats.  Elimination is the
+source of truth for every rank decision taken elsewhere in the library;
+the closed-form spectra and determinants of ``t_matrix`` and
+``s_matrix`` are test oracles.
 
 The sixteen products ``L(e_i) R(e_j)`` of the basis units are signed
 permutation matrices, pairwise orthogonal with squared Frobenius norm
@@ -22,11 +26,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from math import gcd, lcm
+from operator import add, mul, neg, sub
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from . import elimination
 from .core import I, J, K, ONE, SplitQuaternion
 from .scalars import (
     DEFAULT_EPS,
@@ -49,77 +55,133 @@ def unvec(v: Sequence[Scalar]) -> SplitQuaternion:
     return SplitQuaternion(*v)
 
 
-@dataclass(frozen=True)
 class Mat4:
     """Immutable 4x4 matrix over the scalar backends, row-major."""
 
-    rows: Tuple[Tuple[Scalar, ...], ...]
+    # _e: the sixteen entries, row-major: int numerators, or floats
+    # _d: the positive int denominator, or None on the float backend
+    # _rows: the entries as Fractions or floats, built on first read
+    __slots__ = ("_e", "_d", "_rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_scalar(x) for x in row) for row in self.rows)
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+        rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("Mat4 requires 4 rows of 4 entries")
-        if any(isinstance(x, float) for row in rows for x in row):
-            rows = tuple(tuple(float(x) for x in row) for row in rows)
-        object.__setattr__(self, "rows", rows)
+        flat = [x for row in rows for x in row]
+        if any(isinstance(x, float) for x in flat):
+            self._e, self._d = tuple(map(float, flat)), None
+        else:
+            self._e, self._d = _ratio(flat)
+        self._rows = None
 
     @classmethod
     def identity(cls) -> "Mat4":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)))
+        return _mat(tuple(int(i == j) for i in range(4) for j in range(4)), 1)
 
     @classmethod
     def zero(cls) -> "Mat4":
-        return cls(tuple(tuple(Fraction(0) for _ in range(4)) for _ in range(4)))
+        return _mat((0,) * 16, 1)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Mat4":
         return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(4)) for i in range(4)))
 
     @property
+    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        if self._rows is None:
+            d = self._d
+            flat = self._e if d is None else [Fraction(x, d) for x in self._e]
+            self._rows = tuple(tuple(flat[i : i + 4]) for i in (0, 4, 8, 12))
+        return self._rows
+
+    @property
     def is_exact(self) -> bool:
-        return not isinstance(self.rows[0][0], float)
+        return self._d is not None
+
+    def _floats(self) -> Tuple[float, ...]:
+        """The entries as floats; n/d rounds as float(Fraction(n, d)) does."""
+        d = self._d
+        return self._e if d is None else tuple(x / d for x in self._e)
+
+    def _lists(self) -> List[list]:
+        """The entries (numerators on the exact backend) as fresh row lists."""
+        e = self._e
+        return [list(e[i : i + 4]) for i in (0, 4, 8, 12)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._d is None or other._d is None:
+            return self.rows == other.rows
+        return self._d == other._d and self._e == other._e
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __reduce__(self):
+        return (Mat4, (self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Mat4(rows={self.rows!r})"
+
+    def _entrywise(self, other: "Mat4", op) -> "Mat4":
+        d, e = self._d, other._d
+        if d is None or e is None:
+            return _mat(tuple(map(op, self._floats(), other._floats())), None)
+        if d == e:
+            return _mat(tuple(map(op, self._e, other._e)), d)
+        return _mat(tuple(op(x * e, y * d) for x, y in zip(self._e, other._e)), d * e)
 
     def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Mat4") -> "Mat4":
-        return Mat4(tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "Mat4":
-        return Mat4(tuple(tuple(-a for a in row) for row in self.rows))
+        return _mat(tuple(map(neg, self._e)), self._d)
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
-        cols = list(zip(*other.rows))
-        return Mat4(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
+        if self._d is None or other._d is None:
+            return _mat(_product(self._floats(), other._floats()), None)
+        return _mat(_product(self._e, other._e), self._d * other._d)
 
     def __truediv__(self, s) -> "Mat4":
         s = as_scalar(s)
-        return Mat4(tuple(tuple(a / s for a in row) for row in self.rows))
+        if self._d is None or isinstance(s, float):
+            s = float(s)
+            return _mat(tuple(x / s for x in self._floats()), None)
+        if s == 0:
+            raise ZeroDivisionError("division of an exact matrix by zero")
+        return _mat(tuple(x * s.denominator for x in self._e), self._d * s.numerator)
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        v = tuple(as_scalar(x) for x in v)
+        if self._d is None or any(isinstance(x, float) for x in v):
+            return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        nums, d = _ratio(v)
+        return tuple(Fraction(_dot(row, nums), d * self._d) for row in self._lists())
 
     def transpose(self) -> "Mat4":
-        return Mat4(tuple(zip(*self.rows)))
+        e = self._e
+        return _mat(tuple(e[i + j] for j in range(4) for i in (0, 4, 8, 12)), self._d)
 
     def isclose(self, other: "Mat4", eps: float = DEFAULT_EPS) -> bool:
-        return all(
-            scalars_close(a, b, eps)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
+        if self._d is not None and other._d is not None:
+            return self == other
+        return all(scalars_close(a, b, eps) for a, b in zip(self._floats(), other._floats()))
 
     def is_symmetric(self, eps: float = DEFAULT_EPS) -> bool:
         return self.isclose(self.transpose(), eps)
 
     def rank(self, eps: float = DEFAULT_EPS) -> int:
-        _, pivots = _rref([list(r) for r in self.rows], eps)
-        return len(pivots)
+        return len(_pivots(self, eps))
 
     def det(self, eps: float = DEFAULT_EPS) -> Scalar:
-        return _det([list(r) for r in self.rows], eps)
+        if self._d is None:
+            return elimination.det(self._lists(), eps)
+        pivots, last, sign = elimination.eliminate(self._lists())
+        return Fraction(sign * last if len(pivots) == 4 else 0, self._d**4)
 
     def __str__(self) -> str:
         widths = [max(len(format_scalar(self.rows[r][c])) for r in range(4)) for c in range(4)]
@@ -129,90 +191,50 @@ class Mat4:
         )
 
 
-# ----------------------------------------------------------------------
-# elimination primitives (work on lists of lists, any m x n shape)
-# ----------------------------------------------------------------------
+def _ratio(values: Iterable[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """Exact scalars as int numerators over their least common denominator.
+
+    That is already reduced: a prime dividing the denominator does not
+    divide the numerator of the value whose denominator it divides most.
+    """
+    values = tuple(values)
+    d = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (d // x.denominator) for x in values), d
 
 
-def _rref(rows: List[List[Scalar]], eps: float) -> Tuple[List[List[Scalar]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        best_row = None
-        best = None
-        for rr in range(r, m):
-            v = rows[rr][c]
-            if not scalar_is_zero(v, eps) and (best is None or abs(v) > best):
-                best, best_row = abs(v), rr
-        if best_row is None:
-            continue
-        rows[r], rows[best_row] = rows[best_row], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for rr in range(m):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _mat(e: Tuple, d: Optional[int]) -> Mat4:
+    """Matrix of entries e over the int d != 0, reduced here, or of floats when d is None."""
+    if d is not None:
+        g = -gcd(d, *e) if d < 0 else gcd(d, *e)
+        if g != 1:
+            e, d = tuple(x // g for x in e), d // g
+    m = object.__new__(Mat4)
+    m._e, m._d, m._rows = e, d, None
+    return m
 
 
-def _det(rows: List[List[Scalar]], eps: float) -> Scalar:
-    n = len(rows)
-    exact = not any(isinstance(x, float) for row in rows for x in row)
-    det: Scalar = Fraction(1) if exact else 1.0
-    for c in range(n):
-        best_row = None
-        best = None
-        for rr in range(c, n):
-            v = rows[rr][c]
-            if not scalar_is_zero(v, eps) and (best is None or abs(v) > best):
-                best, best_row = abs(v), rr
-        if best_row is None:
-            return Fraction(0) if exact else 0.0
-        if best_row != c:
-            rows[c], rows[best_row] = rows[best_row], rows[c]
-            det = -det
-        piv = rows[c][c]
-        det = det * piv
-        for rr in range(c + 1, n):
-            if rows[rr][c] != 0:
-                f = rows[rr][c] / piv
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[c])]
-    return det
+def _dot(u: Sequence, v: Sequence):
+    return sum(map(mul, u, v))
 
 
-def _matmul(a: List[List[Scalar]], b: List[List[Scalar]]) -> List[List[Scalar]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def _product(a: Sequence, b: Sequence) -> tuple:
+    """Row-major product of two flat 4x4 matrices, one dot product per entry."""
+    cols = (b[0::4], b[1::4], b[2::4], b[3::4])
+    return tuple(_dot(a[i : i + 4], col) for i in (0, 4, 8, 12) for col in cols)
 
 
-def _transpose(a: List[List[Scalar]]) -> List[List[Scalar]]:
+def _matmul(a: List[list], b: List[list]) -> List[list]:
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _transpose(a: List[list]) -> List[list]:
     return [list(col) for col in zip(*a)]
 
 
-def _inverse(rows: List[List[Scalar]]) -> List[List[Scalar]]:
-    """Inverse of a small square matrix by Gauss-Jordan; raises if singular.
-
-    Pivots are tested against zero, not a tolerance: the callers pass
-    Gram blocks that are nonsingular by construction and whose entries
-    scale as the square of the input, so any absolute cutoff would
-    misjudge small inputs.
-    """
-    n = len(rows)
-    exact = not any(isinstance(x, float) for row in rows for x in row)
-    one: Scalar = Fraction(1) if exact else 1.0
-    aug = [list(row) + [one * (i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots = _rref(aug, 0.0)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in reduced]
+def _pivots(m: Mat4, eps: float) -> List[int]:
+    if m._d is None:
+        return elimination.rref(m._lists(), eps)[1]
+    return elimination.eliminate(m._lists())[0]
 
 
 # ----------------------------------------------------------------------
@@ -220,30 +242,21 @@ def _inverse(rows: List[List[Scalar]]) -> List[List[Scalar]]:
 # ----------------------------------------------------------------------
 
 
+def _coeffs(q: SplitQuaternion):
+    """A quaternion's coefficients as the entries of a matrix: (numerators, d) or (floats, None)."""
+    return _ratio(q.coeffs) if q.is_exact else (q.coeffs, None)
+
+
 def left_matrix(q: SplitQuaternion) -> Mat4:
     """Matrix of x -> q*x on coefficient columns."""
-    q0, q1, q2, q3 = q.coeffs
-    return Mat4(
-        (
-            (q0, -q1, q2, q3),
-            (q1, q0, q3, -q2),
-            (q2, q3, q0, -q1),
-            (q3, -q2, q1, q0),
-        )
-    )
+    (q0, q1, q2, q3), d = _coeffs(q)
+    return _mat((q0, -q1, q2, q3, q1, q0, q3, -q2, q2, q3, q0, -q1, q3, -q2, q1, q0), d)
 
 
 def right_matrix(q: SplitQuaternion) -> Mat4:
     """Matrix of x -> x*q on coefficient columns."""
-    q0, q1, q2, q3 = q.coeffs
-    return Mat4(
-        (
-            (q0, -q1, q2, q3),
-            (q1, q0, -q3, q2),
-            (q2, -q3, q0, q1),
-            (q3, q2, -q1, q0),
-        )
-    )
+    (q0, q1, q2, q3), d = _coeffs(q)
+    return _mat((q0, -q1, q2, q3, q1, q0, -q3, q2, q2, -q3, q0, q1, q3, q2, -q1, q0), d)
 
 
 #: Conjugation sign matrix: vec(conj(x)) = F_MATRIX . vec(x).
@@ -298,49 +311,79 @@ def t_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
 def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     """Moore-Penrose inverse by full-rank factorization m = B C.
 
-    With C the nonzero rows of the reduced echelon form and B the pivot
-    columns of m, the inverse is C^T (C C^T)^-1 (B^T B)^-1 B^T.  Exact
-    over rationals; the zero matrix maps to itself.
+    B is the pivot columns of m and C the nonzero rows of its reduced
+    echelon form, so the inverse is C^T (C C^T)^-1 (B^T B)^-1 B^T.  That
+    equals E^T (B^T m E^T)^-1 B^T for any E whose rows span the row
+    space of m, so the exact backend takes the integer echelon rows as E
+    and needs one fraction-free r x r inverse.  The zero matrix maps to
+    itself.
     """
-    reduced, pivots = _rref([list(r) for r in m.rows], eps)
+    a = m._lists()
+    reduced = m._lists()
+    if m._d is None:
+        _, pivots = elimination.rref(reduced, eps)
+    else:
+        pivots, _, _ = elimination.eliminate(reduced)
     r = len(pivots)
     if r == 0:
         return Mat4.zero()
-    c_block = [reduced[i] for i in range(r)]
-    b_block = [[m.rows[i][p] for p in pivots] for i in range(4)]
+    c_block = reduced[:r]
+    bt = [[row[p] for row in a] for p in pivots]
     ct = _transpose(c_block)
-    bt = _transpose(b_block)
-    cct_inv = _inverse(_matmul(c_block, ct))
-    btb_inv = _inverse(_matmul(bt, b_block))
-    x = _matmul(_matmul(ct, cct_inv), _matmul(btb_inv, bt))
-    return Mat4(tuple(tuple(row) for row in x))
+    if m._d is None:
+        cct_inv = elimination.inverse(_matmul(c_block, ct))
+        btb_inv = elimination.inverse(_matmul(bt, _transpose(bt)))
+        x = _matmul(_matmul(ct, cct_inv), _matmul(btb_inv, bt))
+        return _mat(tuple(v for row in x for v in row), None)
+    gram = _matmul(bt, _matmul(a, ct))
+    augmented = [row + [int(i == j) for j in range(r)] for i, row in enumerate(gram)]
+    _, det, _ = elimination.eliminate(augmented)  # leaves det * gram^-1 on the right
+    x = _matmul(_matmul(ct, [row[r:] for row in augmented]), bt)
+    return _mat(tuple(v * m._d for row in x for v in row), det)
 
 
 def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
     """Exact kernel basis; one vector per free column, dimension 4 - rank."""
-    reduced, pivots = _rref([list(r) for r in m.rows], eps)
-    free = [c for c in range(4) if c not in pivots]
-    exact = m.is_exact
-    zero: Scalar = Fraction(0) if exact else 0.0
-    one: Scalar = Fraction(1) if exact else 1.0
+    reduced = m._lists()
+    if m._d is None:
+        _, pivots = elimination.rref(reduced, eps)
+        zero, one, scale = 0.0, 1.0, None
+    else:
+        pivots, scale, _ = elimination.eliminate(reduced)
+        zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in free:
+    for f in range(4):
+        if f in pivots:
+            continue
         v = [zero] * 4
         v[f] = one
         for row_idx, p in enumerate(pivots):
-            v[p] = -reduced[row_idx][f]
+            x = -reduced[row_idx][f]
+            v[p] = x if scale is None else Fraction(x, scale)
         basis.append(tuple(v))
     return basis
+
+
+def image_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
+    """The pivot columns of m, as quaternions: a basis of its image."""
+    cols = list(zip(*m.rows))
+    return [unvec(cols[p]) for p in _pivots(m, eps)]
 
 
 def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAULT_EPS) -> bool:
     """Whether m . x = rhs has a solution: the rhs column is not a pivot.
 
     Pivot choice in the columns of m never reads the rhs column, so one
-    elimination of the augmented matrix decides it.
+    elimination of the augmented matrix decides it.  Scaling a column or
+    the whole matrix moves no pivot, so the exact kernel takes the
+    numerators of m and of rhs.
     """
-    augmented = [list(row) + [as_scalar(v)] for row, v in zip(m.rows, rhs)]
-    _, pivots = _rref(augmented, eps)
+    rhs = [as_scalar(v) for v in rhs]
+    if m._d is None or any(isinstance(v, float) for v in rhs):
+        _, pivots = elimination.rref([list(row) + [v] for row, v in zip(m.rows, rhs)], eps)
+    else:
+        nums, _ = _ratio(rhs)
+        pivots, _, _ = elimination.eliminate([row + [v] for row, v in zip(m._lists(), nums)])
     return 4 not in pivots
 
 
@@ -359,12 +402,10 @@ def _product_patterns() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     on the algebra can be rewritten as a finite sum of maps
     y -> l * y * r.
     """
-    patterns = []
-    for bi, bj in itertools.product(_BASIS, _BASIS):
-        prod = left_matrix(bi) @ right_matrix(bj)
-        flat = [x for row in prod.rows for x in row]
-        patterns.append(tuple((idx, int(x)) for idx, x in enumerate(flat) if x != 0))
-    return tuple(patterns)
+    return tuple(
+        tuple((idx, x) for idx, x in enumerate((left_matrix(bi) @ right_matrix(bj))._e) if x)
+        for bi, bj in itertools.product(_BASIS, _BASIS)
+    )
 
 
 def quaternion_term_decomposition(
@@ -376,10 +417,11 @@ def quaternion_term_decomposition(
     <m, L(e_i) R(e_j)> / 4; summing in flat-index order and dividing
     last fixes the float rounding.
     """
-    flat = [x for row in m.rows for x in row]
+    e, d = m._e, m._d
     terms = []
     for (bi, bj), pattern in zip(itertools.product(_BASIS, _BASIS), _product_patterns()):
-        c = sum(sign * flat[idx] for idx, sign in pattern) / 4
+        c = sum(sign * e[idx] for idx, sign in pattern)
+        c = c / 4 if d is None else Fraction(c, 4 * d)
         if c != 0:
             terms.append((bi * c, bj))
     return tuple(terms)

@@ -17,12 +17,11 @@ fractions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .core import SplitQuaternion
-from .errors import ParseError
+from .errors import NonFiniteError, ParseError
 from .scalars import Scalar
 
 _UNIT_INDEX = {"i": 1, "j": 2, "k": 3}
@@ -73,10 +72,8 @@ def parse_quat(text: str, backend: Optional[str] = None) -> SplitQuaternion:
         q = SplitQuaternion(*coeffs)
         if backend == "approx":
             q = q.to_float()
-    except OverflowError:  # an integer or rational too large for a float
-        q = None
-    if q is None or not (q.is_exact or all(map(math.isfinite, q.coeffs))):
-        raise ParseError("coefficient is not finite as a float", 0)
+    except (OverflowError, NonFiniteError):  # too large for a float, or inf
+        raise ParseError("coefficient is not finite as a float", 0) from None
     return q
 
 

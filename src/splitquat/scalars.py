@@ -4,7 +4,9 @@ Every coefficient in this library is either a :class:`fractions.Fraction`
 (exact backend) or a :class:`float` (approximate backend, compared up to
 an absolute tolerance ``eps``).  The helpers below centralize the zero
 tests, square roots, and display rules so the algebra modules stay
-backend-agnostic.
+backend-agnostic.  Inside, an exact 4x4 matrix holds its entries as
+``int`` numerators over one denominator and is eliminated
+fraction-free (see :mod:`.matrices` and :mod:`.elimination`).
 """
 
 from __future__ import annotations

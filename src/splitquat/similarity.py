@@ -89,6 +89,11 @@ def solve_sim_rank2(
         scalars_close(a.q0, b.q0, eps) and scalars_close(a.im_squared, b.im_squared, eps)
     ):
         raise CaseMismatchError("requires equal real parts and equal im_squared invariants")
+    return _rank2_family(a, b)
+
+
+def _rank2_family(a: SplitQuaternion, b: SplitQuaternion) -> SolutionFamily:
+    """The rank-2 family of solve_sim_rank2, for a pair already known to qualify."""
     d = 2 * (a.im_norm_sq + b.im_norm_sq)
     ap, bp = a.prime(), b.prime()
     terms = (
@@ -227,6 +232,7 @@ def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalFor
         target = SplitQuaternion(a.q0, 0, root, 0)
     else:
         target = SplitQuaternion(a.q0, root, 0, 0)
-    family = solve_sim_rank2(a, target, eps)
-    conjugator = _search_invertible(family, eps)
+    # the target has a's real part and im_squared by construction; a float
+    # re-check of that with the absolute eps fails at large scale
+    conjugator = _search_invertible(_rank2_family(a, target), eps)
     return CanonicalForm(target, conjugator, exact)

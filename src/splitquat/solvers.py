@@ -22,11 +22,10 @@ from .core import ONE, SplitQuaternion, ZERO
 from .errors import NotLightlikeError, ZeroCoefficientError
 from .matrices import (
     Mat4,
-    _rref,
+    image_basis,
     left_matrix,
     quaternion_term_decomposition,
     right_matrix,
-    unvec,
 )
 from .pinv import mp_inverse
 from .scalars import DEFAULT_EPS, scalar_is_zero
@@ -67,10 +66,7 @@ class SolutionFamily:
 
     def basis(self, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
         """A basis of the linear part's image: the directions of the solution set."""
-        m = self.linear_matrix
-        _, pivots = _rref([list(r) for r in m.rows], eps)
-        cols = list(zip(*m.rows))
-        return [unvec(cols[p]) for p in pivots]
+        return image_basis(self.linear_matrix, eps)
 
     @classmethod
     def from_matrix(cls, constant: SplitQuaternion, matrix: Mat4) -> "SolutionFamily":

@@ -114,6 +114,15 @@ class TestAnalysisCommands:
         assert code == 0
         assert doc["result"]["conjugator"] == "5/6+1/6j-1/3k"
 
+    def test_canonical_large_non_square_invariant(self, capsys):
+        # the escalated target keeps a's invariants by construction; no float re-check
+        code, doc, err = run_json(capsys, "canonical", "8192+4096i+8192j+8192k")
+        assert code == 0
+        assert doc["result"]["target"] == "8192+10836.9973701j"
+        assert doc["result"]["exact"] is False
+        assert doc["verified"] is True
+        assert err.startswith("warning: im_squared is not a perfect rational square")
+
     def test_matrix_layout(self, capsys):
         code, doc, _ = run_json(capsys, "matrix", "L", "i")
         assert code == 0
@@ -226,6 +235,19 @@ class TestGlobalFlags:
         code, out, err = run(capsys, "classify", "1e400")
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "1e200+1e200j", "--json"),
+            ("pinv", "1e200+1e200j"),
+            ("power", "1e200+1e200j", "-n", "2"),
+        ],
+    )
+    def test_overflowing_float_value_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not finite" in err
 
     def test_backend_approx(self, capsys):
         code, doc, _ = run_json(capsys, "classify", "1+j", "--backend", "approx")

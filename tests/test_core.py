@@ -9,6 +9,7 @@ from splitquat import (
     I,
     J,
     K,
+    NonFiniteError,
     NotInvertibleError,
     ONE,
     SplitQuaternion,
@@ -195,6 +196,19 @@ class TestValueSemantics:
         assert q / 2 == SplitQuaternion(Fraction(1, 2), 0, Fraction(1, 2), 0)
         assert 1 + q == q + 1 == parse_quat("2+j")
         assert 1 - q == -(q - 1)
+
+    def test_non_finite_float_values_raise(self):
+        big = SplitQuaternion(1e200, 0.0, 1e200, 0.0)
+        with pytest.raises(NonFiniteError):
+            big.quadratic_form
+        with pytest.raises(NonFiniteError):
+            big.im_squared
+        with pytest.raises(NonFiniteError):
+            big * big
+        with pytest.raises(NonFiniteError):
+            SplitQuaternion(float("nan"), 0, 0, 0)
+        huge = SplitQuaternion(10**400, 0, 10**400, 0)
+        assert huge.quadratic_form == 0 and (huge * huge).is_exact
 
     def test_hashable_and_frozen(self):
         q = parse_quat("1+j")
