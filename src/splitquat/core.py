@@ -198,7 +198,7 @@ class SplitQuaternion:
     @property
     def im_norm_sq(self) -> Scalar:
         """Euclidean q1^2 + q2^2 + q3^2; zero exactly for real values."""
-        return self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3
+        return _finite(self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3, "im_norm_sq")
 
     def classify(self, eps: float = DEFAULT_EPS) -> CausalClass:
         """Causal class by the sign of the quadratic form.

@@ -148,19 +148,10 @@ class Mat4:
 
     def __truediv__(self, s) -> "Mat4":
         s = as_scalar(s)
-        if self._d is None or isinstance(s, float):
-            s = float(s)
-            return _mat(tuple(x / s for x in self._floats()), None)
-        if s == 0:
-            raise ZeroDivisionError("division of an exact matrix by zero")
-        return _mat(tuple(x * s.denominator for x in self._e), self._d * s.numerator)
+        return Mat4(tuple(tuple(a / s for a in row) for row in self.rows))
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
-        v = tuple(as_scalar(x) for x in v)
-        if self._d is None or any(isinstance(x, float) for x in v):
-            return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
-        nums, d = _ratio(v)
-        return tuple(Fraction(_dot(row, nums), d * self._d) for row in self._lists())
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
 
     def transpose(self) -> "Mat4":
         e = self._e

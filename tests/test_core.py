@@ -204,6 +204,8 @@ class TestValueSemantics:
         with pytest.raises(NonFiniteError):
             big.im_squared
         with pytest.raises(NonFiniteError):
+            SplitQuaternion(0.0, 1e200, 0.0, 0.0).im_norm_sq
+        with pytest.raises(NonFiniteError):
             big * big
         with pytest.raises(NonFiniteError):
             SplitQuaternion(float("nan"), 0, 0, 0)
