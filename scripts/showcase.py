@@ -74,8 +74,13 @@ def main() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for text in ("1+5i+3j+4k", "1+3i+2j+k", "2+i+2j+2k"):
-            form = canonical_form(parse_quat(text))
-            print(f"{text} -> {form.target}   conjugator {form.conjugator}   exact={form.exact}")
+            a = parse_quat(text)
+            form = canonical_form(a)
+            p, target = form.conjugator, form.target
+            print(
+                f"{text} -> {target}   conjugator {p}   exact={form.exact}"
+                f" (check {(p * a).isclose(target * p)})"
+            )
 
     banner("Consimilarity")
     a = parse_quat("1+2i+3j+4k")

@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     RealInputError,
     SplitQuaternionError,
-    WitnessSearchExhaustedError,
     ZeroCoefficientError,
     ZeroInputError,
 )
@@ -59,7 +58,6 @@ from .roots import (
 from .scalars import DEFAULT_EPS
 from .similarity import (
     CanonicalForm,
-    PROBE_YS,
     Verdict,
     canonical_form,
     is_similar,
@@ -95,7 +93,6 @@ __all__ = [
     "NotInvertibleError",
     "NotLightlikeError",
     "ONE",
-    "PROBE_YS",
     "ParseError",
     "RealInputError",
     "SolutionFamily",
@@ -104,7 +101,6 @@ __all__ = [
     "SplitQuaternionError",
     "TRankCase",
     "Verdict",
-    "WitnessSearchExhaustedError",
     "ZERO",
     "ZeroCoefficientError",
     "ZeroInputError",

@@ -41,14 +41,6 @@ class CaseMismatchError(SplitQuaternionError):
     """Inputs do not satisfy the preconditions of the requested case."""
 
 
-class WitnessSearchExhaustedError(SplitQuaternionError):
-    """No probe point of a witness family gives an invertible element.
-
-    Cannot happen for a family that holds an invertible element; see
-    ``similarity.PROBE_YS``.
-    """
-
-
 class IllConditionedWarning(UserWarning):
     """Quadratic form close enough to the branch cutoff to be unreliable."""
 

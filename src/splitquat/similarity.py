@@ -15,8 +15,13 @@ Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
 or a0 + i + j when k = 0.
 
-Witnesses are deterministic: the first invertible value of the rank-2
-family at the fixed points PROBE_YS.
+Witnesses and conjugators come from one closed form in the 2x2 real
+matrix model phi(q) = [[q0+q2, q3-q1], [q1+q3, q0-q2]], an isomorphism
+under which the quadratic form is the determinant and 2*q0 the trace.
+For X = phi(x) and a vector v that is no eigenvector of X, the basis
+P_X = [v, X*v] takes X to its companion matrix, which trace and
+determinant fix; similar a and b share both, so q = phi^-1(P_B * P_A^-1)
+satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).
 """
 
 from __future__ import annotations
@@ -25,25 +30,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import I, J, K, ONE, SplitQuaternion, ZERO
-from .errors import (
-    CaseMismatchError,
-    ExactnessWarning,
-    RealInputError,
-    WitnessSearchExhaustedError,
-)
+from .core import J, ONE, SplitQuaternion, ZERO
+from .errors import CaseMismatchError, ExactnessWarning, RealInputError
 from .matrices import t_matrix, t_rank_case, TRankCase
 from .scalars import DEFAULT_EPS, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
 from .solvers import SolutionFamily
-
-#: Instantiation points of a witness family, tried in order: the four
-#: units and their six pairwise sums.  The family's image is spanned by
-#: the images x(e_a), x(e_b) of two units; a quadratic form vanishing on
-#: x(e_a), x(e_b) and x(e_a + e_b) vanishes on their whole span by
-#: polarization, so when the span holds an invertible element one of
-#: these points reaches one.
-PROBE_YS = (ONE, I, J, K, ONE + I, ONE + J, ONE + K, I + J, I + K, J + K)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -89,11 +80,6 @@ def solve_sim_rank2(
         scalars_close(a.q0, b.q0, eps) and scalars_close(a.im_squared, b.im_squared, eps)
     ):
         raise CaseMismatchError("requires equal real parts and equal im_squared invariants")
-    return _rank2_family(a, b)
-
-
-def _rank2_family(a: SplitQuaternion, b: SplitQuaternion) -> SolutionFamily:
-    """The rank-2 family of solve_sim_rank2, for a pair already known to qualify."""
     d = 2 * (a.im_norm_sq + b.im_norm_sq)
     ap, bp = a.prime(), b.prime()
     terms = (
@@ -144,15 +130,29 @@ def solve_xa_bx(
     return SolutionFamily(ZERO, ())
 
 
-def _search_invertible(family: SolutionFamily, eps: float) -> SplitQuaternion:
-    """First invertible family.at(y) over PROBE_YS, in order."""
-    for y in PROBE_YS:
-        x = family.at(y)
-        if not scalar_is_zero(x.quadratic_form, eps):
-            return x
-    raise WitnessSearchExhaustedError(
-        f"no invertible element among the {len(PROBE_YS)} probe instantiations"
-    )
+def _cyclic_basis(x: SplitQuaternion):
+    """Rows of P = [v, phi(x)*v], with v among e1, e2, e1 + e2 giving the largest |det P|.
+
+    phi(x) of a non-real x is not scalar, so it has at most two
+    eigenvector directions, and one of the three v is no eigenvector.
+    """
+    m00, m01, m10, m11 = x.q0 + x.q2, x.q3 - x.q1, x.q1 + x.q3, x.q0 - x.q2
+    columns = (((1, 0), (m00, m10)), ((0, 1), (m01, m11)), ((1, 1), (m00 + m01, m10 + m11)))
+    (v0, v1), (w0, w1) = max(columns, key=lambda c: abs(c[0][0] * c[1][1] - c[1][0] * c[0][1]))
+    return (v0, w0), (v1, w1)
+
+
+def _cyclic_witness(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
+    """Invertible q with q*a = b*q for similar non-real a and b: phi^-1(P_B * P_A^-1)."""
+    (a00, a01), (a10, a11) = _cyclic_basis(a)
+    (b00, b01), (b10, b11) = _cyclic_basis(b)
+    det = a00 * a11 - a01 * a10
+    # P_B * adj(P_A) / det(P_A); on is_similar(x, x) this is the identity bit for bit
+    m00 = (b00 * a11 - b01 * a10) / det
+    m01 = (b01 * a00 - b00 * a01) / det
+    m10 = (b10 * a11 - b11 * a10) / det
+    m11 = (b11 * a00 - b10 * a01) / det
+    return SplitQuaternion((m00 + m11) / 2, (m10 - m01) / 2, (m00 - m11) / 2, (m01 + m10) / 2)
 
 
 def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> Verdict:
@@ -161,8 +161,9 @@ def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS)
     Non-real pairs are similar exactly when real parts and im_squared
     invariants match; real numbers are similar only to themselves, and a
     real number is never similar to a non-real one (conjugation fixes
-    the reals).  The witness is the first invertible element of the
-    rank-2 solution family at the points PROBE_YS, so it is deterministic.
+    the reals).  The witness of a non-real pair is the closed form
+    phi^-1(P_B * P_A^-1) of the module docstring, so it is deterministic,
+    and is_similar(a, a) gives ONE.
     """
     a_real, b_real = a.is_real(eps), b.is_real(eps)
     if a_real and b_real:
@@ -174,65 +175,36 @@ def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS)
         scalars_close(a.q0, b.q0, eps) and scalars_close(a.im_squared, b.im_squared, eps)
     ):
         return Verdict(False, None)
-    witness = _search_invertible(solve_sim_rank2(a, b, eps), eps)
-    return Verdict(True, witness)
-
-
-def _reduce_lightlike_im(a: SplitQuaternion, eps: float) -> SplitQuaternion:
-    """Step-one conjugator taking a (with im_squared = 0) to a0 + m*i - m*j."""
-    if scalar_is_zero(a.q3, eps):
-        # |a1| = |a2| here; a unit conjugation fixes or flips the j part
-        if scalars_close(a.q2, -a.q1, eps):
-            return ONE
-        if scalars_close(a.q2, a.q1, eps):
-            return I
-        raise CaseMismatchError("im_squared is not zero")
-    p = (a.q1 - a.q2) + a.q3 * I
-    # quadratic form of p is 2*a1*(a1 - a2), nonzero whenever a3 != 0
-    return p
+    return Verdict(True, _cyclic_witness(a, b))
 
 
 def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalForm:
     """Conjugacy normal form of a non-real element with an explicit conjugator.
 
     k = im_squared(a) > 0 maps to a0 + sqrt(k)*j, k < 0 to a0 + sqrt(-k)*i,
-    and k = 0 to a0 + i + j.  The k = 0 reduction is fully rational; for
-    k != 0 the conjugator comes from probing the rank-2 solution family
-    of x*a = target*x.  When k is not a perfect rational square the
-    computation escalates to floats and the result is flagged inexact.
+    and k = 0 to a0 + i + j.  The conjugator is the closed-form witness
+    phi^-1(P_target * P_a^-1) of the module docstring on every branch.
+    When k is not a perfect rational square the computation escalates to
+    floats and the result is flagged inexact.
     """
     _require_nonreal(a, eps, "a")
     k = a.im_squared
-    if scalar_is_zero(k, eps):
-        p = _reduce_lightlike_im(a, eps)
-        reduced = p * a * p.inverse(eps)
-        m = reduced.q1
-        if scalars_close(m, 1, eps):
-            step2 = I
-        elif scalars_close(m, -1, eps):
-            step2 = J
-        else:
-            step2 = (1 + m) * I + (1 - m) * J
-        conjugator = step2 * p
-        target = SplitQuaternion(a.q0, 1, 1, 0)
-        return CanonicalForm(target, conjugator, a.is_exact)
-
     exact = a.is_exact
-    if exact and exact_sqrt(abs(k)) is None:
-        warnings.warn(
-            "im_squared is not a perfect rational square; escalating to floats",
-            ExactnessWarning,
-            stacklevel=2,
-        )
-        a = a.to_float()
-        k = a.im_squared
-        exact = False
-    root = scalar_sqrt(abs(k))
-    if k > 0:
-        target = SplitQuaternion(a.q0, 0, root, 0)
+    if scalar_is_zero(k, eps):
+        target = SplitQuaternion(a.q0, 1, 1, 0)
     else:
-        target = SplitQuaternion(a.q0, root, 0, 0)
-    # the target has a's real part and im_squared by construction; a float
-    # re-check of that with the absolute eps fails at large scale
-    conjugator = _search_invertible(_rank2_family(a, target), eps)
-    return CanonicalForm(target, conjugator, exact)
+        if exact and exact_sqrt(abs(k)) is None:
+            warnings.warn(
+                "im_squared is not a perfect rational square; escalating to floats",
+                ExactnessWarning,
+                stacklevel=2,
+            )
+            a = a.to_float()
+            k = a.im_squared
+            exact = False
+        root = scalar_sqrt(abs(k))
+        if k > 0:
+            target = SplitQuaternion(a.q0, 0, root, 0)
+        else:
+            target = SplitQuaternion(a.q0, root, 0, 0)
+    return CanonicalForm(target, _cyclic_witness(a, target), exact)

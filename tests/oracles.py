@@ -1,11 +1,13 @@
-"""Closed-form spectra, determinants and S-rank cases, and Fraction elimination, used as test oracles.
+"""Closed-form spectra, determinants and S-rank cases, Fraction elimination, and the 2x2 matrix model, used as test oracles.
 
 The library decides ranks and determinants of ``t_matrix`` and
 ``s_matrix`` by elimination; the closed forms below are independent
 derivations that the tests compare against it.  The library eliminates
 exact matrices fraction-free on integer numerators; the Gauss-Jordan
 elimination over Fractions below is the rational path it replaced, and
-the tests require bit-equal results from both.
+the tests require bit-equal results from both.  :class:`M2` is the
+isomorphism onto the 2x2 real matrices, which shares no code with the
+library's 4x4 machinery.
 """
 
 from __future__ import annotations
@@ -205,3 +207,89 @@ def fraction_consistent(rows, rhs) -> bool:
     """Whether rows . x = rhs is solvable: the rhs column of the augmented matrix is no pivot."""
     _, pivots = fraction_rref([list(row) + [v] for row, v in zip(rows, rhs)])
     return len(rows[0]) not in pivots
+
+
+# ----------------------------------------------------------------------
+# the 2x2 real matrix model
+# ----------------------------------------------------------------------
+
+
+class M2:
+    """A 2x2 matrix [[a, b], [c, d]]; phi maps split quaternions onto these."""
+
+    def __init__(self, a, b, c, d):
+        self.entries = (a, b, c, d)
+
+    @classmethod
+    def phi(cls, q: SplitQuaternion) -> "M2":
+        """phi(q) = [[q0+q2, q3-q1], [q1+q3, q0-q2]]."""
+        return cls(q.q0 + q.q2, q.q3 - q.q1, q.q1 + q.q3, q.q0 - q.q2)
+
+    @classmethod
+    def columns(cls, v, w) -> "M2":
+        """The matrix [v, w] with column vectors v and w."""
+        return cls(v[0], w[0], v[1], w[1])
+
+    def phi_inverse(self) -> SplitQuaternion:
+        a, b, c, d = self.entries
+        return SplitQuaternion((a + d) / 2, (c - b) / 2, (a - d) / 2, (b + c) / 2)
+
+    def __matmul__(self, other: "M2") -> "M2":
+        a, b, c, d = self.entries
+        e, f, g, h = other.entries
+        return M2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def apply(self, v):
+        a, b, c, d = self.entries
+        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, M2) and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"M2{self.entries}"
+
+    def det(self):
+        a, b, c, d = self.entries
+        return a * d - b * c
+
+    def trace(self):
+        return self.entries[0] + self.entries[3]
+
+    def adj(self) -> "M2":
+        a, b, c, d = self.entries
+        return M2(d, -b, -c, a)
+
+    def transpose(self) -> "M2":
+        a, b, c, d = self.entries
+        return M2(a, c, b, d)
+
+    def divide(self, s) -> "M2":
+        return M2(*(x / s for x in self.entries))
+
+    def rank(self) -> int:
+        if self.det() != 0:
+            return 2
+        return 1 if any(x != 0 for x in self.entries) else 0
+
+    def mp_inverse(self) -> "M2":
+        """Penrose's inverse: A^-1 at rank 2, A^T / ||A||_F^2 at rank 1, 0 at rank 0."""
+        rank = self.rank()
+        if rank == 2:
+            return self.adj().divide(self.det())
+        if rank == 1:
+            return self.transpose().divide(sum(x * x for x in self.entries))
+        return self
+
+
+def cyclic_basis(x: SplitQuaternion) -> M2:
+    """[v, phi(x) v] for the first v among e1, e2, e1+e2 with the largest |det|."""
+    m = M2.phi(x)
+    bases = [M2.columns(v, m.apply(v)) for v in ((1, 0), (0, 1), (1, 1))]
+    return max(bases, key=lambda p: abs(p.det()))
+
+
+def cyclic_witness(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
+    """phi^-1(P_B P_A^-1): conjugates a to b when both are non-real and similar."""
+    p_a, p_b = cyclic_basis(a), cyclic_basis(b)
+    return (p_b @ p_a.adj()).divide(p_a.det()).phi_inverse()

@@ -37,8 +37,6 @@ from splitquat import (
     to_polar,
     vec,
 )
-from splitquat.similarity import PROBE_YS
-
 from conftest import (
     rand_causal,
     rand_circle,
@@ -54,6 +52,10 @@ from conftest import (
 from oracles import s_det, t_det, t_eigenvalues
 
 SUBSTITUTION_PROBES = (ZERO, ONE, I, J, K, ONE + I + J + K)
+
+#: The four units and their six pairwise sums: points at which a
+#: non-similar pair's solution set is searched for an invertible element.
+UNIT_PROBES = (ONE, I, J, K, ONE + I, ONE + J, ONE + K, I + J, I + K, J + K)
 
 
 def _report(number: int, label: str, failures):
@@ -215,7 +217,7 @@ def test_criterion_4_similarity_completeness():
             violations += 1
             continue
         family = solve_xa_bx(a, b)
-        for y in list(PROBE_YS) + extra_probes:
+        for y in list(UNIT_PROBES) + extra_probes:
             x = family.at(y)
             if not x.is_zero() and x.quadratic_form != 0:
                 failures.append(f"invertible element in solution set of {a}, {b}")

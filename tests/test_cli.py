@@ -48,8 +48,8 @@ class TestVerdictCommands:
 
     def test_similar_golden_witness(self, capsys):
         golden = {
-            "exact": "315/388-33/388i-45/388j+141/388k",
-            "approx": "0.811855670103-0.0850515463918i-0.115979381443j+0.363402061856k",
+            "exact": "3/2-1/2i-1/2j+1/2k",
+            "approx": "1.5-0.5i-0.5j+0.5k",
         }
         for backend, witness in golden.items():
             code, doc, _ = run_json(
@@ -112,7 +112,7 @@ class TestAnalysisCommands:
     def test_canonical_golden_conjugator(self, capsys):
         code, doc, _ = run_json(capsys, "canonical", "1+3i+2j+k")
         assert code == 0
-        assert doc["result"]["conjugator"] == "5/6+1/6j-1/3k"
+        assert doc["result"]["conjugator"] == "1/2+i+1/2j"
 
     def test_canonical_large_non_square_invariant(self, capsys):
         # the escalated target keeps a's invariants by construction; no float re-check

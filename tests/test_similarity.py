@@ -1,4 +1,6 @@
 import random
+import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -11,9 +13,7 @@ from splitquat import (
     Mat4,
     ONE,
     RealInputError,
-    SolutionFamily,
     SplitQuaternion,
-    WitnessSearchExhaustedError,
     ZERO,
     canonical_form,
     is_similar,
@@ -27,7 +27,6 @@ from splitquat import (
     solve_xa_bx,
     t_matrix,
 )
-from splitquat.similarity import PROBE_YS, _search_invertible
 from conftest import (
     rand_conjugate,
     rand_invertible,
@@ -36,8 +35,28 @@ from conftest import (
     rand_rank3_pair,
     rand_similar_pair,
 )
+from oracles import cyclic_witness
 
 PROBES = (ONE, I, J, K)
+
+
+def _dyadic(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
+
+
+def _dyadic_similar_pair(rng: random.Random, k_zero: bool):
+    """Non-real a and p*a*p^-1 with dyadic coefficients: |quadratic_form(p)| is a power of two."""
+    while True:
+        a = SplitQuaternion(*(_dyadic(rng) for _ in range(4)))
+        if k_zero:
+            a = SplitQuaternion(a.q0, a.q1, a.q1, 0)
+        p = SplitQuaternion(*(_dyadic(rng) for _ in range(4)))
+        form = abs(p.quadratic_form)
+        dyadic_form = form != 0 and all(
+            n & (n - 1) == 0 for n in (form.numerator, form.denominator)
+        )
+        if not a.is_real() and dyadic_form:
+            return a, p * a * p.inverse()
 
 
 def proportional(p: SplitQuaternion, q: SplitQuaternion) -> bool:
@@ -194,8 +213,15 @@ class TestIsSimilar:
 
     def test_reflexive_with_unit_witness(self):
         q = parse_quat("1+3i+2j+k")
-        verdict = is_similar(q, q)
-        assert verdict and verdict.witness == ONE
+        for x in (q, q.to_float()):
+            verdict = is_similar(x, x)
+            assert verdict and verdict.witness == ONE
+        rng = random.Random(45)
+        for k_zero in (False, True):
+            for _ in range(10):
+                a, _ = rand_similar_pair(rng, k_zero=k_zero)
+                for x in (a, a.to_float()):
+                    assert is_similar(x, x).witness == ONE
 
     def test_real_cases(self):
         two = parse_quat("2")
@@ -228,24 +254,34 @@ class TestIsSimilar:
         w2 = is_similar(a, b).witness
         assert w1 == w2
 
-    def test_witness_is_first_invertible_probe(self):
+    def test_witness_is_cyclic_basis_witness(self):
+        # the witness is phi^-1(P_B P_A^-1) of the 2x2 model, bit for bit on both backends
         rng = random.Random(44)
-        for k_zero in (False, True):
+        counts = {"plus": 0, "minus": 0, "zero": 0}
+        for k_zero in (False, True) * 2:
             for _ in range(10):
                 a, b = rand_similar_pair(rng, k_zero=k_zero)
+                k = a.im_squared
+                counts["zero" if k == 0 else "plus" if k > 0 else "minus"] += 1
                 for x, y in ((a, b), (a.to_float(), b.to_float())):
-                    family = solve_sim_rank2(x, y)
-                    values = [family.at(p) for p in PROBE_YS]
-                    first = next(v for v in values if v.quadratic_form != 0)
-                    assert is_similar(x, y).witness == first
-                    assert is_similar(x, y).witness == first
+                    assert is_similar(x, y).witness == cyclic_witness(x, y)
+                w = is_similar(a, b).witness
+                assert w * a == b * w and w.quadratic_form != 0
+        assert min(counts.values()) > 0
 
-    def test_null_family_exhausts_probes_at_once(self):
-        # every (1+j)*y is a zero divisor, so no probe can give a witness
-        for one_plus_j in (ONE + J, (ONE + J).to_float()):
-            family = SolutionFamily(ZERO, ((one_plus_j, ONE),))
-            with pytest.raises(WitnessSearchExhaustedError):
-                _search_invertible(family, 1e-9)
+    def test_witness_is_scale_invariant(self):
+        # a dyadic pair scaled by 2^k is exact in floats; its float witness must not move
+        rng = random.Random(46)
+        for k_zero in (False, True):
+            for _ in range(10):
+                a, b = _dyadic_similar_pair(rng, k_zero)
+                base = is_similar(a.to_float(), b.to_float())
+                assert base
+                for k in range(-20, 21):
+                    s = 2.0**k
+                    verdict = is_similar(a.to_float() * s, b.to_float() * s)
+                    assert verdict
+                    assert verdict.witness == base.witness
 
     def test_conjugation_preserves_invariants(self):
         rng = random.Random(43)
@@ -305,11 +341,21 @@ class TestCanonicalForm:
             assert form.conjugator.quadratic_form != 0
 
     def test_unit_coefficient_paths(self):
-        # m = 1 and m = -1 after the first reduction step
+        # lightlike imaginary parts +-(i - j) and +-(i + j) with unit coefficients
         for text in ["i-j", "5-i+j", "i+j", "-i-j"]:
             a = parse_quat(text)
             form = canonical_form(a)
             assert form.conjugator * a == form.target * form.conjugator
+
+    def test_conjugator_is_cyclic_basis_witness(self):
+        # one construction on all three branches: phi^-1(P_target P_a^-1), bit for bit
+        for text in ["1+3i+2j+k", "3+i+2j+k", "1+5i+3j+4k", "2+3i-3j", "2+i+2j+2k"]:
+            a = parse_quat(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                form = canonical_form(a)
+            base = a if form.exact else a.to_float()
+            assert form.conjugator == cyclic_witness(base, form.target)
 
     def test_random_lightlike_invariant(self):
         rng = random.Random(51)
