@@ -3,137 +3,57 @@
 Classification, powers and roots of zero divisors, Moore-Penrose
 inverses, linear-equation solvers with zero-divisor coefficients, and
 similarity/consimilarity decision procedures with explicit witnesses.
+
+Every public name is imported from its module on first use (PEP 562),
+so ``import splitquat`` and each CLI subcommand load only the modules
+they run.  A name is looked up in its module on every access, never
+cached here, so a module attribute replaced at run time is seen.
 """
 
-from .consimilarity import is_consimilar, solve_xa_bxbar
-from .core import (
-    CausalClass,
-    I,
-    J,
-    K,
-    ONE,
-    SplitQuaternion,
-    ZERO,
-)
-from .errors import (
-    CaseMismatchError,
-    ExactnessWarning,
-    IllConditionedWarning,
-    NonFiniteError,
-    NotInvertibleError,
-    NotLightlikeError,
-    ParseError,
-    RealInputError,
-    SplitQuaternionError,
-    ZeroCoefficientError,
-    ZeroInputError,
-)
-from .matrices import (
-    F_MATRIX,
-    Mat4,
-    TRankCase,
-    left_matrix,
-    linear_system_consistent,
-    mat_mp_inverse,
-    nullspace_basis,
-    quaternion_term_decomposition,
-    right_matrix,
-    s_matrix,
-    t_matrix,
-    t_rank_case,
-    unvec,
-    vec,
-)
-from .parsing import parse_quat
-from .pinv import check_penrose_coherence, mp_inverse, projectors
-from .roots import (
-    LightlikePolar,
-    from_polar,
-    is_idempotent,
-    is_nilpotent,
-    nth_roots,
-    power,
-    to_polar,
-)
-from .scalars import DEFAULT_EPS
-from .similarity import (
-    CanonicalForm,
-    Verdict,
-    canonical_form,
-    is_similar,
-    solve_sim_rank2,
-    solve_sim_rank3,
-    solve_xa_bx,
-)
-from .solvers import (
-    SolutionFamily,
-    SolveOutcome,
-    solve_ax0,
-    solve_axb,
-    solve_axd,
-    solve_xad,
-)
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalForm",
-    "CaseMismatchError",
-    "CausalClass",
-    "DEFAULT_EPS",
-    "ExactnessWarning",
-    "F_MATRIX",
-    "I",
-    "IllConditionedWarning",
-    "J",
-    "K",
-    "LightlikePolar",
-    "Mat4",
-    "NonFiniteError",
-    "NotInvertibleError",
-    "NotLightlikeError",
-    "ONE",
-    "ParseError",
-    "RealInputError",
-    "SolutionFamily",
-    "SolveOutcome",
-    "SplitQuaternion",
-    "SplitQuaternionError",
-    "TRankCase",
-    "Verdict",
-    "ZERO",
-    "ZeroCoefficientError",
-    "ZeroInputError",
-    "canonical_form",
-    "check_penrose_coherence",
-    "from_polar",
-    "is_consimilar",
-    "is_idempotent",
-    "is_nilpotent",
-    "is_similar",
-    "left_matrix",
-    "linear_system_consistent",
-    "mat_mp_inverse",
-    "mp_inverse",
-    "nth_roots",
-    "nullspace_basis",
-    "parse_quat",
-    "power",
-    "projectors",
-    "quaternion_term_decomposition",
-    "right_matrix",
-    "s_matrix",
-    "solve_ax0",
-    "solve_axb",
-    "solve_axd",
-    "solve_sim_rank2",
-    "solve_sim_rank3",
-    "solve_xa_bx",
-    "solve_xa_bxbar",
-    "solve_xad",
-    "t_matrix",
-    "t_rank_case",
-    "to_polar",
-    "unvec",
-    "vec",
-]
+#: Each module, and the public names it defines.
+_MODULES = {
+    "consimilarity": "is_consimilar solve_xa_bxbar",
+    "core": "CausalClass I J K ONE SplitQuaternion ZERO",
+    "errors": (
+        "CaseMismatchError ExactnessWarning IllConditionedWarning NonFiniteError "
+        "NotInvertibleError NotLightlikeError ParseError RealInputError "
+        "SplitQuaternionError ZeroCoefficientError ZeroInputError"
+    ),
+    "matrices": (
+        "F_MATRIX Mat4 TRankCase left_matrix linear_system_consistent mat_mp_inverse "
+        "nullspace_basis quaternion_term_decomposition right_matrix s_matrix t_matrix "
+        "t_rank_case unvec vec"
+    ),
+    "parsing": "parse_quat",
+    "pinv": "check_penrose_coherence mp_inverse projectors",
+    "roots": "LightlikePolar from_polar is_idempotent is_nilpotent nth_roots power to_polar",
+    "scalars": "DEFAULT_EPS",
+    "similarity": (
+        "CanonicalForm Verdict canonical_form is_similar solve_sim_rank2 solve_sim_rank3 "
+        "solve_xa_bx"
+    ),
+    "solvers": "SolutionFamily SolveOutcome solve_ax0 solve_axb solve_axd solve_xad",
+}
+
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{module}"
+    if module not in sys.modules:
+        import_module(module)
+    return getattr(sys.modules[module], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,6 +7,10 @@ way prints as one ``warning: <message>`` line on stderr.  Every answer
 ships with a ``verified`` flag reporting a post-hoc substitution check
 of the result.  Exit status: 0 for success and true verdicts, 1 for
 false similar/consimilar verdicts, 2 for errors.
+
+A handler imports the library modules it runs when it is called, so a
+process loads only what its subcommand needs: one process per query
+spends most of its time starting up.
 """
 
 from __future__ import annotations
@@ -19,20 +23,10 @@ import sys
 import warnings
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import consimilarity, pinv, roots, similarity, solvers
 from .core import I, J, K, ONE, ZERO
 from .errors import SplitQuaternionError
-from .matrices import (
-    left_matrix,
-    linear_system_consistent,
-    right_matrix,
-    s_matrix,
-    t_matrix,
-    vec,
-)
 from .parsing import parse_quat
 from .scalars import DEFAULT_EPS, format_scalar, scalars_close
-from .solvers import SolveOutcome, SolutionFamily
 
 _SOLVE_PROBES = (ZERO, ONE, I, J, K)
 
@@ -48,7 +42,7 @@ def tolerance(text: str) -> float:
     return eps
 
 
-def _family(family: SolutionFamily, residual, eps: float, solvable: bool = False) -> Result:
+def _family(family, residual, eps: float, solvable: bool = False) -> Result:
     """A family, with dimension and basis from one elimination at eps, checked at the probes."""
     verified = all(residual(family.at(y)).is_zero(eps) for y in _SOLVE_PROBES)
     basis = family.basis(eps)
@@ -67,9 +61,11 @@ def _family(family: SolutionFamily, residual, eps: float, solvable: bool = False
     return {"family": payload}, lines, verified, 0
 
 
-def _outcome(outcome: SolveOutcome, residual, matrix, rhs, eps: float) -> Result:
+def _outcome(outcome, residual, matrix, rhs, eps: float) -> Result:
     if outcome.solvable:
         return _family(outcome.family, residual, eps, solvable=True)
+    from .matrices import linear_system_consistent
+
     verified = not linear_system_consistent(matrix, rhs, eps)
     payload = {"solvable": False, "certificate": str(outcome.certificate)}
     return payload, ["unsolvable", f"certificate: {outcome.certificate}"], verified, 0
@@ -91,53 +87,76 @@ def _classify(args, eps, q) -> Result:
 
 
 def _pinv(args, eps, q) -> Result:
-    p = pinv.mp_inverse(q, eps)
+    from .pinv import mp_inverse
+
+    p = mp_inverse(q, eps)
     verified = (q * p * q).isclose(q, eps) and (p * q * p).isclose(p, eps)
     return {"pinv": str(p)}, [str(p)], verified, 0
 
 
 def _roots(args, eps, q) -> Result:
-    ws = roots.nth_roots(q, args.n, eps)
+    from .roots import nth_roots, power
+
+    ws = nth_roots(q, args.n, eps)
     qf = q.to_float()
-    verified = all(roots.power(w, args.n, eps).isclose(qf, 1e-6) for w in ws)
+    verified = all(power(w, args.n, eps).isclose(qf, 1e-6) for w in ws)
     payload = {"roots": [str(w) for w in ws], "count": len(ws)}
     return payload, [str(w) for w in ws] if ws else ["no roots"], verified, 0
 
 
 def _power(args, eps, q) -> Result:
-    result = roots.power(q, args.n, eps)
-    previous = roots.power(q, args.n - 1, eps) * q if args.n > 1 else q
+    from .roots import power
+
+    result = power(q, args.n, eps)
+    previous = power(q, args.n - 1, eps) * q if args.n > 1 else q
     verified = previous.isclose(result, eps)
     return {"power": str(result)}, [str(result)], verified, 0
 
 
 def _solve_axb(args, eps, a, b, d) -> Result:
-    outcome = solvers.solve_axb(a, b, d, eps)
+    from .matrices import left_matrix, right_matrix, vec
+    from .solvers import solve_axb
+
+    outcome = solve_axb(a, b, d, eps)
     return _outcome(outcome, lambda x: a * x * b - d, left_matrix(a) @ right_matrix(b), vec(d), eps)
 
 
 def _solve_ax0(args, eps, a) -> Result:
-    return _family(solvers.solve_ax0(a, eps), lambda x: a * x, eps, solvable=True)
+    from .solvers import solve_ax0
+
+    return _family(solve_ax0(a, eps), lambda x: a * x, eps, solvable=True)
 
 
 def _solve_axd(args, eps, a, d) -> Result:
-    return _outcome(solvers.solve_axd(a, d, eps), lambda x: a * x - d, left_matrix(a), vec(d), eps)
+    from .matrices import left_matrix, vec
+    from .solvers import solve_axd
+
+    return _outcome(solve_axd(a, d, eps), lambda x: a * x - d, left_matrix(a), vec(d), eps)
 
 
 def _solve_xad(args, eps, a, d) -> Result:
-    return _outcome(solvers.solve_xad(a, d, eps), lambda x: x * a - d, right_matrix(a), vec(d), eps)
+    from .matrices import right_matrix, vec
+    from .solvers import solve_xad
+
+    return _outcome(solve_xad(a, d, eps), lambda x: x * a - d, right_matrix(a), vec(d), eps)
 
 
 def _similar(args, eps, a, b) -> Result:
-    return _witness("similar", similarity.is_similar(a, b, eps), lambda x: x * a - b * x, eps)
+    from .similarity import is_similar
+
+    return _witness("similar", is_similar(a, b, eps), lambda x: x * a - b * x, eps)
 
 
 def _sim_solve(args, eps, a, b) -> Result:
-    return _family(similarity.solve_xa_bx(a, b, eps), lambda x: x * a - b * x, eps)
+    from .similarity import solve_xa_bx
+
+    return _family(solve_xa_bx(a, b, eps), lambda x: x * a - b * x, eps)
 
 
 def _canonical(args, eps, a) -> Result:
-    form = similarity.canonical_form(a, eps)
+    from .similarity import canonical_form
+
+    form = canonical_form(a, eps)
     p, target = form.conjugator, form.target
     verified = (p * a).isclose(target * p, eps) and not p.is_lightlike(eps)
     payload = {"target": str(target), "conjugator": str(p), "exact": form.exact}
@@ -145,29 +164,35 @@ def _canonical(args, eps, a) -> Result:
 
 
 def _consimilar(args, eps, a, b) -> Result:
-    verdict = consimilarity.is_consimilar(a, b, eps)
+    from .consimilarity import is_consimilar
+
+    verdict = is_consimilar(a, b, eps)
     return _witness("consimilar", verdict, lambda x: x * a - b * x.conjugate(), eps)
 
 
 def _consim_solve(args, eps, a, b) -> Result:
-    family = consimilarity.solve_xa_bxbar(a, b, eps)
+    from .consimilarity import solve_xa_bxbar
+
+    family = solve_xa_bxbar(a, b, eps)
     return _family(family, lambda x: x * a - b * x.conjugate(), eps)
 
 
-#: Each matrix kind: its builder from the literals, and the map it represents.
+#: Each matrix kind: the name of its builder in .matrices, and the map it represents.
 _MATRICES = {
-    "L": (left_matrix, lambda x, a: vec(a * x)),
-    "R": (right_matrix, lambda x, a: vec(x * a)),
-    "T": (t_matrix, lambda x, a, b: vec(x * a - b * x)),
-    "S": (s_matrix, lambda x, a, b: vec(x * a - b * x.conjugate())),
+    "L": ("left_matrix", lambda x, a: a * x),
+    "R": ("right_matrix", lambda x, a: x * a),
+    "T": ("t_matrix", lambda x, a, b: x * a - b * x),
+    "S": ("s_matrix", lambda x, a, b: x * a - b * x.conjugate()),
 }
 
 
 def _matrix(args, eps, *qs) -> Result:
-    build, image = _MATRICES[args.kind]
-    m = build(*qs)
+    from . import matrices
+
+    builder, image = _MATRICES[args.kind]
+    m = getattr(matrices, builder)(*qs)
     verified = all(
-        all(scalars_close(u, v, eps) for u, v in zip(m.apply(vec(x)), image(x, *qs)))
+        all(scalars_close(u, v, eps) for u, v in zip(m.apply(x.coeffs), image(x, *qs).coeffs))
         for x in (ONE + 2 * I + 3 * J + 4 * K, I + J)
     )
     return {"rows": [[format_scalar(x) for x in row] for row in m.rows]}, [str(m)], verified, 0

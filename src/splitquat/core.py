@@ -23,7 +23,6 @@ threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from typing import Tuple
@@ -52,23 +51,63 @@ class CausalClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SplitQuaternion:
+class Frozen:
+    """Base of the library's immutable values, which are ``__slots__`` classes.
+
+    A subclass names its fields in ``_fields`` and sets them once, in its
+    own ``__init__``, through ``_assign``.  Values of one class are equal
+    when their fields are, hash by their fields, pickle and copy by
+    calling the class on them, and refuse assignment.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class SplitQuaternion(Frozen):
     """Immutable split quaternion ``q0 + q1*i + q2*j + q3*k``."""
 
-    q0: Scalar
-    q1: Scalar
-    q2: Scalar
-    q3: Scalar
+    __slots__ = _fields = ("q0", "q1", "q2", "q3")
 
-    def __post_init__(self):
-        coeffs = tuple(as_scalar(c) for c in (self.q0, self.q1, self.q2, self.q3))
+    def __init__(self, q0: Scalar, q1: Scalar, q2: Scalar, q3: Scalar):
+        coeffs = tuple(as_scalar(c) for c in (q0, q1, q2, q3))
         if any(isinstance(c, float) for c in coeffs):
             coeffs = tuple(float(c) for c in coeffs)
             if not all(map(isfinite, coeffs)):
                 raise NonFiniteError("coefficient is not finite on the float backend")
-        for name, value in zip(("q0", "q1", "q2", "q3"), coeffs):
+        for name, value in zip(self._fields, coeffs):  # _assign, inlined on the hot path
             object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.q0, self.q1, self.q2, self.q3)
 
     # ------------------------------------------------------------------
     # construction

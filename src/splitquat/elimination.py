@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from .errors import NotInvertibleError
 from .scalars import Scalar, scalar_is_zero
 
 
@@ -108,7 +109,7 @@ def det(rows: List[List[float]], eps: float) -> float:
 
 
 def inverse(rows: List[List[float]]) -> List[List[float]]:
-    """Inverse of a small square float matrix by Gauss-Jordan; raises if singular.
+    """Inverse of a small square float matrix by Gauss-Jordan; NotInvertibleError if singular.
 
     Pivots are tested against zero, not a tolerance: the callers pass
     Gram blocks that are nonsingular by construction and whose entries
@@ -119,5 +120,5 @@ def inverse(rows: List[List[float]]) -> List[List[float]]:
     aug = [list(row) + [1.0 * (i == j) for j in range(n)] for i, row in enumerate(rows)]
     reduced, pivots = rref(aug, 0.0)
     if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
+        raise NotInvertibleError("matrix is singular")
     return [row[n:] for row in reduced]

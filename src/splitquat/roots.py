@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .core import ONE, SplitQuaternion
+from .core import ONE, Frozen, SplitQuaternion
 from .errors import ExactnessWarning, NotLightlikeError, ZeroInputError
 from .scalars import DEFAULT_EPS, scalar_is_zero, scalars_close
 
@@ -60,13 +59,13 @@ def is_idempotent(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> bool:
     return half and scalar_is_zero(quarter + q.q1 * q.q1 - q.q2 * q.q2 - q.q3 * q.q3, eps)
 
 
-@dataclass(frozen=True)
-class LightlikePolar:
+class LightlikePolar(Frozen):
     """Polar data (r, alpha, beta) of a nonzero zero divisor."""
 
-    r: float
-    alpha: float
-    beta: float
+    __slots__ = _fields = ("r", "alpha", "beta")
+
+    def __init__(self, r: float, alpha: float, beta: float):
+        self._assign(r, alpha, beta)
 
     def to_quaternion(self) -> SplitQuaternion:
         return from_polar(self.r, self.alpha, self.beta)

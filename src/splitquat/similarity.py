@@ -27,28 +27,28 @@ satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import J, ONE, SplitQuaternion, ZERO
+from .core import Frozen, J, ONE, SplitQuaternion, ZERO
 from .errors import CaseMismatchError, ExactnessWarning, RealInputError
 from .matrices import t_matrix, t_rank_case, TRankCase
 from .scalars import DEFAULT_EPS, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
 from .solvers import SolutionFamily
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Frozen):
     """Boolean answer plus, when true, an invertible witness."""
 
-    verdict: bool
-    witness: Optional[SplitQuaternion]
+    __slots__ = _fields = ("verdict", "witness")
+
+    def __init__(self, verdict: bool, witness: Optional[SplitQuaternion]):
+        self._assign(verdict, witness)
 
     def __bool__(self) -> bool:
         return self.verdict
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Frozen):
     """Conjugacy normal form: target = conjugator * a * conjugator^-1.
 
     ``exact`` is False when the square root forced an escalation from
@@ -56,9 +56,10 @@ class CanonicalForm:
     the working tolerance instead of bit-exactly.
     """
 
-    target: SplitQuaternion
-    conjugator: SplitQuaternion
-    exact: bool
+    __slots__ = _fields = ("target", "conjugator", "exact")
+
+    def __init__(self, target: SplitQuaternion, conjugator: SplitQuaternion, exact: bool):
+        self._assign(target, conjugator, exact)
 
 
 def _require_nonreal(q: SplitQuaternion, eps: float, name: str = "input") -> None:

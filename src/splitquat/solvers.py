@@ -14,11 +14,9 @@ would hide the structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .core import ONE, SplitQuaternion, ZERO
+from .core import ONE, Frozen, SplitQuaternion, ZERO
 from .errors import NotLightlikeError, ZeroCoefficientError
 from .matrices import (
     Mat4,
@@ -33,17 +31,19 @@ from .scalars import DEFAULT_EPS, scalar_is_zero
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Frozen):
     """Affine solution set y -> constant + sum_k left_k * y * right_k.
 
-    The linear part is a real-linear map on the algebra; its matrix is
-    sum_k L(left_k) R(right_k), built once per family, and its rank is
-    the dimension of the solution set.
+    The linear part is a real-linear map on the algebra; its matrix,
+    ``linear_matrix``, is sum_k L(left_k) R(right_k), built on first
+    read and kept, and its rank is the dimension of the solution set.
     """
 
-    constant: SplitQuaternion
-    terms: Tuple[Term, ...]
+    __slots__ = ("constant", "terms", "linear_matrix")
+    _fields = ("constant", "terms")
+
+    def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
+        self._assign(constant, terms)
 
     def at(self, y: SplitQuaternion) -> SplitQuaternion:
         x = self.constant
@@ -53,12 +53,22 @@ class SolutionFamily:
 
     __call__ = at
 
-    @cached_property
-    def linear_matrix(self) -> Mat4:
+    def __getattr__(self, name):
+        # reached only while the linear_matrix slot is empty
+        if name != "linear_matrix":
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
         m = Mat4.zero()
         for left, right in self.terms:
             m = m + left_matrix(left) @ right_matrix(right)
+        object.__setattr__(self, "linear_matrix", m)
         return m
+
+    def __reduce__(self):
+        # the matrix travels along, so a from_matrix family keeps its own
+        return (SolutionFamily, (self.constant, self.terms), self.linear_matrix)
+
+    def __setstate__(self, matrix: Mat4):
+        object.__setattr__(self, "linear_matrix", matrix)
 
     @property
     def dimension(self) -> int:
@@ -76,20 +86,21 @@ class SolutionFamily:
         from the decomposed terms.
         """
         family = cls(constant, quaternion_term_decomposition(matrix))
-        vars(family)["linear_matrix"] = matrix
+        object.__setattr__(family, "linear_matrix", matrix)
         return family
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(Frozen):
     """Either a SolutionFamily or an unsolvability certificate.
 
     The certificate is the residual (projected d) - d, which is nonzero
     exactly when the equation has no solution.
     """
 
-    family: Optional[SolutionFamily]
-    certificate: Optional[SplitQuaternion]
+    __slots__ = _fields = ("family", "certificate")
+
+    def __init__(self, family: Optional[SolutionFamily], certificate: Optional[SplitQuaternion]):
+        self._assign(family, certificate)
 
     @property
     def solvable(self) -> bool:

@@ -215,7 +215,7 @@ class TestValueSemantics:
     def test_hashable_and_frozen(self):
         q = parse_quat("1+j")
         assert hash(q) == hash(SplitQuaternion(1, 0, 1, 0))
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             q.q0 = Fraction(2)
 
 

@@ -10,7 +10,9 @@ from splitquat import (
     J,
     K,
     Mat4,
+    NotInvertibleError,
     ONE,
+    SplitQuaternion,
     TRankCase,
     ZERO,
     left_matrix,
@@ -241,6 +243,14 @@ class TestMatrixPseudoInverse:
         q = parse_quat("1+3i+2j+k")
         m = left_matrix(q)
         assert mat_mp_inverse(m) @ m == Mat4.identity()
+
+    def test_numerically_singular_float_gram_block_is_a_typed_error(self):
+        # float-mixed seed 7: the float Gram block of this rank-3 T matrix
+        # eliminates to a zero pivot
+        a = SplitQuaternion(131072.0, -10158080.0, -5832704.0, -8323072.0)
+        b = SplitQuaternion(131072.0, -13434880.0, -7798784.0, -10944512.0)
+        with pytest.raises(NotInvertibleError):
+            mat_mp_inverse(t_matrix(a, b))
 
 
 class TestTermDecomposition:

@@ -1,0 +1,93 @@
+"""The lazy package: one table of public names, resolved on access; what each CLI run loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import splitquat
+from splitquat import core, pinv
+
+SRC = Path(splitquat.__file__).resolve().parent.parent
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name, module in splitquat._HOME.items():
+        home = importlib.import_module(f"splitquat.{module}")
+        assert getattr(splitquat, name) is getattr(home, name), name
+        assert name in vars(home), f"{name} is not defined in splitquat.{module}"
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from splitquat import *", namespace)
+    assert set(splitquat.__all__) <= set(namespace)
+    assert namespace["SplitQuaternion"] is core.SplitQuaternion
+
+
+def test_dir_lists_the_public_names():
+    listed = dir(splitquat)
+    assert "__all__" in listed and "__version__" in listed
+    assert set(splitquat.__all__) <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        splitquat.no_such_name
+
+
+def test_names_are_not_cached_in_the_package():
+    # perfbench's tracer replaces functions in their defining modules and
+    # puts them back; the package must follow both ways
+    original = pinv.mp_inverse
+    assert "mp_inverse" not in vars(splitquat)
+    try:
+        pinv.mp_inverse = wrapper = lambda *args: original(*args)
+        assert splitquat.mp_inverse is wrapper
+    finally:
+        pinv.mp_inverse = original
+    assert splitquat.mp_inverse is original
+    assert "mp_inverse" not in vars(splitquat)
+
+
+def _modules_after(argv):
+    """Modules a fresh interpreter loads to import splitquat.cli and run main(argv) once."""
+    code = (
+        "import io, json, sys, contextlib\n"
+        "before = set(sys.modules)\n"
+        "from splitquat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, modules = json.loads(proc.stdout)
+    assert exit_code == 0
+    return set(modules)
+
+
+def test_classify_loads_no_dataclasses_nor_matrix_machinery():
+    loaded = _modules_after(["classify", "1+j", "--json"])
+    assert "splitquat.core" in loaded
+    unwanted = {"dataclasses", "inspect", "splitquat.matrices", "splitquat.solvers",
+                "splitquat.similarity"}
+    assert not loaded & unwanted, loaded & unwanted
+
+
+def test_solve_ax0_loads_no_similarity_nor_roots():
+    loaded = _modules_after(["solve-ax0", "1+j", "--json"])
+    assert "splitquat.solvers" in loaded
+    unwanted = {"dataclasses", "inspect", "splitquat.similarity", "splitquat.consimilarity",
+                "splitquat.roots"}
+    assert not loaded & unwanted, loaded & unwanted
