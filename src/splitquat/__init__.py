@@ -20,24 +20,20 @@ _MODULES = {
     "consimilarity": "is_consimilar solve_xa_bxbar",
     "core": "CausalClass I J K ONE SplitQuaternion ZERO",
     "errors": (
-        "CaseMismatchError ExactnessWarning IllConditionedWarning NonFiniteError "
-        "NotInvertibleError NotLightlikeError ParseError RealInputError "
-        "SplitQuaternionError ZeroCoefficientError ZeroInputError"
+        "ExactnessWarning IllConditionedWarning NonFiniteError NotInvertibleError "
+        "NotLightlikeError ParseError RealInputError SplitQuaternionError "
+        "ZeroCoefficientError ZeroInputError"
     ),
     "matrices": (
-        "F_MATRIX Mat4 TRankCase left_matrix linear_system_consistent mat_mp_inverse "
-        "nullspace_basis quaternion_term_decomposition right_matrix s_matrix t_matrix "
-        "t_rank_case unvec vec"
+        "F_MATRIX Mat4 left_matrix linear_system_consistent mat_mp_inverse nullspace_basis "
+        "quaternion_term_decomposition right_matrix s_matrix t_matrix unvec vec"
     ),
     "parsing": "parse_quat",
     "pinv": "check_penrose_coherence mp_inverse projectors",
     "roots": "LightlikePolar from_polar is_idempotent is_nilpotent nth_roots power to_polar",
     "scalars": "DEFAULT_EPS",
-    "similarity": (
-        "CanonicalForm Verdict canonical_form is_similar solve_sim_rank2 solve_sim_rank3 "
-        "solve_xa_bx"
-    ),
-    "solvers": "SolutionFamily SolveOutcome solve_ax0 solve_axb solve_axd solve_xad",
+    "similarity": "CanonicalForm canonical_form is_similar solve_xa_bx",
+    "solvers": "SolutionFamily SolveOutcome Verdict solve_ax0 solve_axb solve_axd solve_xad",
 }
 
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}

@@ -6,17 +6,19 @@ element w = conj(a)+b satisfies w*a = b*conj(w) whenever Ia = Ib (the
 residual of that substitution is exactly Ia - Ib), and it is invertible
 precisely when its own quadratic form is nonzero; the rank-3 lightlike
 cases are therefore solvable-but-not-consimilar, which is why the
-predicate and the solver are separate operations.
+predicate and the solver are separate operations.  When conj(a)+b = 0
+the witness is the closed-form solution of largest |quadratic form|
+among three, which is invertible, so the predicate ends with an answer
+on every non-real pair.
 """
 
 from __future__ import annotations
 
 from .core import SplitQuaternion, ZERO
-from .errors import RealInputError, SplitQuaternionError
+from .errors import RealInputError
 from .matrices import Mat4, mat_mp_inverse, s_matrix
 from .scalars import DEFAULT_EPS, scalar_is_zero, scalars_close
-from .similarity import Verdict
-from .solvers import SolutionFamily
+from .solvers import SolutionFamily, Verdict
 
 
 def solve_xa_bxbar(
@@ -39,9 +41,11 @@ def is_consimilar(
     """Decide consimilarity of non-real a, b; returns an invertible witness when true.
 
     When conj(a)+b != 0 the witness is conj(a)+b itself.  When
-    conj(a)+b = 0 the witness is the first invertible element of the
-    fixed candidate list a3*i + a1*k, a2*i + a1*j, a1 + a0*i; at least
-    one is invertible for non-real a.
+    conj(a)+b = 0 every element of the fixed list a3*i + a1*k,
+    a2*i + a1*j, a1 + a0*i solves x*a = b*conj(x), and the witness is
+    the one of largest |quadratic form|, which is nonzero for non-real
+    a: it is a1^2 + a0^2 for the last, and a3^2 or a2^2 for the first
+    two when a1 = 0.
     """
     if a.is_real(eps) or b.is_real(eps):
         raise RealInputError("consimilarity is only defined here for non-real elements")
@@ -52,14 +56,7 @@ def is_consimilar(
             SplitQuaternion(0, a.q2, a.q1, 0),
             SplitQuaternion(a.q1, a.q0, 0, 0),
         )
-        for x in candidates:
-            if scalar_is_zero(x.quadratic_form, eps):
-                continue
-            if (x * a).isclose(b * x.conjugate(), eps):
-                return Verdict(True, x)
-        raise SplitQuaternionError(
-            "no invertible witness among the candidate solutions"
-        )  # unreachable for non-real a
+        return Verdict(True, max(candidates, key=lambda x: abs(x.quadratic_form)))
     if scalars_close(a.quadratic_form, b.quadratic_form, eps) and not scalar_is_zero(
         w.quadratic_form, eps
     ):

@@ -37,10 +37,6 @@ class NonFiniteError(SplitQuaternionError):
     """A float-backend value, or its quadratic form, overflowed to inf or nan."""
 
 
-class CaseMismatchError(SplitQuaternionError):
-    """Inputs do not satisfy the preconditions of the requested case."""
-
-
 class IllConditionedWarning(UserWarning):
     """Quadratic form close enough to the branch cutoff to be unreliable."""
 

@@ -24,7 +24,6 @@ term.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +38,6 @@ from .scalars import (
     Scalar,
     as_scalar,
     format_scalar,
-    scalar_is_zero,
     scalars_close,
 )
 
@@ -262,36 +260,6 @@ def t_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
 def s_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
     """Matrix whose kernel is the solution space of x*a = b*conj(x)."""
     return right_matrix(a) - left_matrix(b) @ F_MATRIX
-
-
-# ----------------------------------------------------------------------
-# rank cases
-# ----------------------------------------------------------------------
-
-
-class TRankCase(enum.Enum):
-    """Degeneration taxonomy for t_matrix on non-real inputs."""
-
-    NONSINGULAR = "nonsingular"
-    RANK2 = "rank2"  # equal real parts and equal im_squared
-    RANK3 = "rank3"  # distinct real parts with vanishing determinant
-
-    @property
-    def rank(self) -> int:
-        return {"nonsingular": 4, "rank2": 2, "rank3": 3}[self.value]
-
-
-def t_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> TRankCase:
-    """Classify the degeneration of t_matrix(a, b).
-
-    The advertised ranks hold for non-real a and b; the elimination rank
-    is always available via ``t_matrix(a, b).rank()``.
-    """
-    if scalars_close(a.q0, b.q0, eps) and scalars_close(a.im_squared, b.im_squared, eps):
-        return TRankCase.RANK2
-    if not scalars_close(a.q0, b.q0, eps) and scalar_is_zero(t_matrix(a, b).det(eps), eps):
-        return TRankCase.RANK3
-    return TRankCase.NONSINGULAR
 
 
 # ----------------------------------------------------------------------

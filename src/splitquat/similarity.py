@@ -3,13 +3,15 @@
 Two non-real split quaternions are similar (conjugate by an invertible
 element) exactly when their real parts and their im_squared invariants
 agree.  The solution space of x*a = b*x is the kernel of
-t_matrix(a, b); it degenerates in two ways:
+t_matrix(a, b).  solve_xa_bx decides once which of three cases holds
+and builds that case's family in closed form:
 
-* equal real parts and equal im_squared: rank 2, solved in closed form
-  by x(y) = y - (y*a*a' - b*y*a' - b'*y*a + b'*b*y) / (2*(|im a|^2 + |im b|^2));
+* equal real parts and equal im_squared: rank 2, solved by
+  x(y) = y - (y*a*a' - b*y*a' - b'*y*a + b'*b*y) / (2*(|im a|^2 + |im b|^2));
 * distinct real parts with vanishing determinant: rank 3, solved through
   the auxiliary zero divisor p = (Ib - Ia) + 2*(a0 - b0)*a, whose
-  quadratic form equals det(t_matrix(a, b)).
+  quadratic form equals det(t_matrix(a, b));
+* otherwise t_matrix(a, b) is nonsingular and x = 0 is the only solution.
 
 Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
@@ -27,25 +29,12 @@ satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 from .core import Frozen, J, ONE, SplitQuaternion, ZERO
-from .errors import CaseMismatchError, ExactnessWarning, RealInputError
-from .matrices import t_matrix, t_rank_case, TRankCase
+from .errors import ExactnessWarning, RealInputError
+from .matrices import t_matrix
 from .scalars import DEFAULT_EPS, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
-from .solvers import SolutionFamily
-
-
-class Verdict(Frozen):
-    """Boolean answer plus, when true, an invertible witness."""
-
-    __slots__ = _fields = ("verdict", "witness")
-
-    def __init__(self, verdict: bool, witness: Optional[SplitQuaternion]):
-        self._assign(verdict, witness)
-
-    def __bool__(self) -> bool:
-        return self.verdict
+from .solvers import SolutionFamily, Verdict
 
 
 class CanonicalForm(Frozen):
@@ -67,68 +56,40 @@ def _require_nonreal(q: SplitQuaternion, eps: float, name: str = "input") -> Non
         raise RealInputError(f"{name} must have a nonzero imaginary part")
 
 
-def solve_sim_rank2(
+def solve_xa_bx(
     a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
 ) -> SolutionFamily:
-    """All solutions of x*a = b*x when a0 = b0 and im_squared agree.
+    """Full solution set of x*a = b*x for non-real a and b, in the case that holds.
 
-    The family x(y) = y - (y*a*a' - b*y*a' - b'*y*a + b'*b*y)/D with
-    D = 2*(|im a|^2 + |im b|^2) has dimension 2.
+    The rank-2 family has dimension 2.  The rank-3 family is
+    x(y) = y*m*a - conj(b)*y*m with m = 1 - (p2/conj(p1))*j, where
+    p = p1 + p2*j is the zero divisor of the module docstring; it has
+    dimension 1.  The nonsingular case gives the zero family.
     """
     _require_nonreal(a, eps, "a")
     _require_nonreal(b, eps, "b")
-    if not (
-        scalars_close(a.q0, b.q0, eps) and scalars_close(a.im_squared, b.im_squared, eps)
-    ):
-        raise CaseMismatchError("requires equal real parts and equal im_squared invariants")
-    d = 2 * (a.im_norm_sq + b.im_norm_sq)
-    ap, bp = a.prime(), b.prime()
-    terms = (
-        (ONE, ONE),
-        (-(ONE / d), a * ap),
-        (b / d, ap),
-        (bp / d, a),
-        (-(bp * b) / d, ONE),
-    )
-    return SolutionFamily(ZERO, terms)
-
-
-def solve_sim_rank3(
-    a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
-) -> SolutionFamily:
-    """All solutions of x*a = b*x when a0 != b0 and t_matrix is singular.
-
-    Writes p = (Ib - Ia) + 2*(a0 - b0)*a, which is a nonzero zero divisor
-    because its quadratic form equals det(t_matrix(a, b)) = 0.  With
-    m = 1 - (p2/conj(p1))*j built from the complex pair of p, the family
-    is x(y) = y*m*a - conj(b)*y*m; it has dimension 1.
-    """
-    _require_nonreal(a, eps, "a")
-    _require_nonreal(b, eps, "b")
-    if scalars_close(a.q0, b.q0, eps):
-        raise CaseMismatchError("requires distinct real parts")
-    if not scalar_is_zero(t_matrix(a, b).det(eps), eps):
-        raise CaseMismatchError("requires a singular t_matrix")
+    same_re = scalars_close(a.q0, b.q0, eps)
+    if same_re and scalars_close(a.im_squared, b.im_squared, eps):
+        d = 2 * (a.im_norm_sq + b.im_norm_sq)
+        ap, bp = a.prime(), b.prime()
+        terms = (
+            (ONE, ONE),
+            (-(ONE / d), a * ap),
+            (b / d, ap),
+            (bp / d, a),
+            (-(bp * b) / d, ONE),
+        )
+        return SolutionFamily(ZERO, terms)
+    if same_re or not scalar_is_zero(t_matrix(a, b).det(eps), eps):
+        return SolutionFamily(ZERO, ())
     shift = b.quadratic_form - a.quadratic_form
     p = shift + 2 * (a.q0 - b.q0) * a
     p1_conj = SplitQuaternion(p.q0, -p.q1, 0, 0)
     p2 = SplitQuaternion(p.q2, p.q3, 0, 0)
-    m = ONE - p2 * p1_conj.inverse(eps) * J
+    # p = p1 + p2*j is a nonzero zero divisor, so |p1| = |p2| > 0; |p1|^2 has
+    # degree 2 and falls under eps on small inputs, so only exact zero is refused
+    m = ONE - p2 * p1_conj.inverse(0.0) * J
     return SolutionFamily(ZERO, ((ONE, m * a), (-b.conjugate(), m)))
-
-
-def solve_xa_bx(
-    a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
-) -> SolutionFamily:
-    """Full solution set of x*a = b*x for non-real a, b, any degeneration."""
-    _require_nonreal(a, eps, "a")
-    _require_nonreal(b, eps, "b")
-    case = t_rank_case(a, b, eps)
-    if case is TRankCase.RANK2:
-        return solve_sim_rank2(a, b, eps)
-    if case is TRankCase.RANK3:
-        return solve_sim_rank3(a, b, eps)
-    return SolutionFamily(ZERO, ())
 
 
 def _cyclic_basis(x: SplitQuaternion):

@@ -31,6 +31,18 @@ from .scalars import DEFAULT_EPS, scalar_is_zero
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
 
+class Verdict(Frozen):
+    """Boolean answer plus, when true, an invertible witness (is_similar, is_consimilar)."""
+
+    __slots__ = _fields = ("verdict", "witness")
+
+    def __init__(self, verdict: bool, witness: Optional[SplitQuaternion]):
+        self._assign(verdict, witness)
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
 class SolutionFamily(Frozen):
     """Affine solution set y -> constant + sum_k left_k * y * right_k.
 

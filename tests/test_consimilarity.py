@@ -123,12 +123,35 @@ class TestIsConsimilar:
         assert w.quadratic_form != 0
 
     def test_candidate_fallback_order(self):
-        # first candidate a3*i + a1*k is lightlike when |a1| = |a3|
+        # first candidate a3*i + a1*k is lightlike when |a1| = |a3|; the witness is
+        # the first candidate of largest |quadratic form|, a2*i + a1*j
         a = parse_quat("1+2i+3j+2k")
         verdict = is_consimilar(a, -a.conjugate())
         w = verdict.witness
+        assert w == parse_quat("3i+2j")
         assert w.quadratic_form != 0
         assert w * a == (-a.conjugate()) * w.conjugate()
+
+    @given(nonreal_quats)
+    @settings(max_examples=60)
+    def test_negated_conjugate_always_has_a_witness(self, a):
+        verdict = is_consimilar(a, -a.conjugate())
+        w = verdict.witness
+        assert verdict and w.quadratic_form != 0
+        assert w * a == (-a.conjugate()) * w.conjugate()
+
+    def test_negated_conjugate_witness_at_every_scale(self):
+        # the candidates' forms are ~1e-9 here, under eps; the witness must not depend on it
+        a = parse_quat("5.72204589844e-06+4.76837158203e-06i+3.81469726562e-06j-3.0517578125e-05k")
+        b = parse_quat("-5.72204589844e-06+4.76837158203e-06i+3.81469726562e-06j-3.0517578125e-05k")
+        base = is_consimilar(a, b).witness
+        for k in range(-10, 21):
+            s = 2.0**k
+            verdict = is_consimilar(a * s, b * s)
+            assert verdict, k
+            w = verdict.witness
+            assert w == base * s
+            assert all(c == 0 for c in (w * a * s - b * s * w.conjugate()).coeffs)
 
     def test_real_inputs_rejected(self):
         with pytest.raises(RealInputError):

@@ -13,7 +13,6 @@ from splitquat import (
     NotInvertibleError,
     ONE,
     SplitQuaternion,
-    TRankCase,
     ZERO,
     left_matrix,
     linear_system_consistent,
@@ -23,8 +22,8 @@ from splitquat import (
     quaternion_term_decomposition,
     right_matrix,
     s_matrix,
+    solve_xa_bx,
     t_matrix,
-    t_rank_case,
     vec,
 )
 from splitquat.solvers import SolutionFamily
@@ -91,17 +90,17 @@ class TestTMatrix:
     def test_reference_rank_two_pair(self):
         a, b = parse_quat("1+3i+2j+k"), parse_quat("1+3i+j+2k")
         assert t_matrix(a, b).rank() == 2
-        assert t_rank_case(a, b) == TRankCase.RANK2
+        assert solve_xa_bx(a, b).dimension == 2
         assert len(nullspace_basis(t_matrix(a, b))) == 2
 
     def test_reference_rank_three_pair(self):
         a, b = parse_quat("2+i+k"), parse_quat("1+k")
         assert a.im_squared == 0 and b.im_squared == 1
         assert t_matrix(a, b).rank() == 3
-        assert t_rank_case(a, b) == TRankCase.RANK3
+        assert solve_xa_bx(a, b).dimension == 1
 
     def test_nonsingular_pair(self):
-        assert t_rank_case(I, J) == TRankCase.NONSINGULAR
+        assert solve_xa_bx(I, J).dimension == 0
         assert t_matrix(I, J).rank() == 4
 
     @given(quats, quats)

@@ -91,3 +91,11 @@ def test_solve_ax0_loads_no_similarity_nor_roots():
     unwanted = {"dataclasses", "inspect", "splitquat.similarity", "splitquat.consimilarity",
                 "splitquat.roots"}
     assert not loaded & unwanted, loaded & unwanted
+
+
+@pytest.mark.parametrize("argv", [["consim-solve", "1+2i+3j+4k", "2+i+3j+4k"],
+                                  ["consimilar", "1+2i+3j+4k", "2+i+3j+4k"]])
+def test_consimilarity_loads_no_similarity(argv):
+    loaded = _modules_after(argv)
+    assert "splitquat.consimilarity" in loaded
+    assert "splitquat.similarity" not in loaded
