@@ -19,8 +19,10 @@ from splitquat import (
     nth_roots,
     parse_quat,
     power,
+    s_matrix,
     solve_axb,
     solve_xa_bx,
+    solve_xa_bxbar,
     t_matrix,
 )
 
@@ -89,6 +91,16 @@ def main() -> None:
         verdict = is_consimilar(a, b)
         extra = f", witness {verdict.witness}" if verdict else ""
         print(f"{a} ~c {b_text}? {bool(verdict)}{extra}")
+
+    banner("Solutions of x a = b conj(x): the kernel of S")
+    for a_text, b_text in (("1+2i+3j+4k", "2+i+3j+4k"), ("1+2i+3j+4k", "-1+2i+3j+4k"),
+                           ("3i+3k", "-2i-2k")):
+        a, b = parse_quat(a_text), parse_quat(b_text)
+        family = solve_xa_bxbar(a, b)
+        basis = ", ".join(str(v) for v in family.basis())
+        rank_check = family.dimension == 4 - s_matrix(a, b).rank()
+        print(f"a={a_text}, b={b_text}: dim {family.dimension}, basis {basis}"
+              f"   [dim == 4 - rank(S): {rank_check}]")
 
     banner("Roots of zero divisors")
     with warnings.catch_warnings():

@@ -26,7 +26,7 @@ _MODULES = {
     ),
     "matrices": (
         "F_MATRIX Mat4 left_matrix linear_system_consistent mat_mp_inverse nullspace_basis "
-        "quaternion_term_decomposition right_matrix s_matrix t_matrix unvec vec"
+        "right_matrix s_matrix t_matrix unvec vec"
     ),
     "parsing": "parse_quat",
     "pinv": "check_penrose_coherence mp_inverse projectors",

@@ -15,24 +15,17 @@ pivoting and the tolerance ``eps`` on floats.  Elimination is the
 source of truth for every rank decision taken elsewhere in the library;
 the closed-form spectra and determinants of ``t_matrix`` and
 ``s_matrix`` are test oracles.
-
-The sixteen products ``L(e_i) R(e_j)`` of the basis units are signed
-permutation matrices, pairwise orthogonal with squared Frobenius norm
-4, so splitting a matrix into two-sided terms is one inner product per
-term.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import elimination
-from .core import I, J, K, ONE, SplitQuaternion
+from .core import SplitQuaternion
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
@@ -344,43 +337,3 @@ def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAUL
         nums, _ = _ratio(rhs)
         pivots, _, _ = elimination.eliminate([row + [v] for row, v in zip(m._lists(), nums)])
     return 4 not in pivots
-
-
-# ----------------------------------------------------------------------
-# writing a linear map as a sum of two-sided multiplications
-# ----------------------------------------------------------------------
-
-_BASIS = (ONE, I, J, K)
-
-
-@lru_cache(maxsize=1)
-def _product_patterns() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Nonzero (flat index, sign) entries of each L(e_i) R(e_j), row-major.
-
-    The sixteen products span all 4x4 real matrices, so any linear map
-    on the algebra can be rewritten as a finite sum of maps
-    y -> l * y * r.
-    """
-    return tuple(
-        tuple((idx, x) for idx, x in enumerate((left_matrix(bi) @ right_matrix(bj))._e) if x)
-        for bi, bj in itertools.product(_BASIS, _BASIS)
-    )
-
-
-def quaternion_term_decomposition(
-    m: Mat4,
-) -> Tuple[Tuple[SplitQuaternion, SplitQuaternion], ...]:
-    """Express the linear map of ``m`` as a sum of terms y -> l*y*r.
-
-    The coefficient of L(e_i) R(e_j) is the inner product
-    <m, L(e_i) R(e_j)> / 4; summing in flat-index order and dividing
-    last fixes the float rounding.
-    """
-    e, d = m._e, m._d
-    terms = []
-    for (bi, bj), pattern in zip(itertools.product(_BASIS, _BASIS), _product_patterns()):
-        c = sum(sign * e[idx] for idx, sign in pattern)
-        c = c / 4 if d is None else Fraction(c, 4 * d)
-        if c != 0:
-            terms.append((bi * c, bj))
-    return tuple(terms)

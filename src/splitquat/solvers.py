@@ -18,13 +18,7 @@ from typing import List, Optional, Tuple
 
 from .core import ONE, Frozen, SplitQuaternion, ZERO
 from .errors import NotLightlikeError, ZeroCoefficientError
-from .matrices import (
-    Mat4,
-    image_basis,
-    left_matrix,
-    quaternion_term_decomposition,
-    right_matrix,
-)
+from .matrices import Mat4, image_basis, left_matrix, right_matrix
 from .pinv import mp_inverse
 from .scalars import DEFAULT_EPS, scalar_is_zero
 
@@ -75,13 +69,6 @@ class SolutionFamily(Frozen):
         object.__setattr__(self, "linear_matrix", m)
         return m
 
-    def __reduce__(self):
-        # the matrix travels along, so a from_matrix family keeps its own
-        return (SolutionFamily, (self.constant, self.terms), self.linear_matrix)
-
-    def __setstate__(self, matrix: Mat4):
-        object.__setattr__(self, "linear_matrix", matrix)
-
     @property
     def dimension(self) -> int:
         return len(self.basis())
@@ -89,17 +76,6 @@ class SolutionFamily(Frozen):
     def basis(self, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
         """A basis of the linear part's image: the directions of the solution set."""
         return image_basis(self.linear_matrix, eps)
-
-    @classmethod
-    def from_matrix(cls, constant: SplitQuaternion, matrix: Mat4) -> "SolutionFamily":
-        """Build a family whose linear part is a given vec-matrix.
-
-        The matrix itself becomes ``linear_matrix``; it is never rebuilt
-        from the decomposed terms.
-        """
-        family = cls(constant, quaternion_term_decomposition(matrix))
-        object.__setattr__(family, "linear_matrix", matrix)
-        return family
 
 
 class SolveOutcome(Frozen):

@@ -44,14 +44,19 @@ class SRankCase(enum.Enum):
     """Degeneration taxonomy for s_matrix."""
 
     NONSINGULAR = "nonsingular"
-    RANK1 = "rank1"  # conj(a) + b = 0
+    ZERO = "zero"  # a = b = 0
+    RANK1 = "rank1"  # conj(a) + b = 0, a != 0
+    RANK2 = "rank2"  # b*a = 0, conj(a)+b != 0: a, b lightlike or zero
     RANK3A = "rank3a"  # equal quadratic forms, conj(a)+b non-lightlike
-    RANK3B = "rank3b"  # equal quadratic forms, conj(a)+b nonzero lightlike
+    RANK3B = "rank3b"  # equal quadratic forms, conj(a)+b nonzero lightlike, b*a != 0
     RANK3C = "rank3c"  # distinct quadratic forms, conj(a)+b nonzero lightlike
 
     @property
     def rank(self) -> int:
-        return {"nonsingular": 4, "rank1": 1, "rank3a": 3, "rank3b": 3, "rank3c": 3}[self.value]
+        return _S_RANKS[self.value]
+
+
+_S_RANKS = {"nonsingular": 4, "zero": 0, "rank1": 1, "rank2": 2, "rank3a": 3, "rank3b": 3, "rank3c": 3}
 
 
 def t_eigenvalues(a: SplitQuaternion, b: SplitQuaternion) -> Tuple[Complexish, ...]:
@@ -100,9 +105,11 @@ def s_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
     w_lightlike = scalar_is_zero(w.quadratic_form, eps)
     if forms_equal:
         if w.is_zero(eps):
-            return SRankCase.RANK1
+            return SRankCase.ZERO if a.is_zero(eps) else SRankCase.RANK1
         if not w_lightlike:
             return SRankCase.RANK3A
+        if (b * a).is_zero(eps):
+            return SRankCase.RANK2
         return SRankCase.RANK3B
     if w_lightlike:
         return SRankCase.RANK3C

@@ -151,7 +151,7 @@ class TestAnalysisCommands:
         assert code == 0
         assert doc["result"]["family"]["dimension"] == 1
         assert doc["verified"] is True
-        # small float inputs: the pseudoinverse's Gram blocks are of order 1e-10
+        # small float inputs: the entries of S are of order 1e-5
         code, doc, _ = run_json(
             capsys,
             "consim-solve",
@@ -163,23 +163,16 @@ class TestAnalysisCommands:
         assert doc["verified"] is True
 
     def test_consim_solve_golden_terms(self, capsys):
+        # one term (e) y (r_e) per unit e; the basis is the kernel basis of S
         exact_terms = [
-            ["1/4", "1"], ["-1/4i", "i"], ["1/5j", "j"],
-            ["3/20j", "k"], ["-3/20k", "j"], ["1/5k", "k"],
+            ["1", "-3/4+1/4i"], ["i", "1/4+3/4i"], ["j", "-3/4j-1/4k"], ["k", "1/4j-3/4k"],
         ]
         approx_terms = [
-            ["0.25", "1"], ["-2.08166817117e-16", "i"],
-            ["3.40873163029e-16", "j"], ["-2.09901540593e-16", "k"],
-            ["2.08166817117e-16i", "1"], ["-0.25i", "i"],
-            ["1.19695919842e-16i", "j"], ["4.3107878378e-16i", "k"],
-            ["-1.44849410244e-16j", "1"], ["3.52148865623e-16j", "i"],
-            ["0.2j", "j"], ["0.15j", "k"],
-            ["3.72965547335e-16k", "1"], ["2.76688394418e-16k", "i"],
-            ["-0.15k", "j"], ["0.2k", "k"],
+            ["1", "-0.75+0.25i"], ["i", "0.25+0.75i"], ["j", "-0.75j-0.25k"], ["k", "0.25j-0.75k"],
         ]
         golden = {
-            "exact": (exact_terms, ["9/10-3/10i"]),
-            "approx": (approx_terms, ["0.9-0.3i+4.16333634234e-17j-6.93889390391e-17k"]),
+            "exact": (exact_terms, ["-3+i"]),
+            "approx": (approx_terms, ["-3+i"]),
         }
         for backend, (terms, basis) in golden.items():
             code, doc, _ = run_json(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from splitquat import (
     ONE,
     RealInputError,
     SplitQuaternion,
+    ZERO,
     is_consimilar,
     nullspace_basis,
     parse_quat,
@@ -21,9 +23,11 @@ from conftest import (
     nonreal_quats,
     rand_conjugate,
     rand_consim_pair_rank3b,
+    rand_lightlike,
     rand_nonreal,
     rand_quat,
 )
+from oracles import M2, SRankCase, s_rank_case
 
 A_REF = "1+2i+3j+4k"
 PROBES = (ONE, I, J, K, ONE + I + J + K)
@@ -75,6 +79,64 @@ class TestSolver:
             assert family.dimension == len(family.basis()) == 4 - s_matrix(a, b).rank()
             x = family.at(rand_quat(rng))
             assert x * a == b * x.conjugate()
+
+
+def _pairs_in_every_s_case(rng: random.Random, count: int):
+    """Exact pairs aimed at each S-rank case in turn; a = b = 0 first."""
+    yield ZERO, ZERO
+    for _ in range(count):
+        a = rand_quat(rng)
+        yield a, rand_quat(rng)  # nonsingular
+        yield a, -a.conjugate()  # rank 1
+        lightlike = rand_lightlike(rng)
+        yield lightlike, rand_quat(rng) * lightlike.conjugate()  # rank 2: b*a = 0
+        yield ZERO, lightlike  # rank 2
+        yield a, rand_conjugate(rng, a)  # rank 3a: conjugation keeps the form
+        yield rand_consim_pair_rank3b(rng)
+        w = rand_lightlike(rng)
+        yield a, w - a.conjugate()  # rank 3c: conj(a)+b = w
+
+
+class TestKernelFamily:
+    """The family is sum_t re(y e_t^-1) n_t over the kernel basis n_t of S, in every S case."""
+
+    def test_family_is_the_kernel_of_s_in_every_case(self):
+        rng = random.Random(66)
+        units = (ONE, I, J, K)
+        seen = set()
+        for a, b in _pairs_in_every_s_case(rng, 15):
+            case = s_rank_case(a, b)
+            seen.add(case)
+            s = s_matrix(a, b)
+            family = solve_xa_bxbar(a, b)
+            assert family.dimension == 4 - s.rank() == 4 - case.rank, (a, b, case)
+            kernel = nullspace_basis(s)
+            basis = family.basis()
+            assert [v.coeffs for v in basis] == kernel, (a, b)
+            assert all(type(x) is Fraction for v in basis for x in v.coeffs)
+            lefts = [left for left, _ in family.terms]
+            assert len(lefts) <= 4 and len(set(lefts)) == len(lefts)
+            assert all(left in units for left in lefts)
+            for y in PROBES + (rand_quat(rng),):
+                x = family.at(y)
+                assert x * a == b * x.conjugate()
+                # x(y) = sum_t y_t n_t: the t-th coefficient of y times the t-th kernel vector
+                assert x.coeffs == tuple(
+                    sum(y.coeffs[t] * n[c] for t, n in enumerate(kernel)) for c in range(4)
+                )
+            # the 2x2 model shares no code with s_matrix
+            for v in basis:
+                assert M2.phi(v) @ M2.phi(a) == M2.phi(b) @ M2.phi(v).adj(), (a, b, v)
+        assert seen == set(SRankCase)
+
+    def test_zero_divisor_pair_and_zero_pair(self):
+        # b*a = 0 for nonzero a and b: a plane of solutions
+        a, b = parse_quat("3i+3k"), parse_quat("-2i-2k")
+        assert b * a == ZERO
+        assert solve_xa_bxbar(a, b).dimension == 2
+        family = solve_xa_bxbar(ZERO, ZERO)
+        assert family.dimension == 4
+        assert family.terms == ((ONE, ONE),)
 
 
 class TestConjugateSumSolution:

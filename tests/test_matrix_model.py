@@ -10,9 +10,9 @@ import random
 
 from hypothesis import given, settings
 
-from splitquat import ZERO, mp_inverse
+from splitquat import ZERO, is_similar, mp_inverse, power
 
-from conftest import lightlike_quats, rand_lightlike, rand_quat
+from conftest import lightlike_quats, rand_lightlike, rand_nonreal, rand_quat, rand_similar_pair
 from oracles import M2
 
 
@@ -66,3 +66,48 @@ class TestPenroseCrossCheck:
         a = M2.phi(q)
         assert a.rank() == 1
         assert M2.phi(mp_inverse(q)) == a.mp_inverse()
+
+
+class TestPowerCrossCheck:
+    def test_lightlike_power_is_trace_power_times_matrix(self):
+        # a rank-1 A satisfies A^2 = tr(A) A, so A^n = tr(A)^(n-1) A
+        rng = random.Random(806)
+        for _ in range(60):
+            q = rand_lightlike(rng)
+            a = M2.phi(q)
+            assert a.rank() == 1
+            for n in range(1, 7):
+                want = M2(*(a.trace() ** (n - 1) * x for x in a.entries))
+                assert M2.phi(power(q, n)) == want, (q, n)
+
+
+class TestSimilarityCrossCheck:
+    """Non-scalar 2x2 real matrices are similar exactly when trace and det agree."""
+
+    def _pairs(self, seed: int):
+        rng = random.Random(seed)
+        for idx in range(60):
+            a, b = rand_similar_pair(rng, k_zero=idx % 4 == 0)
+            yield a, b
+            yield a, rand_nonreal(rng)
+            yield a, b.q0 + 2 * (b - b.q0)  # same trace, other det unless im_squared = 0
+            yield a, -b  # same det, other trace unless b0 = 0
+        for _ in range(20):
+            q = rand_lightlike(rng)
+            yield q, q.conjugate()
+            yield q, rand_lightlike(rng)
+
+    def test_similar_exactly_when_trace_and_det_match(self):
+        seen = set()
+        for a, b in self._pairs(807):
+            if a.is_real() or b.is_real():
+                continue
+            pa, pb = M2.phi(a), M2.phi(b)
+            same_trace, same_det = pa.trace() == pb.trace(), pa.det() == pb.det()
+            verdict = is_similar(a, b)
+            assert bool(verdict) == (same_trace and same_det), (a, b)
+            seen.add((same_trace, same_det))
+            if verdict:
+                w = M2.phi(verdict.witness)
+                assert w.det() != 0 and w @ pa == pb @ w
+        assert len(seen) == 4

@@ -26,11 +26,10 @@ def checkout(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
-def test_workload_runs_clean(checkout, workload):
+def _run(checkout, workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", "0.2", "--trace", "0"],
+         "--seconds", "0.2", "--trace", str(trace)],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -41,5 +40,17 @@ def test_workload_runs_clean(checkout, workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    return result
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_workload_runs_clean(checkout, workload):
+    result = _run(checkout, workload, 0)
     assert END_TO_END <= set(result["metrics"])
     assert list(checkout.glob(f".perfbench_out/{workload}.trace0.*.json"))
+
+
+def test_traced_run_is_clean(checkout):
+    # the tracer wraps library names from outside; a run with it on must still check clean
+    _run(checkout, "families-exact", 1)
+    assert list(checkout.glob(".perfbench_out/families-exact.trace1.*.json"))

@@ -15,4 +15,6 @@ def test_showcase_checks_all_hold(capsys):
     assert len(checks) == 4
     assert set(checks) == {"True"}
     assert set(re.findall(r"\[a p a = a: (\w+)\]", out)) == {"True"}
+    # one consimilarity solution space per S rank 3, 1 and 2
+    assert re.findall(r"\[dim == 4 - rank\(S\): (\w+)\]", out) == ["True"] * 3
     assert "Traceback" not in out
