@@ -72,11 +72,15 @@ def _outcome(outcome, residual, matrix, rhs, eps: float) -> Result:
 
 
 def _witness(name: str, verdict, residual, eps: float) -> Result:
-    """A similar/consimilar verdict; its witness must be invertible with zero residual."""
+    """A similar/consimilar verdict; its witness must be invertible with zero residual.
+
+    Invertibility is an exact test of the quadratic form, with no eps:
+    the form has degree 2, so a tolerance would refuse small witnesses.
+    """
     if not verdict:
         return {name: False}, [f"not {name}"], True, 1
     w = verdict.witness
-    verified = residual(w).is_zero(eps) and not w.is_lightlike(eps)
+    verified = residual(w).is_zero(eps) and w.to_exact().quadratic_form != 0
     return {name: True, "witness": str(w)}, [name, f"witness: {w}"], verified, 0
 
 
@@ -158,7 +162,7 @@ def _canonical(args, eps, a) -> Result:
 
     form = canonical_form(a, eps)
     p, target = form.conjugator, form.target
-    verified = (p * a).isclose(target * p, eps) and not p.is_lightlike(eps)
+    verified = (p * a).isclose(target * p, eps) and p.to_exact().quadratic_form != 0
     payload = {"target": str(target), "conjugator": str(p), "exact": form.exact}
     return payload, [f"target: {target}", f"conjugator: {p}", f"exact: {form.exact}"], verified, 0
 

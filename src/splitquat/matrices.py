@@ -6,8 +6,9 @@ and ``x -> x*q`` acting on coefficient columns.  ``t_matrix`` and
 of ``x*a = b*x`` and ``x*a = b*conj(x)``.
 
 An exact :class:`Mat4` holds sixteen ``int`` numerators over one
-positive ``int`` denominator, reduced by their ``gcd``; ``rows`` builds
-the Fractions on first read.  A float matrix holds sixteen floats.
+positive ``int`` denominator, reduced by their ``gcd``; sums, products
+and ``apply`` work on the numerators, and ``rows`` builds the Fractions
+on first read.  A float matrix holds sixteen floats.
 Rank, determinant, nullspace, column basis and Moore-Penrose inverse
 come from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
@@ -142,7 +143,15 @@ class Mat4:
         return Mat4(tuple(tuple(a / s for a in row) for row in self.rows))
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        """The column m . v: exact on int numerators, or in floats once any entry is a float."""
+        d = self._d
+        if d is None or any(isinstance(x, float) for x in v):
+            # a Fraction times a float rounds the Fraction first, as n/d does
+            e, v = self._floats(), [float(x) for x in v]
+            return tuple(_dot(e[i : i + 4], v) for i in (0, 4, 8, 12))
+        nums, dv = _ratio(v)
+        e, d = self._e, d * dv
+        return tuple(Fraction(_dot(e[i : i + 4], nums), d) for i in (0, 4, 8, 12))
 
     def transpose(self) -> "Mat4":
         e = self._e

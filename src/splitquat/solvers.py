@@ -40,34 +40,30 @@ class Verdict(Frozen):
 class SolutionFamily(Frozen):
     """Affine solution set y -> constant + sum_k left_k * y * right_k.
 
-    The linear part is a real-linear map on the algebra; its matrix,
-    ``linear_matrix``, is sum_k L(left_k) R(right_k), built on first
-    read and kept, and its rank is the dimension of the solution set.
+    ``terms`` are the closed form, as printed.  The linear part is one
+    4x4 matrix, ``linear_matrix`` = sum_k L(left_k) R(right_k), built
+    once here; ``at`` applies it to vec(y), and its image is the set of
+    directions, so ``basis()`` eliminates it and ``dimension`` counts
+    that basis.  An exact matrix is eliminated once and its basis kept;
+    a float one at the ``eps`` of each ``basis(eps)`` call.
     """
 
-    __slots__ = ("constant", "terms", "linear_matrix")
+    __slots__ = ("constant", "terms", "linear_matrix", "_basis")
     _fields = ("constant", "terms")
 
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
         self._assign(constant, terms)
+        products = [left_matrix(left) @ right_matrix(right) for left, right in terms]
+        m = sum(products[1:], products[0]) if products else Mat4.zero()
+        object.__setattr__(self, "linear_matrix", m)
+        object.__setattr__(self, "_basis", None)
 
     def at(self, y: SplitQuaternion) -> SplitQuaternion:
-        x = self.constant
-        for left, right in self.terms:
-            x = x + left * y * right
-        return x
+        if not self.terms:
+            return self.constant
+        return self.constant + SplitQuaternion(*self.linear_matrix.apply(y.coeffs))
 
     __call__ = at
-
-    def __getattr__(self, name):
-        # reached only while the linear_matrix slot is empty
-        if name != "linear_matrix":
-            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
-        m = Mat4.zero()
-        for left, right in self.terms:
-            m = m + left_matrix(left) @ right_matrix(right)
-        object.__setattr__(self, "linear_matrix", m)
-        return m
 
     @property
     def dimension(self) -> int:
@@ -75,7 +71,12 @@ class SolutionFamily(Frozen):
 
     def basis(self, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
         """A basis of the linear part's image: the directions of the solution set."""
-        return image_basis(self.linear_matrix, eps)
+        m = self.linear_matrix
+        if not m.is_exact:
+            return image_basis(m, eps)
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(image_basis(m)))
+        return list(self._basis)
 
 
 class SolveOutcome(Frozen):

@@ -1,11 +1,14 @@
-"""Closed-form spectra, determinants and S-rank cases, Fraction elimination, and the 2x2 matrix model, used as test oracles.
+"""Closed-form spectra, determinants and S-rank cases, Fraction elimination, family matrices and the 2x2 matrix model, used as test oracles.
 
 The library decides ranks and determinants of ``t_matrix`` and
 ``s_matrix`` by elimination; the closed forms below are independent
 derivations that the tests compare against it.  The library eliminates
 exact matrices fraction-free on integer numerators; the Gauss-Jordan
 elimination over Fractions below is the rational path it replaced, and
-the tests require bit-equal results from both.  :class:`M2` is the
+the tests require bit-equal results from both.  A solution family's
+linear matrix and values are rebuilt from its terms by quaternion
+products, and ``rows_apply`` is the row-by-row matrix-vector product
+that ``Mat4.apply`` replaced.  :class:`M2` is the
 isomorphism onto the 2x2 real matrices, which shares no code with the
 library's 4x4 machinery.
 """
@@ -214,6 +217,45 @@ def fraction_consistent(rows, rhs) -> bool:
     """Whether rows . x = rhs is solvable: the rhs column of the augmented matrix is no pivot."""
     _, pivots = fraction_rref([list(row) + [v] for row, v in zip(rows, rhs)])
     return len(rows[0]) not in pivots
+
+
+# ----------------------------------------------------------------------
+# the regular representations and a family's linear matrix, on row lists
+# ----------------------------------------------------------------------
+
+_UNITS = tuple(SplitQuaternion(*(int(i == t) for i in range(4))) for t in range(4))
+
+
+def left_rows(q: SplitQuaternion) -> Rows:
+    """Matrix of x -> q*x: column t is q times the t-th unit."""
+    return _transpose([(q * e).coeffs for e in _UNITS])
+
+
+def right_rows(q: SplitQuaternion) -> Rows:
+    """Matrix of x -> x*q: column t is the t-th unit times q."""
+    return _transpose([(e * q).coeffs for e in _UNITS])
+
+
+def family_rows(terms) -> Rows:
+    """sum_k L(left_k) R(right_k), entry by entry over the terms' own scalars."""
+    total = [[0] * 4 for _ in range(4)]
+    for left, right in terms:
+        product = _matmul(left_rows(left), right_rows(right))
+        total = [[x + y for x, y in zip(u, v)] for u, v in zip(total, product)]
+    return total
+
+
+def rows_apply(rows, v) -> tuple:
+    """m . v one row at a time: the rows-based body Mat4.apply had before its integer path."""
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+
+
+def term_at(constant: SplitQuaternion, terms, y: SplitQuaternion) -> SplitQuaternion:
+    """constant + sum_k left_k * y * right_k, two quaternion products per term."""
+    x = constant
+    for left, right in terms:
+        x = x + left * y * right
+    return x
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from splitquat import parse_quat
-from splitquat.cli import main
+from splitquat import ZERO, parse_quat
+from splitquat.cli import _witness, main
+from splitquat.solvers import Verdict
 
 
 def run(capsys, *argv):
@@ -58,6 +59,25 @@ class TestVerdictCommands:
             assert code == 0
             assert doc["result"]["witness"] == witness
             assert doc["verified"] is True
+
+    def test_small_float_witness_is_verified(self, capsys):
+        # the witness's quadratic form, 9.5e-10, is below eps but not zero
+        a = "5.72204589844e-06+4.76837158203e-06i+3.81469726562e-06j-3.0517578125e-05k"
+        b = "-5.72204589844e-06+4.76837158203e-06i+3.81469726562e-06j-3.0517578125e-05k"
+        code, out, err = run(capsys, "consimilar", "--json", "--", a, b)
+        doc = json.loads(out)
+        assert code == 0 and doc["result"]["consimilar"] is True
+        assert doc["verified"] is True and err == ""
+        code, out, err = run(capsys, "consimilar", "--", a, b)
+        assert code == 0 and "witness: -3.0517578125e-05i+4.76837158203e-06k" in out
+        assert "verification failed" not in err
+
+    def test_lightlike_witness_is_unverified(self):
+        for w in (parse_quat("1+j"), parse_quat("1.0+j")):
+            _, _, verified, code = _witness("similar", Verdict(True, w), lambda x: ZERO, 1e-9)
+            assert code == 0 and verified is False
+        small = Verdict(True, parse_quat("1e-6"))  # form 1e-12 < eps, but invertible
+        assert _witness("similar", small, lambda x: ZERO, 1e-9)[2] is True
 
 
 class TestAnalysisCommands:

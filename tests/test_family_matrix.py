@@ -1,0 +1,227 @@
+"""A solution family's linear part is one matrix: at, dimension and basis() all read it.
+
+Every exact draw is dyadic, so its float copy is binary-exact and the
+float family can be compared with the exact one on the same inputs.
+"""
+
+import random
+from fractions import Fraction
+
+from splitquat import (
+    I,
+    J,
+    K,
+    ONE,
+    SplitQuaternion,
+    ZERO,
+    parse_quat,
+    solve_ax0,
+    solve_axb,
+    solve_axd,
+    solve_xa_bx,
+    solve_xa_bxbar,
+    solve_xad,
+    t_matrix,
+)
+from splitquat import elimination
+from splitquat.scalars import DEFAULT_EPS
+
+from oracles import SRankCase, family_rows, s_rank_case, term_at
+
+#: The CLI's probes, then a dense one.
+PROBES = (ZERO, ONE, I, J, K, ONE + I + J + K)
+
+#: Float at(y) against exact at(y) on binary-exact copies of the same
+#: inputs, per coefficient.  Draws have coefficients of at most 6 in size;
+#: the largest gap seen over these draws is about 6e-14.
+FLOAT_BOUND = 1e-11
+
+
+def _dyadic(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), 2 ** rng.randint(0, 2))
+
+
+def _quat(rng: random.Random) -> SplitQuaternion:
+    return SplitQuaternion(*(_dyadic(rng) for _ in range(4)))
+
+
+def _search(rng: random.Random, accept) -> tuple:
+    """Small integer quadruples until accept holds."""
+    while True:
+        c = tuple(rng.randint(-6, 6) for _ in range(4))
+        if accept(*c):
+            return c
+
+
+def _lightlike(rng: random.Random) -> SplitQuaternion:
+    """Nonzero dyadic zero divisor: x^2 + y^2 = z^2 + w^2."""
+    c = _search(rng, lambda x, y, z, w: any((x, y)) and x * x + y * y == z * z + w * w)
+    return SplitQuaternion(*c) / 2 ** rng.randint(0, 2)
+
+
+def _invertible(rng: random.Random) -> SplitQuaternion:
+    """A dyadic p whose inverse is dyadic: |quadratic form| a power of two."""
+    while True:
+        p = _quat(rng)
+        form = abs(p.quadratic_form)
+        if form and all(n & (n - 1) == 0 for n in (form.numerator, form.denominator)):
+            return p
+
+
+def _with_im_squared(rng: random.Random, s: int) -> SplitQuaternion:
+    """Non-real integer element with im_squared = s*s."""
+    c = _search(
+        rng, lambda a0, a1, a2, a3: any((a1, a2, a3)) and a2 * a2 + a3 * a3 - a1 * a1 == s * s
+    )
+    return SplitQuaternion(*c)
+
+
+def _similar_pair(rng: random.Random):
+    while True:
+        a, p = _quat(rng), _invertible(rng)
+        if not a.is_real():
+            return a, p * a * p.inverse()
+
+
+def _rank3_pair(rng: random.Random):
+    """Distinct real parts, a0 - b0 = +/-s +/- u with im_squared s^2 and u^2: det T = 0."""
+    while True:
+        s, u = rng.randint(0, 4), rng.randint(0, 4)
+        d = rng.choice((s - u, s + u, u - s, -s - u))
+        if d == 0:
+            continue
+        a, b = _with_im_squared(rng, s), _with_im_squared(rng, u)
+        return a, SplitQuaternion(a.q0 - d, b.q1, b.q2, b.q3)
+
+
+def _nonsingular_pair(rng: random.Random):
+    while True:
+        a, b = _quat(rng), _quat(rng)
+        if not (a.is_real() or b.is_real() or t_matrix(a, b).det() == 0):
+            return a, b
+
+
+def _rank3b_pair(rng: random.Random):
+    """Equal forms, conj(a)+b = w nonzero lightlike and b*a != 0; dyadic as |w3| is a power of 2."""
+    while True:
+        w = _lightlike(rng)
+        w3 = abs(w.q3)
+        if not w3 or any(n & (n - 1) for n in (w3.numerator, w3.denominator)):
+            continue
+        a0, a1, a2 = _dyadic(rng), _dyadic(rng), _dyadic(rng)
+        a = SplitQuaternion(a0, a1, a2, -(w.q0 * a0 - w.q1 * a1 + w.q2 * a2) / w.q3)
+        b = w - a.conjugate()
+        if s_rank_case(a, b) is SRankCase.RANK3B:
+            return a, b
+
+
+def _s_pairs(rng: random.Random):
+    """One dyadic pair in each S-rank case; a = b = 0 first."""
+    a = _quat(rng)
+    lightlike = _lightlike(rng)
+    yield ZERO, ZERO
+    yield _quat(rng), _quat(rng)  # nonsingular, or a degenerate case by chance
+    yield a, -a.conjugate()  # rank 1
+    yield lightlike, _quat(rng) * lightlike.conjugate()  # rank 2: b*a = 0
+    yield ZERO, lightlike  # rank 2
+    p = _invertible(rng)
+    yield a, p * a * p.inverse()  # rank 3a: conjugation keeps the form
+    yield _rank3b_pair(rng)
+    yield a, _lightlike(rng) - a.conjugate()  # rank 3c
+
+
+def _draws(rng: random.Random, rounds: int):
+    """(name, solver, exact inputs) covering every exact family shape."""
+    for _ in range(rounds):
+        a, b, z = _lightlike(rng), _lightlike(rng), _quat(rng)
+        yield "axb", solve_axb, (a, b, a * z * b)
+        yield "ax0", solve_ax0, (a,)
+        yield "axd", solve_axd, (a, a * z)
+        yield "xad", solve_xad, (a, z * a)
+        yield "xa_bx rank 2", solve_xa_bx, _similar_pair(rng)
+        yield "xa_bx rank 3", solve_xa_bx, _rank3_pair(rng)
+        yield "xa_bx nonsingular", solve_xa_bx, _nonsingular_pair(rng)
+        for pair in _s_pairs(rng):
+            yield f"xa_bxbar {s_rank_case(*pair).value}", solve_xa_bxbar, pair
+
+
+def _family(solver, inputs):
+    result = solver(*inputs)
+    return result.family if hasattr(result, "family") else result
+
+
+class TestMatrixFamily:
+    def test_matrix_and_values_match_the_terms(self):
+        rng = random.Random(11)
+        seen = set()
+        for name, solver, inputs in _draws(rng, 6):
+            seen.add(name)
+            family = _family(solver, inputs)
+            assert family is not None, name
+            assert family.linear_matrix.rows == tuple(map(tuple, family_rows(family.terms))), name
+            ys = PROBES + tuple(_quat(rng) for _ in range(4)) + (parse_quat("1/3-2/7i+5/9j+k"),)
+            for y in ys:
+                x = family.at(y)
+                expected = term_at(family.constant, family.terms, y)
+                assert x.coeffs == expected.coeffs, (name, inputs, y)
+                assert all(type(c) is Fraction for c in x.coeffs), name
+        assert {"xa_bx rank 2", "xa_bx rank 3", "xa_bx nonsingular"} <= seen
+        assert {f"xa_bxbar {case.value}" for case in SRankCase} <= seen
+
+    def test_dimensions_by_case(self):
+        rng = random.Random(12)
+        expected = {"ax0": 2, "xa_bx rank 2": 2, "xa_bx rank 3": 1, "xa_bx nonsingular": 0}
+        for name, solver, inputs in _draws(rng, 4):
+            family = _family(solver, inputs)
+            if name in expected:
+                assert family.dimension == expected[name], (name, inputs)
+            if name.startswith("xa_bxbar"):
+                assert family.dimension == 4 - s_rank_case(*inputs).rank, (name, inputs)
+
+    def test_float_copies_agree_with_exact_values(self):
+        rng = random.Random(13)
+        worst = 0.0
+        for name, solver, inputs in _draws(rng, 6):
+            exact = _family(solver, inputs)
+            approx = _family(solver, tuple(q.to_float() for q in inputs))
+            assert approx is not None, name
+            assert approx.dimension == exact.dimension, (name, inputs)
+            for y in PROBES + tuple(_quat(rng) for _ in range(4)):
+                x, expected = approx.at(y.to_float()), exact.at(y)
+                assert all(type(c) is float for c in x.coeffs) or not approx.terms, name
+                gap = max(abs(Fraction(u) - v) for u, v in zip(x.coeffs, expected.coeffs))
+                worst = max(worst, gap)
+                assert gap <= FLOAT_BOUND, (name, inputs, y, gap)
+        assert worst > 0  # the float path rounds somewhere, so the bound is exercised
+
+    def test_a_family_without_terms_returns_its_constant(self):
+        family = solve_xa_bx(parse_quat("1+2i+3j+4k"), parse_quat("5+i"))
+        assert family.terms == ()
+        assert family.at(parse_quat("1.5+2j")) is family.constant == ZERO
+        assert family.basis() == [] and family.dimension == 0
+
+
+class TestOneElimination:
+    def test_exact_family_is_eliminated_once(self, monkeypatch):
+        rng = random.Random(14)
+        families = [_family(solver, inputs) for _, solver, inputs in _draws(rng, 1)]
+        calls = []
+        kernel = elimination.eliminate
+        monkeypatch.setattr(elimination, "eliminate", lambda rows: calls.append(1) or kernel(rows))
+        for family in families:
+            calls.clear()
+            dimension = family.dimension
+            first, second = family.basis(), family.basis()
+            assert len(calls) == 1
+            assert first == second and dimension == len(first)
+            first.append(ONE)  # the kept basis is not the caller's list
+            assert family.basis() == second and family.dimension == dimension
+
+    def test_float_family_honours_each_eps(self):
+        # twin of the CLI's --eps test: the family is built at 1e-3, and each
+        # basis(eps) call eliminates again at its own eps
+        family = solve_ax0(parse_quat("1+1.0001j"), 1e-3)
+        assert not family.linear_matrix.is_exact
+        for eps, dimension in ((1e-3, 2), (DEFAULT_EPS, 4), (1e-3, 2), (1e-1, 2), (1e-12, 4)):
+            assert len(family.basis(eps)) == dimension, eps
+        assert family.dimension == 4 == len(family.basis())

@@ -27,8 +27,16 @@ from splitquat import (
 )
 from splitquat.solvers import SolutionFamily
 
-from conftest import lightlike_quats, quats, rand_quat
-from oracles import SRankCase, s_det, s_eigenvalues, s_rank_case, t_det, t_eigenvalues
+from conftest import lightlike_quats, quats, rand_fraction, rand_quat
+from oracles import (
+    SRankCase,
+    rows_apply,
+    s_det,
+    s_eigenvalues,
+    s_rank_case,
+    t_det,
+    t_eigenvalues,
+)
 
 
 def det_by_permutation_expansion(m: Mat4):
@@ -191,6 +199,41 @@ class TestSMatrix:
         det = float(s_det(a, b))
         assert abs(prod.imag) <= 1e-6 * (1 + abs(det))
         assert abs(prod.real - det) <= 1e-6 * (1 + abs(det))
+
+
+def _bits(v):
+    """A float vector as its exact bit patterns, signed zeros included."""
+    assert all(type(x) is float for x in v)
+    return [x.hex() for x in v]
+
+
+class TestApply:
+    """Mat4.apply against the rows-based product it replaced (oracles.rows_apply)."""
+
+    @staticmethod
+    def _draws(rng):
+        for _ in range(300):
+            exact = Mat4([[rand_fraction(rng) for _ in range(4)] for _ in range(4)])
+            floats = Mat4([[rng.uniform(-9, 9) for _ in range(4)] for _ in range(4)])
+            v = tuple(rand_fraction(rng) for _ in range(4))
+            w = tuple(rng.choice((rng.uniform(-9, 9), 0.0, -0.0, 1 / 3)) for _ in range(4))
+            yield exact, floats, v, w
+
+    def test_exact_times_exact_is_equal(self):
+        for m, _, v, _ in self._draws(random.Random(31)):
+            result = m.apply(v)
+            assert result == rows_apply(m.rows, v)
+            assert all(type(x) is Fraction for x in result)
+
+    def test_float_products_are_bit_identical(self):
+        for exact, floats, v, w in self._draws(random.Random(32)):
+            for m, u in ((floats, w), (exact, w), (floats, v)):
+                assert _bits(m.apply(u)) == _bits(rows_apply(m.rows, u))
+
+    def test_int_entries_and_zero_rows(self):
+        m = Mat4([[1, 2, 0, 0], [0, 0, 0, 0], [3, 0, 1, 0], [0, 0, 0, 5]])
+        assert m.apply((1, 2, 3, 4)) == rows_apply(m.rows, (1, 2, 3, 4)) == (5, 0, 6, 20)
+        assert _bits(m.apply((1.5, 0, 0, 0.25))) == _bits(rows_apply(m.rows, (1.5, 0, 0, 0.25)))
 
 
 class TestElimination:

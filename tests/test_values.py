@@ -89,8 +89,10 @@ def test_family_matrix_is_built_once_and_kept_by_copies():
     assert family.linear_matrix is family.linear_matrix
     assert pickle.loads(pickle.dumps(family)).linear_matrix == family.linear_matrix
     consim = solve_xa_bxbar(parse_quat("1+2i+3j+4k"), parse_quat("2+i+3j+4k"))
-    for copied in (pickle.loads(pickle.dumps(consim)), copy.deepcopy(consim)):
+    consim.basis()  # an exact family keeps its basis; copies build their own
+    for copied in (pickle.loads(pickle.dumps(consim)), copy.deepcopy(consim), copy.copy(consim)):
         assert copied.linear_matrix == consim.linear_matrix and copied.terms == consim.terms
+        assert copied.basis() == consim.basis() and copied.dimension == consim.dimension
 
 
 def test_missing_attribute_of_a_family_is_an_attribute_error():
