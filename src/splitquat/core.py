@@ -13,7 +13,11 @@ the zero divisors, and they are what most of this library is about.
 
 Coefficients are either all :class:`~fractions.Fraction` (exact backend)
 or all :class:`float` (approximate backend with absolute tolerance
-``eps``); mixing converts the whole value to floats.  A float value,
+``eps``); mixing converts the whole value to floats.  An exact product
+runs on the ``int`` numerators of the two factors over their common
+denominators and builds each result Fraction once, so no Fraction
+arithmetic runs inside it; coefficients are still stored and read as
+reduced Fractions.  A float value,
 or a quadratic form of one, that is not finite raises
 :class:`~.errors.NonFiniteError` instead of flowing on as ``inf`` or
 ``nan``.  Values are immutable, so they are safe to share between
@@ -31,6 +35,7 @@ from .errors import NonFiniteError, NotInvertibleError
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
+    _ratio,
     as_scalar,
     format_scalar,
     scalar_is_zero,
@@ -161,13 +166,11 @@ class SplitQuaternion(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, SplitQuaternion):
-            p, q = self, other
-            return SplitQuaternion(
-                p.q0 * q.q0 - p.q1 * q.q1 + p.q2 * q.q2 + p.q3 * q.q3,
-                p.q0 * q.q1 + p.q1 * q.q0 - p.q2 * q.q3 + p.q3 * q.q2,
-                p.q0 * q.q2 + p.q2 * q.q0 - p.q1 * q.q3 + p.q3 * q.q1,
-                p.q0 * q.q3 + p.q3 * q.q0 + p.q1 * q.q2 - p.q2 * q.q1,
-            )
+            p, q = self._values(), other._values()
+            if isinstance(p[0], float) or isinstance(q[0], float):
+                return SplitQuaternion(*_quat_product(p, q))
+            (np, dp), (nq, dq) = _ratio(p), _ratio(q)
+            return _from_ratio(_quat_product(np, nq), dp * dq)
         try:
             s = as_scalar(other)
         except TypeError:
@@ -317,6 +320,26 @@ class SplitQuaternion(Frozen):
 
     def __repr__(self) -> str:
         return f"SplitQuaternion({str(self)!r})"
+
+
+def _quat_product(p: tuple, q: tuple) -> tuple:
+    """Coefficients of the product of two coefficient tuples: int numerators, or floats."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (
+        p0 * q0 - p1 * q1 + p2 * q2 + p3 * q3,
+        p0 * q1 + p1 * q0 - p2 * q3 + p3 * q2,
+        p0 * q2 + p2 * q0 - p1 * q3 + p3 * q1,
+        p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1,
+    )
+
+
+def _from_ratio(nums: tuple, d: int) -> SplitQuaternion:
+    """The exact quaternion with coefficients n/d, each reduced, without __init__'s coercion."""
+    q = object.__new__(SplitQuaternion)
+    for name, n in zip(SplitQuaternion._fields, nums):
+        object.__setattr__(q, name, Fraction(n, d))
+    return q
 
 
 def _finite(x: Scalar, what: str) -> Scalar:

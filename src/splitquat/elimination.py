@@ -111,10 +111,11 @@ def det(rows: List[List[float]], eps: float) -> float:
 def inverse(rows: List[List[float]]) -> List[List[float]]:
     """Inverse of a small square float matrix by Gauss-Jordan; NotInvertibleError if singular.
 
-    Pivots are tested against zero, not a tolerance: the callers pass
-    Gram blocks that are nonsingular by construction and whose entries
-    scale as the square of the input, so any absolute cutoff would
-    misjudge small inputs.
+    Pivots are tested against zero, not a tolerance: the callers pass a
+    matrix already found to have full rank at their ``eps``, or Gram
+    blocks that are nonsingular by construction and whose entries scale
+    as the square of the input, so any absolute cutoff would misjudge
+    small inputs.
     """
     n = len(rows)
     aug = [list(row) + [1.0 * (i == j) for j in range(n)] for i, row in enumerate(rows)]

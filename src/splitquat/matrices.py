@@ -1,7 +1,8 @@
 """4x4 real matrix tools for the regular representations.
 
 ``left_matrix(q)`` and ``right_matrix(q)`` are the matrices of ``x -> q*x``
-and ``x -> x*q`` acting on coefficient columns.  ``t_matrix`` and
+and ``x -> x*q`` acting on coefficient columns, and ``family_matrix`` sums
+their products over a solution family's terms.  ``t_matrix`` and
 ``s_matrix`` are the operator matrices whose kernels carry the solutions
 of ``x*a = b*x`` and ``x*a = b*conj(x)``.
 
@@ -23,13 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import elimination
-from .core import SplitQuaternion
+from .core import SplitQuaternion, _from_ratio, _quat_product
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
+    _ratio,
     as_scalar,
     format_scalar,
     scalars_close,
@@ -182,17 +184,6 @@ class Mat4:
         )
 
 
-def _ratio(values: Iterable[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    """Exact scalars as int numerators over their least common denominator.
-
-    That is already reduced: a prime dividing the denominator does not
-    divide the numerator of the value whose denominator it divides most.
-    """
-    values = tuple(values)
-    d = lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (d // x.denominator) for x in values), d
-
-
 def _mat(e: Tuple, d: Optional[int]) -> Mat4:
     """Matrix of entries e over the int d != 0, reduced here, or of floats when d is None."""
     if d is not None:
@@ -254,6 +245,34 @@ def right_matrix(q: SplitQuaternion) -> Mat4:
 F_MATRIX = Mat4.diagonal((1, -1, -1, -1))
 
 
+def family_matrix(terms: Sequence[Tuple[SplitQuaternion, SplitQuaternion]]) -> Mat4:
+    """sum_k L(left_k) R(right_k): the matrix of y -> sum_k left_k * y * right_k.
+
+    On exact terms, column c of L(l) R(r) is vec(l * e_c * r), with e_c
+    the units 1, i, j, k: four integer quaternion products on signed
+    permutations of l's numerators.  The terms are summed over a common
+    denominator and reduced once.  Any float term keeps the float matrix
+    products, so float sums stay bit-identical.
+    """
+    if not terms:
+        return Mat4.zero()
+    if not all(left.is_exact and right.is_exact for left, right in terms):
+        products = [left_matrix(left) @ right_matrix(right) for left, right in terms]
+        return sum(products[1:], products[0])
+    total, d = (0,) * 16, 1
+    for left, right in terms:
+        ((l0, l1, l2, l3), dl), (r, dr) = _ratio(left.coeffs), _ratio(right.coeffs)
+        units = ((l0, l1, l2, l3), (-l1, l0, l3, -l2), (l2, l3, l0, l1), (l3, -l2, -l1, l0))
+        cols = [_quat_product(u, r) for u in units]
+        e, de = [col[i] for i in range(4) for col in cols], dl * dr
+        if de != d:
+            m = lcm(d, de)
+            total, e = [x * (m // d) for x in total], [x * (m // de) for x in e]
+            d = m
+        total = tuple(map(add, total, e))
+    return _mat(total, d)
+
+
 def t_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
     """Matrix whose kernel is the solution space of x*a = b*x."""
     return right_matrix(a) - left_matrix(b)
@@ -276,7 +295,9 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     echelon form, so the inverse is C^T (C C^T)^-1 (B^T B)^-1 B^T.  That
     equals E^T (B^T m E^T)^-1 B^T for any E whose rows span the row
     space of m, so the exact backend takes the integer echelon rows as E
-    and needs one fraction-free r x r inverse.  The zero matrix maps to
+    and needs one fraction-free r x r inverse.  A float matrix of full
+    rank is inverted directly, with partial pivoting, since the Gram
+    matrices square its condition number.  The zero matrix maps to
     itself.
     """
     a = m._lists()
@@ -288,6 +309,8 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     r = len(pivots)
     if r == 0:
         return Mat4.zero()
+    if r == 4 and m._d is None:
+        return _mat(tuple(v for row in elimination.inverse(a) for v in row), None)
     c_block = reduced[:r]
     bt = [[row[p] for row in a] for p in pivots]
     ct = _transpose(c_block)
@@ -327,8 +350,10 @@ def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
 
 def image_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
     """The pivot columns of m, as quaternions: a basis of its image."""
-    cols = list(zip(*m.rows))
-    return [unvec(cols[p]) for p in _pivots(m, eps)]
+    e, d = m._e, m._d
+    if d is None:
+        return [unvec(e[p::4]) for p in _pivots(m, eps)]
+    return [_from_ratio(e[p::4], d) for p in _pivots(m, eps)]
 
 
 def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAULT_EPS) -> bool:

@@ -4,16 +4,19 @@ Every coefficient in this library is either a :class:`fractions.Fraction`
 (exact backend) or a :class:`float` (approximate backend, compared up to
 an absolute tolerance ``eps``).  The helpers below centralize the zero
 tests, square roots, and display rules so the algebra modules stay
-backend-agnostic.  Inside, an exact 4x4 matrix holds its entries as
-``int`` numerators over one denominator and is eliminated
-fraction-free (see :mod:`.matrices` and :mod:`.elimination`).
+backend-agnostic.  Inside, exact quaternion products (see :mod:`.core`)
+and every 4x4 matrix run on ``int`` numerators over one common
+denominator, taken by :func:`_ratio`, and reduce once per result
+(Henrici's method; Knuth, *TAOCP* vol. 2, 4.5.1); matrices are also
+eliminated fraction-free (see :mod:`.matrices` and :mod:`.elimination`).
+Coefficients are still stored and read as reduced Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -32,6 +35,17 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, float):
         return x
     raise TypeError(f"unsupported scalar type: {type(x).__name__}")
+
+
+def _ratio(values: Iterable[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """Exact scalars as int numerators over their least common denominator.
+
+    That is already reduced: a prime dividing the denominator does not
+    divide the numerator of the value whose denominator it divides most.
+    """
+    values = tuple(values)
+    d = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (d // x.denominator) for x in values), d
 
 
 def is_exact(x: Scalar) -> bool:

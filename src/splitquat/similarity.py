@@ -6,8 +6,9 @@ agree.  The solution space of x*a = b*x is the kernel of
 t_matrix(a, b).  solve_xa_bx decides once which of three cases holds
 and builds that case's family in closed form:
 
-* equal real parts and equal im_squared: rank 2, solved by
-  x(y) = y - (y*a*a' - b*y*a' - b'*y*a + b'*b*y) / (2*(|im a|^2 + |im b|^2));
+* equal real parts and equal im_squared: rank 2, solved with
+  A = im(a) and B = im(b) by
+  x(y) = y - (y*A*A' - B*y*A' - B'*y*A + B'*B*y) / (2*(|A|^2 + |B|^2));
 * distinct real parts with vanishing determinant: rank 3, solved through
   the auxiliary zero divisor p = (Ib - Ia) + 2*(a0 - b0)*a, whose
   quadratic form equals det(t_matrix(a, b));
@@ -70,6 +71,9 @@ def solve_xa_bx(
     _require_nonreal(b, eps, "b")
     same_re = scalars_close(a.q0, b.q0, eps)
     if same_re and scalars_close(a.im_squared, b.im_squared, eps):
+        # with equal real parts x*a = b*x is x*im(a) = im(b)*x, and the
+        # imaginary parts keep a large shared real part from cancelling
+        a, b = a.im, b.im
         d = 2 * (a.im_norm_sq + b.im_norm_sq)
         ap, bp = a.prime(), b.prime()
         terms = (

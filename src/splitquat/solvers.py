@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .core import ONE, Frozen, SplitQuaternion, ZERO
 from .errors import NotLightlikeError, ZeroCoefficientError
-from .matrices import Mat4, image_basis, left_matrix, right_matrix
+from .matrices import family_matrix, image_basis
 from .pinv import mp_inverse
 from .scalars import DEFAULT_EPS, scalar_is_zero
 
@@ -53,9 +53,7 @@ class SolutionFamily(Frozen):
 
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
         self._assign(constant, terms)
-        products = [left_matrix(left) @ right_matrix(right) for left, right in terms]
-        m = sum(products[1:], products[0]) if products else Mat4.zero()
-        object.__setattr__(self, "linear_matrix", m)
+        object.__setattr__(self, "linear_matrix", family_matrix(terms))
         object.__setattr__(self, "_basis", None)
 
     def at(self, y: SplitQuaternion) -> SplitQuaternion:

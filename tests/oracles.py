@@ -1,11 +1,14 @@
-"""Closed-form spectra, determinants and S-rank cases, Fraction elimination, family matrices and the 2x2 matrix model, used as test oracles.
+"""Closed-form spectra, determinants and S-rank cases, the Fraction product and elimination, family matrices and the 2x2 matrix model, used as test oracles.
 
 The library decides ranks and determinants of ``t_matrix`` and
 ``s_matrix`` by elimination; the closed forms below are independent
 derivations that the tests compare against it.  The library eliminates
 exact matrices fraction-free on integer numerators; the Gauss-Jordan
 elimination over Fractions below is the rational path it replaced, and
-the tests require bit-equal results from both.  A solution family's
+the tests require bit-equal results from both.  Likewise the library
+multiplies exact quaternions on integer numerators over one
+denominator; ``coeff_product``, run on the Fractions (or floats)
+themselves, is the body it replaced.  A solution family's
 linear matrix and values are rebuilt from its terms by quaternion
 products, and ``rows_apply`` is the row-by-row matrix-vector product
 that ``Mat4.apply`` replaced.  :class:`M2` is the
@@ -117,6 +120,21 @@ def s_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
     if w_lightlike:
         return SRankCase.RANK3C
     return SRankCase.NONSINGULAR
+
+
+# ----------------------------------------------------------------------
+# the quaternion product, coefficient by coefficient
+# ----------------------------------------------------------------------
+
+
+def coeff_product(p: SplitQuaternion, q: SplitQuaternion) -> Tuple[Scalar, ...]:
+    """Coefficients of p*q, each one sum of four products of coefficients."""
+    return (
+        p.q0 * q.q0 - p.q1 * q.q1 + p.q2 * q.q2 + p.q3 * q.q3,
+        p.q0 * q.q1 + p.q1 * q.q0 - p.q2 * q.q3 + p.q3 * q.q2,
+        p.q0 * q.q2 + p.q2 * q.q0 - p.q1 * q.q3 + p.q3 * q.q1,
+        p.q0 * q.q3 + p.q3 * q.q0 + p.q1 * q.q2 - p.q2 * q.q1,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,13 @@ class TestAnalysisCommands:
         )
         assert doc["verified"] is True
 
+    def test_sim_solve_large_shared_real_part(self, capsys):
+        pair = ("1234567.891+0.3i+7.7j+1.1k", "1234567.891+0.3i+1.1j+7.7k")
+        code, out, err = run(capsys, "sim-solve", *pair)
+        assert code == 0 and "dimension: 2" in out and "warning" not in err
+        code, doc, _ = run_json(capsys, "sim-solve", *pair)
+        assert doc["result"]["family"]["dimension"] == 2 and doc["verified"] is True
+
     def test_canonical(self, capsys):
         code, doc, _ = run_json(capsys, "canonical", "1+3i+2j+k")
         assert code == 0

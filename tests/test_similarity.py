@@ -33,7 +33,9 @@ from conftest import (
     rand_rank3_pair,
     rand_similar_pair,
 )
-from oracles import cyclic_witness
+from splitquat.solvers import SolutionFamily
+
+from oracles import cyclic_witness, family_rows
 
 PROBES = (ONE, I, J, K)
 
@@ -120,6 +122,37 @@ class TestRankTwoSolver:
             denom = 2 * (a.im_norm_sq + b.im_norm_sq)
             closed = (right_matrix(a.prime()) - left_matrix(b.prime())) / denom
             assert mat_mp_inverse(t) == closed
+
+    def test_large_shared_real_part_does_not_cancel(self):
+        # the terms come from im(a), im(b): a real part of 1.2e6 used to
+        # cancel in a*a', b'*b, ... and leave a rank-4 float family
+        a = parse_quat("1234567.891+0.3i+7.7j+1.1k", backend="approx")
+        b = parse_quat("1234567.891+0.3i+1.1j+7.7k", backend="approx")
+        family = solve_xa_bx(a, b)
+        assert family.dimension == 2
+        for x in family.basis():
+            assert (x * a - b * x).is_zero()
+        assert all(abs(c) < 100 for term in family.terms for q in term for c in q.coeffs)
+
+    def test_imaginary_part_terms_give_the_same_matrix(self):
+        # the closed form on a and b themselves, as an oracle
+        rng = random.Random(24)
+        for _ in range(20):
+            a, b = rand_similar_pair(rng)
+            d = 2 * (a.im_norm_sq + b.im_norm_sq)
+            ap, bp = a.prime(), b.prime()
+            full = (
+                (ONE, ONE),
+                (-(ONE / d), a * ap),
+                (b / d, ap),
+                (bp / d, a),
+                (-(bp * b) / d, ONE),
+            )
+            family = solve_xa_bx(a, b)
+            assert family.linear_matrix.rows == tuple(map(tuple, family_rows(full)))
+            reference = SolutionFamily(ZERO, full)
+            assert family.basis() == reference.basis()
+            assert family.dimension == reference.dimension == 2
 
 
 class TestRankThreeSolver:
