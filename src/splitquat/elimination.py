@@ -5,17 +5,16 @@ Gauss-Jordan elimination on integer rows (Bareiss 1968, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*,
 Math. Comp. 22), so exact matrices are eliminated on the integer
 numerators of their entries, with no rational arithmetic.
-:func:`rref`, :func:`det` and :func:`inverse` are the float kernel:
-elimination with partial pivoting, where an entry within the absolute
-tolerance ``eps`` of zero counts as zero.
+:func:`rref` is the float kernel: Gauss-Jordan elimination with partial
+pivoting, where an entry within the absolute tolerance ``eps`` of zero
+counts as zero.  Both return the same (pivots, pivot scale, sign) triple.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from .errors import NotInvertibleError
-from .scalars import Scalar, scalar_is_zero
+from .scalars import scalar_is_zero
 
 
 def eliminate(rows: List[List[int]]) -> Tuple[List[int], int, int]:
@@ -54,72 +53,36 @@ def eliminate(rows: List[List[int]]) -> Tuple[List[int], int, int]:
     return pivots, prev, sign
 
 
-def rref(rows: List[List[Scalar]], eps: float) -> Tuple[List[List[Scalar]], List[int]]:
-    """In-place reduced row echelon form with partial pivoting; returns (rows, pivot columns)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def rref(rows: List[List[float]], eps: float) -> Tuple[List[int], float, int]:
+    """Reduced row echelon form in place, pivoting on the largest |entry| (first row on ties).
+
+    The first r rows end as the reduced echelon rows.  Returns (pivot
+    columns, product of the pivots, sign of the row permutation), as
+    :func:`eliminate` does: a nonsingular matrix has determinant sign * product.
+    """
+    m, n = len(rows), len(rows[0])
     pivots: List[int] = []
-    r = 0
+    product, sign = 1.0, 1
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        best_row = None
-        best = None
+        best_row = best = None
         for rr in range(r, m):
             v = rows[rr][c]
             if not scalar_is_zero(v, eps) and (best is None or abs(v) > best):
                 best, best_row = abs(v), rr
         if best_row is None:
             continue
-        rows[r], rows[best_row] = rows[best_row], rows[r]
+        if best_row != r:
+            rows[r], rows[best_row] = rows[best_row], rows[r]
+            sign = -sign
         piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
+        product *= piv
+        top = rows[r] = [x / piv for x in rows[r]]
         for rr in range(m):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
+            f = rows[rr][c]
+            if rr != r and f != 0:
+                rows[rr] = [x - f * y for x, y in zip(rows[rr], top)]
         pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def det(rows: List[List[float]], eps: float) -> float:
-    """Determinant of a square float matrix, in place; 0.0 when a column has no pivot."""
-    n = len(rows)
-    det = 1.0
-    for c in range(n):
-        best_row = None
-        best = None
-        for rr in range(c, n):
-            v = rows[rr][c]
-            if not scalar_is_zero(v, eps) and (best is None or abs(v) > best):
-                best, best_row = abs(v), rr
-        if best_row is None:
-            return 0.0
-        if best_row != c:
-            rows[c], rows[best_row] = rows[best_row], rows[c]
-            det = -det
-        piv = rows[c][c]
-        det = det * piv
-        for rr in range(c + 1, n):
-            if rows[rr][c] != 0:
-                f = rows[rr][c] / piv
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[c])]
-    return det
-
-
-def inverse(rows: List[List[float]]) -> List[List[float]]:
-    """Inverse of a small square float matrix by Gauss-Jordan; NotInvertibleError if singular.
-
-    Pivots are tested against zero, not a tolerance: the callers pass a
-    matrix already found to have full rank at their ``eps``, or Gram
-    blocks that are nonsingular by construction and whose entries scale
-    as the square of the input, so any absolute cutoff would misjudge
-    small inputs.
-    """
-    n = len(rows)
-    aug = [list(row) + [1.0 * (i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug, 0.0)
-    if pivots != list(range(n)):
-        raise NotInvertibleError("matrix is singular")
-    return [row[n:] for row in reduced]
+    return pivots, product, sign

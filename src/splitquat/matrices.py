@@ -13,21 +13,22 @@ on first read.  A float matrix holds sixteen floats.
 Rank, determinant, nullspace, column basis and Moore-Penrose inverse
 come from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
-pivoting and the tolerance ``eps`` on floats.  Elimination is the
-source of truth for every rank decision taken elsewhere in the library;
-the closed-form spectra and determinants of ``t_matrix`` and
-``s_matrix`` are test oracles.
+pivoting and the tolerance ``eps`` on floats, picked in one place,
+``_eliminate``.  Elimination is the source of truth for every rank
+decision taken elsewhere in the library; the closed-form spectra and
+determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import add, mul, neg, sub
 from typing import List, Optional, Sequence, Tuple
 
 from . import elimination
 from .core import SplitQuaternion, _from_ratio, _quat_product
+from .errors import NonFiniteError, NotInvertibleError
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
@@ -64,6 +65,8 @@ class Mat4:
         flat = [x for row in rows for x in row]
         if any(isinstance(x, float) for x in flat):
             self._e, self._d = tuple(map(float, flat)), None
+            if not all(map(isfinite, self._e)):
+                raise NonFiniteError("matrix entry is not finite on the float backend")
         else:
             self._e, self._d = _ratio(flat)
         self._rows = None
@@ -171,9 +174,9 @@ class Mat4:
         return len(_pivots(self, eps))
 
     def det(self, eps: float = DEFAULT_EPS) -> Scalar:
+        pivots, last, sign = _eliminate(self, self._lists(), eps)
         if self._d is None:
-            return elimination.det(self._lists(), eps)
-        pivots, last, sign = elimination.eliminate(self._lists())
+            return sign * last if len(pivots) == 4 else 0.0
         return Fraction(sign * last if len(pivots) == 4 else 0, self._d**4)
 
     def __str__(self) -> str:
@@ -209,14 +212,19 @@ def _matmul(a: List[list], b: List[list]) -> List[list]:
     return [[_dot(row, col) for col in zip(*b)] for row in a]
 
 
-def _transpose(a: List[list]) -> List[list]:
-    return [list(col) for col in zip(*a)]
+def _eliminate(m: Mat4, rows: List[list], eps: float) -> Tuple[List[int], float, int]:
+    """Eliminate rows (int numerators if m is exact, else floats) with m's kernel, in place.
+
+    The exact kernel ignores eps and leaves the echelon rows times the
+    last pivot; the float kernel leaves the echelon rows themselves.
+    """
+    if m._d is None:
+        return elimination.rref(rows, eps)
+    return elimination.eliminate(rows)
 
 
 def _pivots(m: Mat4, eps: float) -> List[int]:
-    if m._d is None:
-        return elimination.rref(m._lists(), eps)[1]
-    return elimination.eliminate(m._lists())[0]
+    return _eliminate(m, m._lists(), eps)[0]
 
 
 # ----------------------------------------------------------------------
@@ -294,47 +302,43 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     B is the pivot columns of m and C the nonzero rows of its reduced
     echelon form, so the inverse is C^T (C C^T)^-1 (B^T B)^-1 B^T.  That
     equals E^T (B^T m E^T)^-1 B^T for any E whose rows span the row
-    space of m, so the exact backend takes the integer echelon rows as E
-    and needs one fraction-free r x r inverse.  A float matrix of full
-    rank is inverted directly, with partial pivoting, since the Gram
-    matrices square its condition number.  The zero matrix maps to
+    space of m, and both backends take the echelon rows their
+    elimination left as E: one r x r inverse, by one more elimination
+    at eps 0.  A matrix of full rank is inverted directly, since the
+    Gram matrix squares its condition number.  The zero matrix maps to
     itself.
     """
     a = m._lists()
-    reduced = m._lists()
-    if m._d is None:
-        _, pivots = elimination.rref(reduced, eps)
-    else:
-        pivots, _, _ = elimination.eliminate(reduced)
+    echelon = m._lists()
+    pivots, _, _ = _eliminate(m, echelon, eps)
     r = len(pivots)
     if r == 0:
         return Mat4.zero()
-    if r == 4 and m._d is None:
-        return _mat(tuple(v for row in elimination.inverse(a) for v in row), None)
-    c_block = reduced[:r]
-    bt = [[row[p] for row in a] for p in pivots]
-    ct = _transpose(c_block)
+    if r == 4:
+        block = a
+    else:
+        bt = [[row[p] for row in a] for p in pivots]
+        et = list(zip(*echelon[:r]))
+        block = _matmul(bt, _matmul(a, et))
+    one, zero = (1.0, 0.0) if m._d is None else (1, 0)
+    augmented = [row + [one if i == j else zero for j in range(r)] for i, row in enumerate(block)]
+    # the right half becomes block^-1 on floats, last * block^-1 on exact
+    pivots, last, _ = _eliminate(m, augmented, 0.0)
+    if pivots != list(range(r)):
+        raise NotInvertibleError("matrix is singular")
+    x = [row[r:] for row in augmented]
+    if r < 4:
+        x = _matmul(_matmul(et, x), bt)
     if m._d is None:
-        cct_inv = elimination.inverse(_matmul(c_block, ct))
-        btb_inv = elimination.inverse(_matmul(bt, _transpose(bt)))
-        x = _matmul(_matmul(ct, cct_inv), _matmul(btb_inv, bt))
         return _mat(tuple(v for row in x for v in row), None)
-    gram = _matmul(bt, _matmul(a, ct))
-    augmented = [row + [int(i == j) for j in range(r)] for i, row in enumerate(gram)]
-    _, det, _ = elimination.eliminate(augmented)  # leaves det * gram^-1 on the right
-    x = _matmul(_matmul(ct, [row[r:] for row in augmented]), bt)
-    return _mat(tuple(v * m._d for row in x for v in row), det)
+    return _mat(tuple(v * m._d for row in x for v in row), last)
 
 
 def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
     """Exact kernel basis; one vector per free column, dimension 4 - rank."""
     reduced = m._lists()
-    if m._d is None:
-        _, pivots = elimination.rref(reduced, eps)
-        zero, one, scale = 0.0, 1.0, None
-    else:
-        pivots, scale, _ = elimination.eliminate(reduced)
-        zero, one = Fraction(0), Fraction(1)
+    pivots, last, _ = _eliminate(m, reduced, eps)
+    zero, one = (0.0, 1.0) if m._d is None else (Fraction(0), Fraction(1))
     basis = []
     for f in range(4):
         if f in pivots:
@@ -343,7 +347,7 @@ def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
         v[f] = one
         for row_idx, p in enumerate(pivots):
             x = -reduced[row_idx][f]
-            v[p] = x if scale is None else Fraction(x, scale)
+            v[p] = x if m._d is None else Fraction(x, last)
         basis.append(tuple(v))
     return basis
 
@@ -362,12 +366,12 @@ def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAUL
     Pivot choice in the columns of m never reads the rhs column, so one
     elimination of the augmented matrix decides it.  Scaling a column or
     the whole matrix moves no pivot, so the exact kernel takes the
-    numerators of m and of rhs.
+    numerators of m and of rhs.  A float in rhs makes the system a float
+    one, on m's float entries, as in :meth:`Mat4.apply`.
     """
     rhs = [as_scalar(v) for v in rhs]
-    if m._d is None or any(isinstance(v, float) for v in rhs):
-        _, pivots = elimination.rref([list(row) + [v] for row, v in zip(m.rows, rhs)], eps)
-    else:
-        nums, _ = _ratio(rhs)
-        pivots, _, _ = elimination.eliminate([row + [v] for row, v in zip(m._lists(), nums)])
-    return 4 not in pivots
+    if m._d is not None and any(isinstance(v, float) for v in rhs):
+        m = _mat(m._floats(), None)
+    if m._d is not None:
+        rhs, _ = _ratio(rhs)
+    return 4 not in _eliminate(m, [row + [v] for row, v in zip(m._lists(), rhs)], eps)[0]

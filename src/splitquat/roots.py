@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List
 
 from .core import ONE, Frozen, SplitQuaternion
-from .errors import ExactnessWarning, NotLightlikeError, ZeroInputError
+from .errors import ExactnessWarning, NonFiniteError, NotLightlikeError, ZeroInputError
 from .scalars import DEFAULT_EPS, scalar_is_zero, scalars_close
 
 _TWO_PI = 2.0 * math.pi
@@ -30,7 +30,10 @@ def power(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> SplitQuaterni
     if n < 1:
         raise ValueError("exponent must be a positive integer")
     if scalar_is_zero(q.quadratic_form, eps):
-        return ((2 * q.q0) ** (n - 1)) * q
+        try:
+            return ((2 * q.q0) ** (n - 1)) * q
+        except OverflowError:  # a float power raises where a product gives inf
+            raise NonFiniteError("coefficient is not finite on the float backend") from None
     result = ONE
     base = q
     e = n
@@ -98,8 +101,10 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
     cos(alpha) > 0 gives rho*(e^(i*alpha)+e^(i*beta)*j), plus its negative
     when n is even; cos(alpha) < 0 with odd n gives the single root with
     the same formula (the power of 2*cos(alpha) is then positive); the
-    remaining cases have no solution.  Exact inputs are converted to
-    floats since rho is generally irrational.
+    remaining cases have no solution.  rho is taken as r**(1/n) /
+    |2*cos(alpha)|**((n-1)/n), equal wherever a root exists and free of
+    overflow.  Exact inputs are converted to floats since rho is
+    generally irrational.
     """
     if n < 2:
         raise ValueError("root degree must be at least 2")
@@ -120,7 +125,7 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
         return []
     if cos_alpha < 0 and n % 2 == 0:
         return []
-    rho = (polar.r / (2.0 * cos_alpha) ** (n - 1)) ** (1.0 / n)
+    rho = polar.r ** (1.0 / n) / abs(2.0 * cos_alpha) ** ((n - 1) / n)
     base = from_polar(rho, polar.alpha, polar.beta)
     roots = [base]
     if n % 2 == 0:

@@ -48,10 +48,6 @@ def _ratio(values: Iterable[Fraction]) -> Tuple[Tuple[int, ...], int]:
     return tuple(x.numerator * (d // x.denominator) for x in values), d
 
 
-def is_exact(x: Scalar) -> bool:
-    return not isinstance(x, float)
-
-
 def scalar_is_zero(x: Scalar, eps: float = DEFAULT_EPS) -> bool:
     if isinstance(x, float):
         return abs(x) <= eps

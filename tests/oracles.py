@@ -26,7 +26,6 @@ from splitquat import SplitQuaternion
 from splitquat.scalars import (
     DEFAULT_EPS,
     Scalar,
-    is_exact,
     scalar_is_zero,
     scalar_sqrt,
     scalars_close,
@@ -39,10 +38,10 @@ def _sqrt_signed(x: Scalar) -> Complexish:
     """Square root of a scalar as a (re, im) pair; im > 0 when x < 0."""
     if x < 0:
         root = scalar_sqrt(-x)
-        zero: Scalar = Fraction(0) if is_exact(root) else 0.0
+        zero: Scalar = 0.0 if isinstance(root, float) else Fraction(0)
         return (zero, root)
     root = scalar_sqrt(x)
-    zero = Fraction(0) if is_exact(root) else 0.0
+    zero = 0.0 if isinstance(root, float) else Fraction(0)
     return (root, zero)
 
 

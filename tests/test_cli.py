@@ -262,12 +262,19 @@ class TestGlobalFlags:
             ("classify", "1e200+1e200j", "--json"),
             ("pinv", "1e200+1e200j"),
             ("power", "1e200+1e200j", "-n", "2"),
+            ("power", "1+j", "-n", "5000", "--backend", "approx", "--json"),
         ],
     )
     def test_overflowing_float_value_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+    @pytest.mark.parametrize("n, count", [(5000, 2), (100001, 1)])
+    def test_high_degree_roots_are_verified(self, capsys, n, count):
+        code, doc, _ = run_json(capsys, "roots", "1+j", "-n", str(n))
+        assert code == 0 and doc["verified"] is True
+        assert doc["result"]["count"] == count
 
     def test_backend_approx(self, capsys):
         code, doc, _ = run_json(capsys, "classify", "1+j", "--backend", "approx")

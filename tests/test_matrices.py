@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from splitquat import (
     J,
     K,
     Mat4,
+    NonFiniteError,
     NotInvertibleError,
     ONE,
     SplitQuaternion,
@@ -294,6 +296,81 @@ def _relative_gap(x: Mat4, exact: Mat4) -> float:
     scale = max(abs(v) for row in exact.rows for v in row)
     gap = max(abs(Fraction(u) - v) for ru, rv in zip(x.rows, exact.rows) for u, v in zip(ru, rv))
     return float(gap / scale)
+
+
+def _dyadic_of_rank(rng: random.Random, r: int) -> Mat4:
+    """An exact rank-r matrix that floats hold exactly: dyadic, or a product of dyadic factors."""
+    while True:
+        if r == 4:
+            rows = [[_dyadic64(rng) for _ in range(4)] for _ in range(4)]
+        else:
+            left = [[_dyadic64(rng) for _ in range(r)] for _ in range(4)]
+            right = [[_dyadic64(rng) for _ in range(4)] for _ in range(r)]
+            rows = [
+                [sum((row[t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(4)]
+                for row in left
+            ]
+        m = Mat4(rows)
+        if m.rank() == r:
+            return m
+
+
+def _float_copy(m: Mat4) -> Mat4:
+    return Mat4([[float(v) for v in row] for row in m.rows])
+
+
+class TestFloatKernel:
+    """Float rank, determinant and pseudoinverse against the exact ones on the same matrices."""
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+    def test_det_against_exact(self, r):
+        rng = random.Random(120 + r)
+        for _ in range(200 if r == 4 else 40):
+            m = _dyadic_of_rank(rng, r)
+            det = _float_copy(m).det()
+            assert type(det) is float
+            if r < 4:
+                assert det == 0.0 and m.det() == 0
+            else:
+                assert abs(Fraction(det) - m.det()) <= 1e-12 * abs(m.det())
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    def test_det_is_zero_exactly_when_rank_is_deficient(self, eps):
+        # a rank-3 matrix moved off singular by a few eps in one entry:
+        # its last pivot lands on either side of eps
+        rng = random.Random(125)
+        seen = set()
+        for _ in range(200):
+            rows = [list(row) for row in _float_copy(_dyadic_of_rank(rng, 3)).rows]
+            shift = rng.choice((-1, 1)) * rng.uniform(0.25, 4) * eps
+            rows[rng.randrange(4)][rng.randrange(4)] += shift
+            m = Mat4(rows)
+            deficient = m.rank(eps) < 4
+            assert (m.det(eps) == 0) == deficient
+            seen.add(deficient)
+        assert seen == {False, True}
+
+    #: Float pseudoinverse against the exact one, relative to the largest
+    #: exact entry, by rank.  Below full rank the r x r block B^T m E^T
+    #: squares the condition number; these draws give at most 3.5e-16,
+    #: 2.0e-11 and 4.1e-10.
+    LOWER_RANK_BOUND = {1: 1e-14, 2: 1e-9, 3: 1e-8}
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_lower_rank_float_inverse_against_exact(self, r):
+        rng = random.Random(1)
+        worst = 0.0
+        for _ in range(150):
+            m = _dyadic_of_rank(rng, r)
+            x = mat_mp_inverse(_float_copy(m))
+            worst = max(worst, _relative_gap(x, mat_mp_inverse(m)))
+        assert 0 < worst <= self.LOWER_RANK_BOUND[r]
+
+    def test_non_finite_entries_are_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteError):
+                Mat4([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, bad, 0], [0, 0, 0, 1]])
+        assert Mat4.diagonal((1.0, 2.0, 3.0, 4.0)).det() == 24.0
 
 
 class TestMatrixPseudoInverse:

@@ -11,6 +11,7 @@ from splitquat import (
     ExactnessWarning,
     I,
     J,
+    NonFiniteError,
     NotLightlikeError,
     ONE,
     SplitQuaternion,
@@ -67,6 +68,13 @@ class TestPower:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             power(ONE, 0)
+
+    @pytest.mark.parametrize("text", ["1+j", "1.5+j"])
+    def test_float_overflow_is_a_typed_error(self, text):
+        # (2*re(q))**4999 overflows on the lightlike closed form, q**5000
+        # overflows through products otherwise
+        with pytest.raises(NonFiniteError):
+            power(parse_quat(text, backend="approx"), 5000)
 
 
 class TestMembership:
@@ -182,6 +190,15 @@ class TestNthRoots:
             warnings.simplefilter("ignore")
             assert nth_roots(-ONE + J, 2) == []
             assert nth_roots(-ONE + J, 4) == []
+
+    @pytest.mark.parametrize("n", [5000, 100001])
+    def test_high_degree_roots_do_not_overflow(self, n):
+        # (2*cos(alpha))**(n-1) alone overflows; rho = 2**((1-n)/n) does not
+        q = (ONE + J).to_float()
+        roots = nth_roots(q, n)
+        assert len(roots) == 2 - n % 2
+        assert_close(roots[0], 2.0 ** ((1 - n) / n) * q, 1e-15)
+        assert_close(power(roots[0], n), q, 1e-9)
 
     def test_errors(self):
         with pytest.raises(ValueError):
