@@ -18,7 +18,7 @@ from __future__ import annotations
 from .core import I, J, K, ONE, SplitQuaternion, ZERO
 from .errors import RealInputError
 from .matrices import nullspace_basis, s_matrix
-from .scalars import DEFAULT_EPS, scalar_is_zero, scalars_close
+from .scalars import DEFAULT_EPS, scalars_close
 from .solvers import SolutionFamily, Verdict
 
 
@@ -80,8 +80,6 @@ def is_consimilar(
             SplitQuaternion(a.q1, a.q0, 0, 0),
         )
         return Verdict(True, max(candidates, key=lambda x: abs(x.quadratic_form)))
-    if scalars_close(a.quadratic_form, b.quadratic_form, eps) and not scalar_is_zero(
-        w.quadratic_form, eps
-    ):
+    if scalars_close(a.quadratic_form, b.quadratic_form, eps) and not w.is_lightlike(eps):
         return Verdict(True, w)
     return Verdict(False, None)

@@ -49,7 +49,7 @@ def projectors(a: SplitQuaternion, eps: float = DEFAULT_EPS):
     """The idempotent pair (a*a+, a+*a) of a nonzero zero divisor."""
     if a.is_zero(eps):
         raise ZeroInputError("projectors of 0 are not defined")
-    if not scalar_is_zero(a.quadratic_form, eps):
+    if not a.is_lightlike(eps):
         raise NotLightlikeError("projectors are only interesting for zero divisors; both equal 1 here")
     p = mp_inverse(a, eps)
     return (a * p, p * a)

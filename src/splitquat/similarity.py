@@ -9,7 +9,7 @@ and builds that case's family in closed form:
 * equal real parts and equal im_squared: rank 2, solved with
   A = im(a) and B = im(b) by
   x(y) = y - (y*A*A' - B*y*A' - B'*y*A + B'*B*y) / (2*(|A|^2 + |B|^2));
-* distinct real parts with vanishing determinant: rank 3, solved through
+* distinct real parts and a singular t_matrix(a, b): rank 3, solved through
   the auxiliary zero divisor p = (Ib - Ia) + 2*(a0 - b0)*a, whose
   quadratic form equals det(t_matrix(a, b));
 * otherwise t_matrix(a, b) is nonsingular and x = 0 is the only solution.
@@ -84,7 +84,7 @@ def solve_xa_bx(
             (-(bp * b) / d, ONE),
         )
         return SolutionFamily(ZERO, terms)
-    if same_re or not scalar_is_zero(t_matrix(a, b).det(eps), eps):
+    if same_re or t_matrix(a, b).rank(eps) == 4:
         return SolutionFamily(ZERO, ())
     shift = b.quadratic_form - a.quadratic_form
     p = shift + 2 * (a.q0 - b.q0) * a

@@ -20,7 +20,7 @@ from .core import ONE, Frozen, SplitQuaternion, ZERO
 from .errors import NotLightlikeError, ZeroCoefficientError
 from .matrices import family_matrix, image_basis
 from .pinv import mp_inverse
-from .scalars import DEFAULT_EPS, scalar_is_zero
+from .scalars import DEFAULT_EPS
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
@@ -108,7 +108,7 @@ class SolveOutcome(Frozen):
 def _require_lightlike(name: str, q: SplitQuaternion, eps: float) -> None:
     if q.is_zero(eps):
         raise ZeroCoefficientError(f"coefficient {name} must be nonzero")
-    if not scalar_is_zero(q.quadratic_form, eps):
+    if not q.is_lightlike(eps):
         raise NotLightlikeError(
             f"coefficient {name} is invertible; solve by direct division instead"
         )

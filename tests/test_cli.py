@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +264,8 @@ class TestGlobalFlags:
             ("pinv", "1e200+1e200j"),
             ("power", "1e200+1e200j", "-n", "2"),
             ("power", "1+j", "-n", "5000", "--backend", "approx", "--json"),
+            # lightlike within eps, with q0 so small that the root's scale overflows
+            ("roots", "5e-324+0.00003j", "-n", "500", "--json"),
         ],
     )
     def test_overflowing_float_value_exit_two(self, capsys, argv):
@@ -375,3 +378,24 @@ def test_readme_line_document(capsys, line, backend):
     literals = line[1 : line.index("-n")] if "-n" in line else line[1:]
     assert doc["inputs"] == list(literals)
     assert doc["backend"] == backend
+
+
+#: Exit code, stdout and stderr of every README line, text and --json, on
+#: both backends.  A change to any of them is a golden move: it is logged
+#: in CHANGES.md with its reason and this fixture is updated with it.
+README_GOLDEN = json.loads((Path(__file__).parent / "readme_golden.json").read_text())
+
+
+def test_readme_golden_covers_every_line():
+    expected = [
+        [*line, "--backend", backend, *fmt]
+        for line in README_LINES
+        for backend in ("exact", "approx")
+        for fmt in ((), ("--json",))
+    ]
+    assert [entry["argv"] for entry in README_GOLDEN] == expected
+
+
+@pytest.mark.parametrize("entry", README_GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
+def test_readme_line_output_is_byte_identical(capsys, entry):
+    assert run(capsys, *entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])

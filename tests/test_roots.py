@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import warnings
@@ -176,14 +177,33 @@ class TestNthRoots:
             assert nth_roots(I + J, 5) == []
 
     def test_cube_root_with_negative_cosine(self):
-        q = -ONE + J
+        # the root is a multiple of q, so a zero coefficient of q stays exactly zero
+        cases = (("-1+j", 0.25 ** (1.0 / 3.0), "q1"), ("-3+4i+5k", 36.0 ** (-1.0 / 3.0), "q2"))
+        for text, rho, zero in cases:
+            q = parse_quat(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                roots = nth_roots(q, 3)
+            assert len(roots) == 1
+            assert_close(roots[0], rho * q.to_float(), 1e-12)
+            assert_close(power(roots[0], 3), q.to_float(), 1e-12)
+            assert getattr(roots[0], zero) == 0.0, text
+
+    def test_root_coefficients_match_fifty_digit_closed_form(self):
+        # w = c*q with c = |2*q0|**((1-n)/n) = 4**(-2/3); each float
+        # coefficient is a few roundings from the 50-digit value
+        q = parse_quat("2-1/7i-173/91j-58/91k")
+        assert q.quadratic_form == 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            roots = nth_roots(q, 3)
-        assert len(roots) == 1
-        rho = 0.25 ** (1.0 / 3.0)
-        assert_close(roots[0], rho * q.to_float(), 1e-12)
-        assert_close(power(roots[0], 3), q.to_float(), 1e-12)
+            (root,) = nth_roots(q, 3)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            c = decimal.Decimal(4) ** (decimal.Decimal(-2) / 3)
+            for got, x in zip(root.coeffs, q.coeffs):
+                want = c * x.numerator / x.denominator
+                error = abs(decimal.Decimal(got) - want)
+                assert error <= decimal.Decimal("1e-15") * abs(want), (got, want)
 
     def test_even_degree_negative_cosine_has_no_roots(self):
         with warnings.catch_warnings():

@@ -197,7 +197,12 @@ class TestRankThreeSolver:
 
     def test_preconditions(self):
         assert solve_xa_bx(I, I).dimension == 2  # equal real parts: the rank-2 case
-        assert solve_xa_bx(parse_quat("1+i"), parse_quat("2+3i")).dimension == 0  # nonsingular
+        a, b = parse_quat("1+i"), parse_quat("2+3i")
+        assert solve_xa_bx(a, b).dimension == 0  # nonsingular
+        for k in range(-20, 21):
+            # det(T) has degree 4 and falls under eps at small scales; the pivots have degree 1
+            s = 2.0**k
+            assert solve_xa_bx(a * s, b * s).dimension == 0, k
 
     def test_small_and_large_float_pairs(self):
         # |p1|^2 of the auxiliary zero divisor is ~1e-11 here, under eps; the
