@@ -10,16 +10,17 @@ therefore solvable-but-not-consimilar, which is why the predicate and
 the solver are separate operations.  When conj(a)+b = 0 the witness is
 the closed-form solution of largest |quadratic form| among three, which
 is invertible, so the predicate ends with an answer on every non-real
-pair.
+pair.  The solution space is read off one elimination of s_matrix(a, b),
+whose kernel basis the exact family keeps.
 """
 
 from __future__ import annotations
 
-from .core import I, J, K, ONE, SplitQuaternion, ZERO
+from .core import I, J, K, ONE, SplitQuaternion, ZERO, _from_ratio
 from .errors import RealInputError
-from .matrices import nullspace_basis, s_matrix
+from .matrices import _kernel, _mat, s_matrix
 from .scalars import DEFAULT_EPS, scalars_close
-from .solvers import SolutionFamily, Verdict
+from .solvers import SolutionFamily, Verdict, _family
 
 
 #: e^-1 * q on the coefficients of q, for the units e = 1, i, j, k.
@@ -43,19 +44,32 @@ def solve_xa_bxbar(
     units e_t = 1, i, j, k, so its basis is n_t.  As re(z) = (z - i z i
     + j z j + k z k)/4, that is at most four terms e y r_e, one per unit
     e, with r_e = sum_t e_t^-1 e^-1 n_t / 4; a zero r_e is no term.
+
+    S is eliminated once.  On the exact backend the r_e are summed on the
+    kernel's int numerators, and since re(y e_t^-1) = y_t the linear
+    matrix has the columns n_t: the family keeps them as its basis.
     """
+    kernel, d = _kernel(s_matrix(a, b), eps)
+    if not kernel:
+        return _family(ZERO, (), eps, basis=())
     # m_t = e_t^-1 n_t
-    m = [_INVERSE_TIMES[t](*n) for t, n in enumerate(nullspace_basis(s_matrix(a, b), eps))]
-    if not m:
-        return SolutionFamily(ZERO, ())
+    m = [_INVERSE_TIMES[t](*n) for t, n in enumerate(kernel)]
     terms = []
     for e, unit in enumerate((ONE, I, J, K)):
         # e_t^-1 e^-1 = -e^-1 e_t^-1 exactly when e and e_t are distinct imaginary units
         signed = [v if e in (0, t) or t == 0 else [-x for x in v] for t, v in enumerate(m)]
-        right = SplitQuaternion(*_INVERSE_TIMES[e](*map(sum, zip(*signed)))) / 4
-        if not right.is_zero(0.0):
-            terms.append((unit, right))
-    return SolutionFamily(ZERO, tuple(terms))
+        right = _INVERSE_TIMES[e](*map(sum, zip(*signed)))
+        if d is None:
+            right = SplitQuaternion(*right) / 4
+            if not right.is_zero(0.0):
+                terms.append((unit, right))
+        elif any(right):
+            terms.append((unit, _from_ratio(right, 4 * d)))
+    if d is None:
+        return _family(ZERO, tuple(terms), eps)
+    columns = kernel + [[0] * 4] * (4 - len(kernel))
+    matrix = _mat(tuple(c[i] for i in range(4) for c in columns), d)
+    return _family(ZERO, tuple(terms), eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
 
 
 def is_consimilar(

@@ -17,7 +17,10 @@ or all :class:`float` (approximate backend with absolute tolerance
 runs on the ``int`` numerators of the two factors over their common
 denominators and builds each result Fraction once, so no Fraction
 arithmetic runs inside it; coefficients are still stored and read as
-reduced Fractions.  A float value,
+reduced Fractions.  The ring operations, the involutions and ``im``
+already produce four scalars of one backend, so they build their result
+through ``_new``, which skips ``__init__``'s coercion and backend scan
+but keeps its finiteness test.  A float value,
 or a quadratic form of one, that is not finite raises
 :class:`~.errors.NonFiniteError` instead of flowing on as ``inf`` or
 ``nan``.  Values are immutable, so they are safe to share between
@@ -141,9 +144,7 @@ class SplitQuaternion(Frozen):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return SplitQuaternion(
-            self.q0 + other.q0, self.q1 + other.q1, self.q2 + other.q2, self.q3 + other.q3
-        )
+        return _new(self.q0 + other.q0, self.q1 + other.q1, self.q2 + other.q2, self.q3 + other.q3)
 
     __radd__ = __add__
 
@@ -151,9 +152,7 @@ class SplitQuaternion(Frozen):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return SplitQuaternion(
-            self.q0 - other.q0, self.q1 - other.q1, self.q2 - other.q2, self.q3 - other.q3
-        )
+        return _new(self.q0 - other.q0, self.q1 - other.q1, self.q2 - other.q2, self.q3 - other.q3)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -162,20 +161,20 @@ class SplitQuaternion(Frozen):
         return other - self
 
     def __neg__(self):
-        return SplitQuaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+        return _new(-self.q0, -self.q1, -self.q2, -self.q3)
 
     def __mul__(self, other):
         if isinstance(other, SplitQuaternion):
             p, q = self._values(), other._values()
             if isinstance(p[0], float) or isinstance(q[0], float):
-                return SplitQuaternion(*_quat_product(p, q))
+                return _new(*_quat_product(p, q))
             (np, dp), (nq, dq) = _ratio(p), _ratio(q)
             return _from_ratio(_quat_product(np, nq), dp * dq)
         try:
             s = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return SplitQuaternion(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
+        return _new(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
 
     def __rmul__(self, other):
         # scalars are central, so left and right scaling agree
@@ -190,7 +189,7 @@ class SplitQuaternion(Frozen):
             s = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return SplitQuaternion(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
+        return _new(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
 
     # ------------------------------------------------------------------
     # involutions and parts
@@ -198,11 +197,11 @@ class SplitQuaternion(Frozen):
 
     def conjugate(self) -> "SplitQuaternion":
         """Flip every imaginary coefficient: q0 - q1*i - q2*j - q3*k."""
-        return SplitQuaternion(self.q0, -self.q1, -self.q2, -self.q3)
+        return _new(self.q0, -self.q1, -self.q2, -self.q3)
 
     def prime(self) -> "SplitQuaternion":
         """Flip only the i coefficient; preserves the quadratic form."""
-        return SplitQuaternion(self.q0, -self.q1, self.q2, self.q3)
+        return _new(self.q0, -self.q1, self.q2, self.q3)
 
     @property
     def re(self) -> Scalar:
@@ -210,7 +209,7 @@ class SplitQuaternion(Frozen):
 
     @property
     def im(self) -> "SplitQuaternion":
-        return SplitQuaternion(0 * self.q0, self.q1, self.q2, self.q3)
+        return _new(0 * self.q0, self.q1, self.q2, self.q3)
 
     @property
     def coeffs(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -334,12 +333,30 @@ def _quat_product(p: tuple, q: tuple) -> tuple:
     )
 
 
-def _from_ratio(nums: tuple, d: int) -> SplitQuaternion:
-    """The exact quaternion with coefficients n/d, each reduced, without __init__'s coercion."""
+_SET_Q0, _SET_Q1, _SET_Q2, _SET_Q3 = (
+    SplitQuaternion.__dict__[name].__set__ for name in SplitQuaternion._fields
+)
+
+
+def _new(q0: Scalar, q1: Scalar, q2: Scalar, q3: Scalar) -> SplitQuaternion:
+    """The quaternion of four scalars of one backend, without __init__'s coercion.
+
+    A non-finite float raises NonFiniteError, as in __init__.
+    """
+    if isinstance(q0, float) and not all(map(isfinite, (q0, q1, q2, q3))):
+        raise NonFiniteError("coefficient is not finite on the float backend")
     q = object.__new__(SplitQuaternion)
-    for name, n in zip(SplitQuaternion._fields, nums):
-        object.__setattr__(q, name, Fraction(n, d))
+    _SET_Q0(q, q0)
+    _SET_Q1(q, q1)
+    _SET_Q2(q, q2)
+    _SET_Q3(q, q3)
     return q
+
+
+def _from_ratio(nums: tuple, d: int) -> SplitQuaternion:
+    """The exact quaternion with coefficients n/d, each reduced."""
+    n0, n1, n2, n3 = nums
+    return _new(Fraction(n0, d), Fraction(n1, d), Fraction(n2, d), Fraction(n3, d))
 
 
 def _finite(x: Scalar, what: str) -> Scalar:

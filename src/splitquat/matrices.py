@@ -9,7 +9,10 @@ of ``x*a = b*x`` and ``x*a = b*conj(x)``.
 An exact :class:`Mat4` holds sixteen ``int`` numerators over one
 positive ``int`` denominator, reduced by their ``gcd``; sums, products
 and ``apply`` work on the numerators, and ``rows`` builds the Fractions
-on first read.  A float matrix holds sixteen floats.
+on first read.  A float matrix holds sixteen floats.  The sign patterns
+of L(q) and R(q) are written once (``_left``, ``_right``); an exact
+``t_matrix`` or ``s_matrix`` is built from them in one step on the
+numerators of both quaternions, with no intermediate matrix.
 Rank, determinant, nullspace, column basis and Moore-Penrose inverse
 come from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
@@ -140,7 +143,7 @@ class Mat4:
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
         if self._d is None or other._d is None:
-            return _mat(_product(self._floats(), other._floats()), None)
+            return _mat(_float_product(self._floats(), other._floats()), None)
         return _mat(_product(self._e, other._e), self._d * other._d)
 
     def __truediv__(self, s) -> "Mat4":
@@ -202,14 +205,33 @@ def _dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def _product(a: Sequence, b: Sequence) -> tuple:
-    """Row-major product of two flat 4x4 matrices, one dot product per entry."""
+def _float_product(a: Sequence[float], b: Sequence[float]) -> tuple:
+    """Row-major product of two flat 4x4 float matrices, one dot product per entry.
+
+    ``sum`` starts from the int 0, which turns an entry of -0.0 into 0.0.
+    """
     cols = (b[0::4], b[1::4], b[2::4], b[3::4])
     return tuple(_dot(a[i : i + 4], col) for i in (0, 4, 8, 12) for col in cols)
 
 
+def _product(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Row-major product of two flat 4x4 int matrices, written out row by row."""
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
+    out = []
+    for i in (0, 4, 8, 12):
+        x0, x1, x2, x3 = a[i : i + 4]
+        out += (
+            x0 * b0 + x1 * b4 + x2 * b8 + x3 * b12,
+            x0 * b1 + x1 * b5 + x2 * b9 + x3 * b13,
+            x0 * b2 + x1 * b6 + x2 * b10 + x3 * b14,
+            x0 * b3 + x1 * b7 + x2 * b11 + x3 * b15,
+        )
+    return tuple(out)
+
+
 def _matmul(a: List[list], b: List[list]) -> List[list]:
-    return [[_dot(row, col) for col in zip(*b)] for row in a]
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def _eliminate(m: Mat4, rows: List[list], eps: float) -> Tuple[List[int], float, int]:
@@ -237,20 +259,33 @@ def _coeffs(q: SplitQuaternion):
     return _ratio(q.coeffs) if q.is_exact else (q.coeffs, None)
 
 
+def _left(q0, q1, q2, q3) -> tuple:
+    """Entries of L(q), row-major, from q's coefficients or numerators."""
+    return (q0, -q1, q2, q3, q1, q0, q3, -q2, q2, q3, q0, -q1, q3, -q2, q1, q0)
+
+
+def _right(q0, q1, q2, q3) -> tuple:
+    """Entries of R(q), row-major, from q's coefficients or numerators."""
+    return (q0, -q1, q2, q3, q1, q0, -q3, q2, q2, -q3, q0, q1, q3, q2, -q1, q0)
+
+
 def left_matrix(q: SplitQuaternion) -> Mat4:
     """Matrix of x -> q*x on coefficient columns."""
-    (q0, q1, q2, q3), d = _coeffs(q)
-    return _mat((q0, -q1, q2, q3, q1, q0, q3, -q2, q2, q3, q0, -q1, q3, -q2, q1, q0), d)
+    c, d = _coeffs(q)
+    return _mat(_left(*c), d)
 
 
 def right_matrix(q: SplitQuaternion) -> Mat4:
     """Matrix of x -> x*q on coefficient columns."""
-    (q0, q1, q2, q3), d = _coeffs(q)
-    return _mat((q0, -q1, q2, q3, q1, q0, -q3, q2, q2, -q3, q0, q1, q3, q2, -q1, q0), d)
+    c, d = _coeffs(q)
+    return _mat(_right(*c), d)
 
 
 #: Conjugation sign matrix: vec(conj(x)) = F_MATRIX . vec(x).
 F_MATRIX = Mat4.diagonal((1, -1, -1, -1))
+
+#: Column signs of -F_MATRIX, entry by entry: -L(b) F_MATRIX is L(b) times these.
+_MINUS_F = (-1, 1, 1, 1) * 4
 
 
 def family_matrix(terms: Sequence[Tuple[SplitQuaternion, SplitQuaternion]]) -> Mat4:
@@ -282,13 +317,23 @@ def family_matrix(terms: Sequence[Tuple[SplitQuaternion, SplitQuaternion]]) -> M
 
 
 def t_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
-    """Matrix whose kernel is the solution space of x*a = b*x."""
-    return right_matrix(a) - left_matrix(b)
+    """Matrix whose kernel is the solution space of x*a = b*x: R(a) - L(b)."""
+    if not (a.is_exact and b.is_exact):
+        return right_matrix(a) - left_matrix(b)
+    n, d = _ratio(a.coeffs + b.coeffs)
+    return _mat(tuple(map(sub, _right(*n[:4]), _left(*n[4:]))), d)
 
 
 def s_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
-    """Matrix whose kernel is the solution space of x*a = b*conj(x)."""
-    return right_matrix(a) - left_matrix(b) @ F_MATRIX
+    """Matrix whose kernel is the solution space of x*a = b*conj(x): R(a) - L(b) F_MATRIX.
+
+    On exact a and b that is R(a) - L(b) with columns 1-3 of L(b)
+    negated, built once on the numerators of both.
+    """
+    if not (a.is_exact and b.is_exact):
+        return right_matrix(a) - left_matrix(b) @ F_MATRIX
+    n, d = _ratio(a.coeffs + b.coeffs)
+    return _mat(tuple(map(add, _right(*n[:4]), map(mul, _left(*n[4:]), _MINUS_F))), d)
 
 
 # ----------------------------------------------------------------------
@@ -334,22 +379,34 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     return _mat(tuple(v * m._d for row in x for v in row), last)
 
 
-def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
-    """Exact kernel basis; one vector per free column, dimension 4 - rank."""
+def _kernel(m: Mat4, eps: float) -> Tuple[List[list], Optional[int]]:
+    """Kernel basis of m from one elimination, one vector per free column.
+
+    Exact vectors are int numerators over the last pivot, returned with
+    it; float vectors are returned with None.
+    """
     reduced = m._lists()
     pivots, last, _ = _eliminate(m, reduced, eps)
-    zero, one = (0.0, 1.0) if m._d is None else (Fraction(0), Fraction(1))
+    d = None if m._d is None else last
+    zero, one = (0.0, 1.0) if d is None else (0, d)
     basis = []
     for f in range(4):
         if f in pivots:
             continue
         v = [zero] * 4
         v[f] = one
-        for row_idx, p in enumerate(pivots):
-            x = -reduced[row_idx][f]
-            v[p] = x if m._d is None else Fraction(x, last)
-        basis.append(tuple(v))
-    return basis
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis, d
+
+
+def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
+    """Exact kernel basis; one vector per free column, dimension 4 - rank."""
+    basis, d = _kernel(m, eps)
+    if d is None:
+        return [tuple(v) for v in basis]
+    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 def image_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:

@@ -4,7 +4,8 @@ Every coefficient in this library is either a :class:`fractions.Fraction`
 (exact backend) or a :class:`float` (approximate backend, compared up to
 an absolute tolerance ``eps``).  The helpers below centralize the zero
 tests, square roots, and display rules so the algebra modules stay
-backend-agnostic.  Inside, exact quaternion products (see :mod:`.core`)
+backend-agnostic.  Inside, exact quaternion products (see :mod:`.core`),
+the quaternion Moore-Penrose inverse (see :mod:`.pinv`)
 and every 4x4 matrix run on ``int`` numerators over one common
 denominator, taken by :func:`_ratio`, and reduce once per result
 (Henrici's method; Knuth, *TAOCP* vol. 2, 4.5.1); matrices are also

@@ -35,7 +35,7 @@ from .core import Frozen, J, ONE, SplitQuaternion, ZERO
 from .errors import ExactnessWarning, RealInputError
 from .matrices import t_matrix
 from .scalars import DEFAULT_EPS, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
-from .solvers import SolutionFamily, Verdict
+from .solvers import SolutionFamily, Verdict, _family
 
 
 class CanonicalForm(Frozen):
@@ -83,9 +83,9 @@ def solve_xa_bx(
             (bp / d, a),
             (-(bp * b) / d, ONE),
         )
-        return SolutionFamily(ZERO, terms)
+        return _family(ZERO, terms, eps)
     if same_re or t_matrix(a, b).rank(eps) == 4:
-        return SolutionFamily(ZERO, ())
+        return _family(ZERO, (), eps)
     shift = b.quadratic_form - a.quadratic_form
     p = shift + 2 * (a.q0 - b.q0) * a
     p1_conj = SplitQuaternion(p.q0, -p.q1, 0, 0)
@@ -93,7 +93,7 @@ def solve_xa_bx(
     # p = p1 + p2*j is a nonzero zero divisor, so |p1| = |p2| > 0; |p1|^2 has
     # degree 2 and falls under eps on small inputs, so only exact zero is refused
     m = ONE - p2 * p1_conj.inverse(0.0) * J
-    return SolutionFamily(ZERO, ((ONE, m * a), (-b.conjugate(), m)))
+    return _family(ZERO, ((ONE, m * a), (-b.conjugate(), m)), eps)
 
 
 def _cyclic_basis(x: SplitQuaternion):

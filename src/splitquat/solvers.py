@@ -44,17 +44,22 @@ class SolutionFamily(Frozen):
     4x4 matrix, ``linear_matrix`` = sum_k L(left_k) R(right_k), built
     once here; ``at`` applies it to vec(y), and its image is the set of
     directions, so ``basis()`` eliminates it and ``dimension`` counts
-    that basis.  An exact matrix is eliminated once and its basis kept;
-    a float one at the ``eps`` of each ``basis(eps)`` call.
+    that basis.  A family records the ``eps`` its solver ran at, and
+    ``dimension`` and a bare ``basis()`` read it.  The basis at that
+    ``eps`` is found once and kept (an exact matrix ignores ``eps``); a
+    float one is eliminated again at each other ``basis(eps)``.  A
+    solver that already holds the matrix and its basis hands them over
+    (see ``_family``), so reading the family eliminates nothing.
     """
 
-    __slots__ = ("constant", "terms", "linear_matrix", "_basis")
+    __slots__ = ("constant", "terms", "linear_matrix", "_basis", "_eps")
     _fields = ("constant", "terms")
 
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
-        self._assign(constant, terms)
-        object.__setattr__(self, "linear_matrix", family_matrix(terms))
-        object.__setattr__(self, "_basis", None)
+        _fill(self, constant, terms, DEFAULT_EPS, family_matrix(terms), None)
+
+    def __reduce__(self):
+        return (_family, (self.constant, self.terms, self._eps))
 
     def at(self, y: SplitQuaternion) -> SplitQuaternion:
         if not self.terms:
@@ -67,14 +72,26 @@ class SolutionFamily(Frozen):
     def dimension(self) -> int:
         return len(self.basis())
 
-    def basis(self, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
+    def basis(self, eps: Optional[float] = None) -> List[SplitQuaternion]:
         """A basis of the linear part's image: the directions of the solution set."""
         m = self.linear_matrix
-        if not m.is_exact:
+        if eps is not None and eps != self._eps and not m.is_exact:
             return image_basis(m, eps)
         if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(image_basis(m)))
+            object.__setattr__(self, "_basis", tuple(image_basis(m, self._eps)))
         return list(self._basis)
+
+
+def _fill(family: SolutionFamily, constant, terms, eps: float, matrix, basis) -> None:
+    for name, value in zip(SolutionFamily.__slots__, (constant, terms, matrix, basis, eps)):
+        object.__setattr__(family, name, value)
+
+
+def _family(constant, terms, eps: float, matrix=None, basis=None) -> SolutionFamily:
+    """SolutionFamily(constant, terms) solved at eps; a linear matrix or basis given is kept."""
+    family = object.__new__(SolutionFamily)
+    _fill(family, constant, terms, eps, family_matrix(terms) if matrix is None else matrix, basis)
+    return family
 
 
 class SolveOutcome(Frozen):
@@ -125,7 +142,7 @@ def solve_axb(
     projected = a * pa * d * pb * b
     if not projected.isclose(d, eps):
         return SolveOutcome.unsolvable(projected - d)
-    family = SolutionFamily(pa * d * pb, ((ONE, ONE), (-(pa * a), b * pb)))
+    family = _family(pa * d * pb, ((ONE, ONE), (-(pa * a), b * pb)), eps)
     return SolveOutcome.solved(family)
 
 
@@ -133,7 +150,7 @@ def solve_ax0(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolutionFamily:
     """Right kernel of a nonzero lightlike a: x(y) = (1 - a+*a)*y, dimension 2."""
     _require_lightlike("a", a, eps)
     pa = mp_inverse(a, eps)
-    return SolutionFamily(ZERO, ((ONE - pa * a, ONE),))
+    return _family(ZERO, ((ONE - pa * a, ONE),), eps)
 
 
 def solve_axd(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolveOutcome:
@@ -143,7 +160,7 @@ def solve_axd(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) 
     projected = a * pa * d
     if not projected.isclose(d, eps):
         return SolveOutcome.unsolvable(projected - d)
-    return SolveOutcome.solved(SolutionFamily(pa * d, ((ONE - pa * a, ONE),)))
+    return SolveOutcome.solved(_family(pa * d, ((ONE - pa * a, ONE),), eps))
 
 
 def solve_xad(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolveOutcome:
@@ -153,4 +170,4 @@ def solve_xad(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) 
     projected = d * pa * a
     if not projected.isclose(d, eps):
         return SolveOutcome.unsolvable(projected - d)
-    return SolveOutcome.solved(SolutionFamily(d * pa, ((ONE, ONE - a * pa),)))
+    return SolveOutcome.solved(_family(d * pa, ((ONE, ONE - a * pa),), eps))

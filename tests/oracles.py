@@ -1,4 +1,4 @@
-"""Closed-form spectra, determinants and S-rank cases, the Fraction product and elimination, family matrices and the 2x2 matrix model, used as test oracles.
+"""Closed-form spectra, determinants and S-rank cases, the Fraction product, inverse and elimination, family matrices and the 2x2 matrix model, used as test oracles.
 
 The library decides ranks and determinants of ``t_matrix`` and
 ``s_matrix`` by elimination; the closed forms below are independent
@@ -8,7 +8,8 @@ elimination over Fractions below is the rational path it replaced, and
 the tests require bit-equal results from both.  Likewise the library
 multiplies exact quaternions on integer numerators over one
 denominator; ``coeff_product``, run on the Fractions (or floats)
-themselves, is the body it replaced.  A solution family's
+themselves, is the body it replaced, and ``quat_mp_inverse`` is the
+same for the quaternion Moore-Penrose inverse.  A solution family's
 linear matrix and values are rebuilt from its terms by quaternion
 products, and ``rows_apply`` is the row-by-row matrix-vector product
 that ``Mat4.apply`` replaced.  :class:`M2` is the
@@ -134,6 +135,16 @@ def coeff_product(p: SplitQuaternion, q: SplitQuaternion) -> Tuple[Scalar, ...]:
         p.q0 * q.q2 + p.q2 * q.q0 - p.q1 * q.q3 + p.q3 * q.q1,
         p.q0 * q.q3 + p.q3 * q.q0 + p.q1 * q.q2 - p.q2 * q.q1,
     )
+
+
+def quat_mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
+    """0, conj(a)/I(a), or prime(a)/(4*(a0^2 + a1^2)) for a zero divisor, on the coefficients."""
+    if a.is_zero(eps):
+        return SplitQuaternion(0, 0, 0, 0)
+    form = a.quadratic_form
+    if scalar_is_zero(form, eps):
+        return a.prime() / (4 * (a.q0 * a.q0 + a.q1 * a.q1))
+    return a.conjugate() / form
 
 
 # ----------------------------------------------------------------------

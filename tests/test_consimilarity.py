@@ -18,6 +18,7 @@ from splitquat import (
     s_matrix,
     solve_xa_bxbar,
 )
+from splitquat.matrices import family_matrix, image_basis
 
 from conftest import (
     nonreal_quats,
@@ -27,7 +28,7 @@ from conftest import (
     rand_nonreal,
     rand_quat,
 )
-from oracles import M2, SRankCase, s_rank_case
+from oracles import M2, SRankCase, fraction_rref, s_rank_case
 
 A_REF = "1+2i+3j+4k"
 PROBES = (ONE, I, J, K, ONE + I + J + K)
@@ -127,6 +128,25 @@ class TestKernelFamily:
             # the 2x2 model shares no code with s_matrix
             for v in basis:
                 assert M2.phi(v) @ M2.phi(a) == M2.phi(b) @ M2.phi(v).adj(), (a, b, v)
+        assert seen == set(SRankCase)
+
+    def test_kept_basis_is_the_pivot_columns_and_spans_the_kernel(self):
+        # the family keeps the kernel basis it solved for; it must be what
+        # eliminating its linear matrix would give, and span the kernel of S
+        rng = random.Random(67)
+        seen = set()
+        for a, b in _pairs_in_every_s_case(rng, 10):
+            seen.add(s_rank_case(a, b))
+            family = solve_xa_bxbar(a, b)
+            basis = family.basis()
+            assert family.linear_matrix == family_matrix(family.terms), (a, b)
+            assert basis == image_basis(family.linear_matrix), (a, b)
+            assert [v.coeffs for v in basis] == list(zip(*family.linear_matrix.rows))[: len(basis)]
+            kernel = nullspace_basis(s_matrix(a, b))
+            assert len(basis) == len(kernel)
+            if kernel:
+                vectors = [v.coeffs for v in basis] + kernel
+                assert len(fraction_rref(vectors)[1]) == len(kernel), (a, b)
         assert seen == set(SRankCase)
 
     def test_zero_divisor_pair_and_zero_pair(self):

@@ -212,6 +212,24 @@ class TestValueSemantics:
         huge = SplitQuaternion(10**400, 0, 10**400, 0)
         assert huge.quadratic_form == 0 and (huge * huge).is_exact
 
+    def test_ring_operations_that_overflow_raise(self):
+        big = SplitQuaternion(1e200, 0, 0, 0)
+        top = SplitQuaternion(1.7e308, 0, 0, -1.7e308)
+        overflowing = (
+            lambda: big * 1e200,
+            lambda: 1e200 * big,
+            lambda: big / 1e-200,
+            lambda: top + top,
+            lambda: top - (-top),
+            lambda: top + 1.7e308,
+            lambda: 1.7e308 - (-top),
+            lambda: top * 2,
+        )
+        for operation in overflowing:
+            with pytest.raises(NonFiniteError):
+                operation()
+        assert (top - top).is_zero(0.0) and (-top).q3 == 1.7e308
+
     def test_hashable_and_frozen(self):
         q = parse_quat("1+j")
         assert hash(q) == hash(SplitQuaternion(1, 0, 1, 0))

@@ -1,4 +1,4 @@
-"""Exact quaternion products and family matrices on integer numerators.
+"""Exact products, Moore-Penrose inverses, T/S matrices and family matrices on integer numerators.
 
 Each exact result must equal the Fraction formula of ``oracles`` with
 the same reduced numerator and denominator; each float result must be
@@ -8,11 +8,21 @@ the oracle's float bit for bit, signed zeros included.
 import random
 from fractions import Fraction
 
-from splitquat import SplitQuaternion, ZERO, left_matrix, right_matrix
+from splitquat import (
+    F_MATRIX,
+    Mat4,
+    SplitQuaternion,
+    ZERO,
+    left_matrix,
+    mp_inverse,
+    right_matrix,
+    s_matrix,
+    t_matrix,
+)
 from splitquat.matrices import family_matrix, image_basis
 
-from conftest import rand_conjugate, rand_fraction, rand_quat
-from oracles import coeff_product, family_rows, fraction_rref
+from conftest import rand_conjugate, rand_fraction, rand_lightlike, rand_quat
+from oracles import _matmul, coeff_product, family_rows, fraction_rref, quat_mp_inverse
 
 
 def _draw(rng: random.Random) -> SplitQuaternion:
@@ -97,3 +107,87 @@ class TestFamilyMatrix:
                 basis = image_basis(m)
                 assert basis == expected, terms
                 assert all(type(c) is Fraction for q in basis for c in q.coeffs)
+
+
+def _same_exact_matrix(m: Mat4, rows) -> bool:
+    expected = [x for row in rows for x in row]
+    return m.is_exact and all(map(_same_fraction, (x for row in m.rows for x in row), expected))
+
+
+def _float_matrix(rng: random.Random) -> Mat4:
+    """Small binary fractions, with +0.0 and -0.0 entries."""
+    entries = [rng.choice((0.0, -0.0, rng.randint(-9, 9) / 4)) for _ in range(16)]
+    return Mat4([entries[i : i + 4] for i in (0, 4, 8, 12)])
+
+
+def _float_rows(m: Mat4):
+    return [[float(x) for x in row] for row in m.rows]
+
+
+def _inverse_draw(rng: random.Random) -> SplitQuaternion:
+    return rng.choice((_draw(rng), rand_lightlike(rng), -rand_lightlike(rng) / 3))
+
+
+class TestMpInverse:
+    def test_exact_inverse_matches_the_fraction_formula(self):
+        rng = random.Random(150)
+        for _ in range(400):
+            a = _inverse_draw(rng)
+            inverse = mp_inverse(a)
+            assert all(map(_same_fraction, inverse.coeffs, quat_mp_inverse(a).coeffs)), a
+        assert mp_inverse(ZERO) is ZERO
+
+    def test_zero_divisors_and_int_inputs_are_drawn(self):
+        rng = random.Random(150)
+        draws = [_inverse_draw(rng) for _ in range(400)]
+        assert sum(q.is_lightlike() and q != ZERO for q in draws) > 50
+        assert any(q != ZERO and all(c.denominator == 1 for c in q.coeffs) for q in draws)
+
+    def test_float_inverse_is_bit_identical(self):
+        rng = random.Random(151)
+        for _ in range(400):
+            a = rng.choice((_draw(rng), rand_lightlike(rng)))
+            for x in (a.to_float(), -(a.to_float())):
+                assert _bits(mp_inverse(x).coeffs) == _bits(quat_mp_inverse(x).coeffs), x
+
+
+class TestRepresentations:
+    def test_exact_t_and_s_match_the_matrix_formulas(self):
+        rng = random.Random(152)
+        for _ in range(300):
+            a, b = _draw(rng), _draw(rng)
+            ra, lb = right_matrix(a), left_matrix(b)
+            assert _same_exact_matrix(t_matrix(a, b), (ra - lb).rows), (a, b)
+            assert t_matrix(a, b) == ra - lb
+            assert _same_exact_matrix(s_matrix(a, b), (ra - lb @ F_MATRIX).rows), (a, b)
+            assert s_matrix(a, b) == ra - lb @ F_MATRIX
+
+    def test_float_and_mixed_t_and_s_are_bit_identical(self):
+        rng = random.Random(153)
+        for _ in range(200):
+            a, b = _draw(rng), _draw(rng)
+            fa, fb = a.to_float(), -(b.to_float())
+            for x, y in ((fa, fb), (a, fb), (fa, b), (-fa, fa.conjugate())):
+                expected_t = right_matrix(x) - left_matrix(y)
+                expected_s = right_matrix(x) - left_matrix(y) @ F_MATRIX
+                assert _bits(t_matrix(x, y)._e) == _bits(expected_t._e), (x, y)
+                assert _bits(s_matrix(x, y)._e) == _bits(expected_s._e), (x, y)
+
+    def test_exact_product_matches_the_row_product(self):
+        rng = random.Random(154)
+        for _ in range(300):
+            a, b = _draw(rng), _draw(rng)
+            for m, n in ((left_matrix(a), right_matrix(b)), (t_matrix(a, b), s_matrix(b, a))):
+                assert _same_exact_matrix(m @ n, _matmul(m.rows, n.rows)), (a, b)
+
+    def test_float_product_matches_the_row_product_bit_for_bit(self):
+        rng = random.Random(155)
+        negative_zeros = 0
+        for _ in range(300):
+            m, n = _float_matrix(rng), _float_matrix(rng)
+            exact = Mat4(tuple(tuple(Fraction(x) for x in row) for row in m.rows))
+            for x, y in ((m, n), (exact, n), (m, exact)):
+                expected = [v for row in _matmul(_float_rows(x), _float_rows(y)) for v in row]
+                assert _bits((x @ y)._e) == _bits(expected), (x, y)
+            negative_zeros += sum(repr(v) == "-0.0" for v in m._e)
+        assert negative_zeros > 100

@@ -203,25 +203,34 @@ class TestMatrixFamily:
 
 class TestOneElimination:
     def test_exact_family_is_eliminated_once(self, monkeypatch):
+        # a solve_xa_bxbar family keeps the kernel basis its solver found,
+        # so reading it eliminates nothing; every other family eliminates
+        # its matrix exactly once
         rng = random.Random(14)
-        families = [_family(solver, inputs) for _, solver, inputs in _draws(rng, 1)]
+        families = [(name, _family(solver, inputs)) for name, solver, inputs in _draws(rng, 1)]
         calls = []
         kernel = elimination.eliminate
         monkeypatch.setattr(elimination, "eliminate", lambda rows: calls.append(1) or kernel(rows))
-        for family in families:
+        seen = set()
+        for name, family in families:
             calls.clear()
             dimension = family.dimension
             first, second = family.basis(), family.basis()
-            assert len(calls) == 1
+            assert len(calls) == (0 if name.startswith("xa_bxbar") else 1), name
             assert first == second and dimension == len(first)
             first.append(ONE)  # the kept basis is not the caller's list
             assert family.basis() == second and family.dimension == dimension
+            assert len(calls) == (0 if name.startswith("xa_bxbar") else 1), name
+            seen.add(name)
+        assert {f"xa_bxbar {case.value}" for case in SRankCase} <= seen
+        assert {"axb", "ax0", "axd", "xad", "xa_bx rank 2", "xa_bx rank 3"} <= seen
 
     def test_float_family_honours_each_eps(self):
-        # twin of the CLI's --eps test: the family is built at 1e-3, and each
-        # basis(eps) call eliminates again at its own eps
+        # twin of the CLI's --eps test: the family is built at 1e-3, each
+        # basis(eps) call eliminates again at its own eps, and dimension and
+        # a bare basis() read the 1e-3 the family was solved at
         family = solve_ax0(parse_quat("1+1.0001j"), 1e-3)
         assert not family.linear_matrix.is_exact
         for eps, dimension in ((1e-3, 2), (DEFAULT_EPS, 4), (1e-3, 2), (1e-1, 2), (1e-12, 4)):
             assert len(family.basis(eps)) == dimension, eps
-        assert family.dimension == 4 == len(family.basis())
+        assert family.dimension == 2 == len(family.basis())

@@ -19,6 +19,7 @@ from splitquat import (
     solve_ax0,
     solve_xa_bxbar,
 )
+from splitquat.scalars import DEFAULT_EPS
 
 EXACT = SplitQuaternion(Fraction(1, 2), -3, Fraction(5, 8), 0)
 Q = parse_quat("1+j")
@@ -93,6 +94,15 @@ def test_family_matrix_is_built_once_and_kept_by_copies():
     for copied in (pickle.loads(pickle.dumps(consim)), copy.deepcopy(consim), copy.copy(consim)):
         assert copied.linear_matrix == consim.linear_matrix and copied.terms == consim.terms
         assert copied.basis() == consim.basis() and copied.dimension == consim.dimension
+
+
+def test_copies_of_a_float_family_keep_its_eps():
+    family = solve_ax0(parse_quat("1+1.0001j"), 1e-3)
+    assert family.dimension == 2 and len(family.basis(DEFAULT_EPS)) == 4
+    for copied in (pickle.loads(pickle.dumps(family)), copy.deepcopy(family), copy.copy(family)):
+        assert copied == family and repr(copied) == repr(family)
+        assert copied.dimension == 2 and copied.basis() == family.basis()
+        assert len(copied.basis(DEFAULT_EPS)) == 4
 
 
 def test_missing_attribute_of_a_family_is_an_attribute_error():
