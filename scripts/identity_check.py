@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Fingerprint every output of the benchmark's input pools, to compare two checkouts.
+
+For each seed it runs, in process and on the checkout it lives in:
+
+* every ``perfbench/inputs.py`` ``cli_pool`` line through
+  ``splitquat.cli.main``, once as text (``--json`` dropped) and once with
+  ``--json``: exit code, stdout and stderr;
+* every item of the ``algebra-exact`` and ``families-exact`` pools, and of
+  the float ``float-mixed`` pool, through perfbench's op table
+  (``perfbench/ops.py``): the result down to the ``repr`` of each scalar
+  (so floats compare bit for bit), or the type and message of the
+  exception it raised.
+
+It prints one SHA-256 per seed and mode.  With ``--dump`` it prints the
+lines that are hashed instead, so two checkouts can be compared line by
+line with ``diff``::
+
+    python3 scripts/identity_check.py --seeds 1-20
+    python3 scripts/identity_check.py --seeds 3 --dump > new.txt
+
+perfbench is imported and never written to (no bytecode is cached).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import inputs  # noqa: E402  (perfbench/inputs.py)
+import ops  # noqa: E402  (perfbench/ops.py)
+import splitquat.cli  # noqa: E402
+from splitquat import Mat4  # noqa: E402
+from splitquat.core import Frozen  # noqa: E402
+
+MODES = ("cli-text", "cli-json", "algebra-exact", "families-exact", "float-mixed")
+
+
+def _cli_line(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = splitquat.cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the line
+            code = exc.code
+    return f"{' '.join(argv)!r} -> {code} {out.getvalue()!r} {err.getvalue()!r}"
+
+
+def _canon(x) -> str:
+    """A result down to the repr of each scalar: Fractions exactly, floats bit for bit."""
+    if isinstance(x, Frozen):
+        return type(x).__name__ + _canon(x._values())
+    if isinstance(x, Mat4):
+        return "Mat4" + _canon(x.rows)
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{k!r}: {_canon(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, (list, tuple)):
+        body = ", ".join(map(_canon, x))
+        return f"[{body}]" if isinstance(x, list) else f"({body})"
+    return repr(x)
+
+
+def _item_line(kind, case, args, approx: bool) -> str:
+    try:
+        result = _canon(ops.RUN[kind](*ops.to_library(args, approx)))
+    except Exception as exc:  # a raised error is an output too
+        result = f"{type(exc).__name__}: {exc}"
+    return f"{kind} [{case}] {args!r} -> {result}"
+
+
+def lines(seed: int, mode: str, limit=None):
+    """The output lines of one seed and mode, in pool order; the first ``limit`` only if given."""
+    if mode.startswith("cli-"):
+        argvs = inputs.cli_pool(seed)[:limit]
+        if mode == "cli-text":
+            argvs = [[arg for arg in argv if arg != "--json"] for argv in argvs]
+        return [_cli_line(argv) for argv in argvs]
+    approx = mode == "float-mixed"
+    return [_item_line(kind, case, args, approx) for kind, case, args, _ in inputs.pool(mode, seed)[:limit]]
+
+
+def digest(output_lines) -> str:
+    return hashlib.sha256("\n".join(output_lines).encode()).hexdigest()
+
+
+def _seeds(text: str):
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", nargs="+", default=["1-20"], help="seeds or ranges, such as 3 or 1-20")
+    parser.add_argument("--modes", nargs="+", choices=MODES, default=list(MODES))
+    parser.add_argument("--limit", type=int, default=None, help="only the first N lines of each pool")
+    parser.add_argument("--dump", action="store_true", help="print the lines instead of their hashes")
+    args = parser.parse_args(argv)
+    for seed in (s for text in args.seeds for s in _seeds(text)):
+        for mode in args.modes:
+            output = lines(seed, mode, args.limit)
+            if args.dump:
+                for i, line in enumerate(output):
+                    print(f"{seed} {mode} {i} {line}")
+            else:
+                print(f"{seed} {mode} {len(output)} {digest(output)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,16 +10,19 @@ therefore solvable-but-not-consimilar, which is why the predicate and
 the solver are separate operations.  When conj(a)+b = 0 the witness is
 the closed-form solution of largest |quadratic form| among three, which
 is invertible, so the predicate ends with an answer on every non-real
-pair.  The solution space is read off one elimination of s_matrix(a, b),
-whose kernel basis the exact family keeps.
+pair.  On exact inputs the predicate runs on the int numerators of a
+and b: w over their common denominator, Ia = Ib cross-multiplied, and
+one reduction for a witness that is returned.  The solution space is
+read off one elimination of s_matrix(a, b), whose kernel basis the
+exact family keeps.
 """
 
 from __future__ import annotations
 
-from .core import I, J, K, ONE, SplitQuaternion, ZERO, _from_ratio
+from .core import I, J, K, ONE, SplitQuaternion, ZERO, _form, _from_ratio
 from .errors import RealInputError
 from .matrices import _kernel, _mat, s_matrix
-from .scalars import DEFAULT_EPS, scalars_close
+from .scalars import DEFAULT_EPS, _ratio, scalars_close
 from .solvers import SolutionFamily, Verdict, _family
 
 
@@ -86,14 +89,24 @@ def is_consimilar(
     """
     if a.is_real(eps) or b.is_real(eps):
         raise RealInputError("consimilarity is only defined here for non-real elements")
-    w = a.conjugate() + b
-    if w.is_zero(eps):
-        candidates = (
-            SplitQuaternion(0, a.q3, 0, a.q1),
-            SplitQuaternion(0, a.q2, a.q1, 0),
-            SplitQuaternion(a.q1, a.q0, 0, 0),
-        )
-        return Verdict(True, max(candidates, key=lambda x: abs(x.quadratic_form)))
-    if scalars_close(a.quadratic_form, b.quadratic_form, eps) and not w.is_lightlike(eps):
-        return Verdict(True, w)
-    return Verdict(False, None)
+    if a.is_exact and b.is_exact:
+        ((a0, a1, a2, a3), da), ((b0, b1, b2, b3), db) = _ratio(a.coeffs), _ratio(b.coeffs)
+        # conj(a) + b over da*db, and Ia = Ib cross-multiplied
+        w = (a0 * db + b0 * da, b1 * da - a1 * db, b2 * da - a2 * db, b3 * da - a3 * db)
+        if any(w):
+            forms_equal = _form((a0, a1, a2, a3)) * db * db == _form((b0, b1, b2, b3)) * da * da
+            if forms_equal and _form(w):
+                return Verdict(True, _from_ratio(w, da * db))
+            return Verdict(False, None)
+    else:
+        w = a.conjugate() + b
+        if not w.is_zero(eps):
+            if scalars_close(a.quadratic_form, b.quadratic_form, eps) and not w.is_lightlike(eps):
+                return Verdict(True, w)
+            return Verdict(False, None)
+    candidates = (
+        SplitQuaternion(0, a.q3, 0, a.q1),
+        SplitQuaternion(0, a.q2, a.q1, 0),
+        SplitQuaternion(a.q1, a.q0, 0, 0),
+    )
+    return Verdict(True, max(candidates, key=lambda x: abs(x.quadratic_form)))

@@ -13,11 +13,13 @@ the zero divisors, and they are what most of this library is about.
 
 Coefficients are either all :class:`~fractions.Fraction` (exact backend)
 or all :class:`float` (approximate backend with absolute tolerance
-``eps``); mixing converts the whole value to floats.  An exact product
-runs on the ``int`` numerators of the two factors over their common
-denominators and builds each result Fraction once, so no Fraction
-arithmetic runs inside it; coefficients are still stored and read as
-reduced Fractions.  The ring operations, the involutions and ``im``
+``eps``); mixing converts the whole value to floats, and an ``int``
+factor or divisor of a float value is taken as a float.  An exact
+product and the three quadratic forms run on the ``int`` numerators
+of their operands over a common denominator and build each result
+Fraction once, so no Fraction arithmetic runs inside them;
+coefficients are still stored and read as reduced Fractions.  The
+ring operations, the involutions and ``im``
 already produce four scalars of one backend, so they build their result
 through ``_new``, which skips ``__init__``'s coercion and backend scan
 but keeps its finiteness test.  A float value,
@@ -171,7 +173,7 @@ class SplitQuaternion(Frozen):
             (np, dp), (nq, dq) = _ratio(p), _ratio(q)
             return _from_ratio(_quat_product(np, nq), dp * dq)
         try:
-            s = as_scalar(other)
+            s = self._scalar(other)
         except TypeError:
             return NotImplemented
         return _new(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
@@ -179,17 +181,27 @@ class SplitQuaternion(Frozen):
     def __rmul__(self, other):
         # scalars are central, so left and right scaling agree
         try:
-            s = as_scalar(other)
+            s = self._scalar(other)
         except TypeError:
             return NotImplemented
         return self * s
 
     def __truediv__(self, other):
         try:
-            s = as_scalar(other)
+            s = self._scalar(other)
         except TypeError:
             return NotImplemented
         return _new(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
+
+    def _scalar(self, x) -> Scalar:
+        """x as a scalar factor: an int stays float arithmetic on a float value.
+
+        A float times a Fraction n/1 already computes with float(n), so
+        this changes no bit, only skips building the Fraction.
+        """
+        if type(x) is int and isinstance(self.q0, float):
+            return float(x)
+        return as_scalar(x)
 
     # ------------------------------------------------------------------
     # involutions and parts
@@ -226,20 +238,29 @@ class SplitQuaternion(Frozen):
     @property
     def quadratic_form(self) -> Scalar:
         """The multiplicative form q0^2 + q1^2 - q2^2 - q3^2."""
-        return _finite(
-            self.q0 * self.q0 + self.q1 * self.q1 - self.q2 * self.q2 - self.q3 * self.q3,
-            "quadratic form",
-        )
+        q = self._values()
+        if isinstance(q[0], float):
+            return _finite(_form(q), "quadratic form")
+        n, d = _ratio(q)
+        return Fraction(_form(n), d * d)
 
     @property
     def im_squared(self) -> Scalar:
         """Scalar value of im(q)*im(q): -q1^2 + q2^2 + q3^2, a similarity invariant."""
-        return _finite(-self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3, "im_squared")
+        q1, q2, q3 = self.q1, self.q2, self.q3
+        if isinstance(q1, float):
+            return _finite(-q1 * q1 + q2 * q2 + q3 * q3, "im_squared")
+        (n1, n2, n3), d = _ratio((q1, q2, q3))
+        return Fraction(-n1 * n1 + n2 * n2 + n3 * n3, d * d)
 
     @property
     def im_norm_sq(self) -> Scalar:
         """Euclidean q1^2 + q2^2 + q3^2; zero exactly for real values."""
-        return _finite(self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3, "im_norm_sq")
+        q1, q2, q3 = self.q1, self.q2, self.q3
+        if isinstance(q1, float):
+            return _finite(q1 * q1 + q2 * q2 + q3 * q3, "im_norm_sq")
+        (n1, n2, n3), d = _ratio((q1, q2, q3))
+        return Fraction(n1 * n1 + n2 * n2 + n3 * n3, d * d)
 
     def classify(self, eps: float = DEFAULT_EPS) -> CausalClass:
         """Causal class by the sign of the quadratic form.
@@ -319,6 +340,12 @@ class SplitQuaternion(Frozen):
 
     def __repr__(self) -> str:
         return f"SplitQuaternion({str(self)!r})"
+
+
+def _form(n: tuple):
+    """The quadratic form n0^2 + n1^2 - n2^2 - n3^2 of four numerators (or floats)."""
+    n0, n1, n2, n3 = n
+    return n0 * n0 + n1 * n1 - n2 * n2 - n3 * n3
 
 
 def _quat_product(p: tuple, q: tuple) -> tuple:

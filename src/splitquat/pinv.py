@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from typing import Dict, Optional
 
-from .core import SplitQuaternion, ZERO, _from_ratio
+from .core import SplitQuaternion, ZERO, _form, _from_ratio
 from .errors import IllConditionedWarning, NotLightlikeError, ZeroInputError
 from .matrices import Mat4, left_matrix, mat_mp_inverse, right_matrix
 from .scalars import DEFAULT_EPS, _ratio, scalar_is_zero
@@ -37,7 +37,7 @@ def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
         (n0, n1, n2, n3), d = _ratio(a.coeffs)
         if not (n0 or n1 or n2 or n3):
             return ZERO
-        form = n0 * n0 + n1 * n1 - n2 * n2 - n3 * n3
+        form = _form((n0, n1, n2, n3))
         if form:
             return _from_ratio((n0 * d, -n1 * d, -n2 * d, -n3 * d), form)
         return _from_ratio((n0 * d, -n1 * d, n2 * d, n3 * d), 4 * (n0 * n0 + n1 * n1))

@@ -8,7 +8,9 @@ backend-agnostic.  Inside, exact quaternion products (see :mod:`.core`),
 the quaternion Moore-Penrose inverse (see :mod:`.pinv`)
 and every 4x4 matrix run on ``int`` numerators over one common
 denominator, taken by :func:`_ratio`, and reduce once per result
-(Henrici's method; Knuth, *TAOCP* vol. 2, 4.5.1); matrices are also
+(Henrici's method; Knuth, *TAOCP* vol. 2, 4.5.1); so do the quadratic
+forms, the similarity and consimilarity decisions and closed-form
+families, and a family's value at a point; matrices are also
 eliminated fraction-free (see :mod:`.matrices` and :mod:`.elimination`).
 Coefficients are still stored and read as reduced Fractions.
 """

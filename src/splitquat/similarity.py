@@ -14,6 +14,9 @@ and builds that case's family in closed form:
   quadratic form equals det(t_matrix(a, b));
 * otherwise t_matrix(a, b) is nonsingular and x = 0 is the only solution.
 
+On exact inputs the rank-2 denominator and the rank-3 element m are
+computed on the int numerators of a and b, with one reduction each.
+
 Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
 or a0 + i + j when k = 0.
@@ -30,11 +33,12 @@ satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
-from .core import Frozen, J, ONE, SplitQuaternion, ZERO
+from .core import Frozen, J, ONE, SplitQuaternion, ZERO, _form, _from_ratio
 from .errors import ExactnessWarning, RealInputError
 from .matrices import t_matrix
-from .scalars import DEFAULT_EPS, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
+from .scalars import DEFAULT_EPS, _ratio, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
 from .solvers import SolutionFamily, Verdict, _family
 
 
@@ -69,12 +73,18 @@ def solve_xa_bx(
     """
     _require_nonreal(a, eps, "a")
     _require_nonreal(b, eps, "b")
+    exact = a.is_exact and b.is_exact
     same_re = scalars_close(a.q0, b.q0, eps)
     if same_re and scalars_close(a.im_squared, b.im_squared, eps):
         # with equal real parts x*a = b*x is x*im(a) = im(b)*x, and the
         # imaginary parts keep a large shared real part from cancelling
         a, b = a.im, b.im
-        d = 2 * (a.im_norm_sq + b.im_norm_sq)
+        if exact:
+            (na, da), (nb, db) = _ratio(a.coeffs), _ratio(b.coeffs)
+            sa, sb = sum(x * x for x in na), sum(x * x for x in nb)
+            d = Fraction(2 * (sa * db * db + sb * da * da), (da * db) ** 2)
+        else:
+            d = 2 * (a.im_norm_sq + b.im_norm_sq)
         ap, bp = a.prime(), b.prime()
         terms = (
             (ONE, ONE),
@@ -86,6 +96,16 @@ def solve_xa_bx(
         return _family(ZERO, terms, eps)
     if same_re or t_matrix(a, b).rank(eps) == 4:
         return _family(ZERO, (), eps)
+    if exact:
+        # p over (da*db)^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
+        # x + y*i = p2*conj(p1): the denominator of p cancels in m
+        (na, da), (nb, db) = _ratio(a.coeffs), _ratio(b.coeffs)
+        c = 2 * (na[0] * db - nb[0] * da) * db
+        shift = _form(nb) * da * da - _form(na) * db * db
+        p0, p1, p2, p3 = shift + c * na[0], c * na[1], c * na[2], c * na[3]
+        s = p0 * p0 + p1 * p1
+        m = _from_ratio((s, 0, p3 * p1 - p2 * p0, -(p2 * p1 + p3 * p0)), s)
+        return _family(ZERO, ((ONE, m * a), (-b.conjugate(), m)), eps)
     shift = b.quadratic_form - a.quadratic_form
     p = shift + 2 * (a.q0 - b.q0) * a
     p1_conj = SplitQuaternion(p.q0, -p.q1, 0, 0)

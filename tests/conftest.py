@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from splitquat import SplitQuaternion
+from splitquat import SplitQuaternion, ZERO
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
@@ -162,6 +162,22 @@ def rand_consim_pair_rank3b(rng: random.Random):
         if a.is_real() or b.is_real():
             continue
         return a, b
+
+
+def pairs_in_every_s_case(rng: random.Random, count: int):
+    """Exact pairs aimed at each S-rank case in turn; a = b = 0 first."""
+    yield ZERO, ZERO
+    for _ in range(count):
+        a = rand_quat(rng)
+        yield a, rand_quat(rng)  # nonsingular
+        yield a, -a.conjugate()  # rank 1
+        lightlike = rand_lightlike(rng)
+        yield lightlike, rand_quat(rng) * lightlike.conjugate()  # rank 2: b*a = 0
+        yield ZERO, lightlike  # rank 2
+        yield a, rand_conjugate(rng, a)  # rank 3a: conjugation keeps the form
+        yield rand_consim_pair_rank3b(rng)
+        w = rand_lightlike(rng)
+        yield a, w - a.conjugate()  # rank 3c: conj(a)+b = w
 
 
 def rand_causal(rng: random.Random, kind: str) -> SplitQuaternion:

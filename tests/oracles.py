@@ -9,10 +9,14 @@ the tests require bit-equal results from both.  Likewise the library
 multiplies exact quaternions on integer numerators over one
 denominator; ``coeff_product``, run on the Fractions (or floats)
 themselves, is the body it replaced, and ``quat_mp_inverse`` is the
-same for the quaternion Moore-Penrose inverse.  A solution family's
-linear matrix and values are rebuilt from its terms by quaternion
-products, and ``rows_apply`` is the row-by-row matrix-vector product
-that ``Mat4.apply`` replaced.  :class:`M2` is the
+same for the quaternion Moore-Penrose inverse, ``coeff_forms`` for the
+three quadratic forms, ``xa_bx_rank2_terms``/``xa_bx_rank3_terms`` for
+the closed-form families of ``solve_xa_bx``, and ``consimilar_verdict``
+for ``is_consimilar``.  ``xa_bx_rank2_image`` and ``xa_bx_rank3_image``
+derive the images of those families in the 2x2 model alone.  A
+solution family's linear matrix and values are rebuilt from its terms
+by quaternion products, and ``rows_apply`` is the row-by-row
+matrix-vector product that ``Mat4.apply`` replaced.  :class:`M2` is the
 isomorphism onto the 2x2 real matrices, which shares no code with the
 library's 4x4 machinery.
 """
@@ -145,6 +149,66 @@ def quat_mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuater
     if scalar_is_zero(form, eps):
         return a.prime() / (4 * (a.q0 * a.q0 + a.q1 * a.q1))
     return a.conjugate() / form
+
+
+# ----------------------------------------------------------------------
+# forms, the solve_xa_bx terms and consimilarity, on the coefficients
+# ----------------------------------------------------------------------
+
+
+def coeff_forms(q: SplitQuaternion) -> Tuple[Scalar, Scalar, Scalar]:
+    """(quadratic_form, im_squared, im_norm_sq), each a sum of products of coefficients."""
+    return (
+        q.q0 * q.q0 + q.q1 * q.q1 - q.q2 * q.q2 - q.q3 * q.q3,
+        -q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3,
+        q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3,
+    )
+
+
+def _times(p: SplitQuaternion, q: SplitQuaternion) -> SplitQuaternion:
+    return SplitQuaternion(*coeff_product(p, q))
+
+
+def xa_bx_rank2_terms(a: SplitQuaternion, b: SplitQuaternion) -> tuple:
+    """Terms of the rank-2 family of x*a = b*x: A = im(a), B = im(b), d = 2(|A|^2 + |B|^2)."""
+    one = SplitQuaternion(1, 0, 0, 0)
+    a, b = a.im, b.im
+    d = 2 * (coeff_forms(a)[2] + coeff_forms(b)[2])
+    ap, bp = a.prime(), b.prime()
+    return (
+        (one, one),
+        (-(one / d), _times(a, ap)),
+        (b / d, ap),
+        (bp / d, a),
+        (-_times(bp, b) / d, one),
+    )
+
+
+def xa_bx_rank3_terms(a: SplitQuaternion, b: SplitQuaternion) -> tuple:
+    """Terms (1, m*a), (-conj(b), m) with m = 1 - (p2/conj(p1))*j, p = (Ib - Ia) + 2(a0 - b0)*a."""
+    one, j = SplitQuaternion(1, 0, 0, 0), SplitQuaternion(0, 0, 1, 0)
+    p = (coeff_forms(b)[0] - coeff_forms(a)[0]) + 2 * (a.q0 - b.q0) * a
+    p1_conj = SplitQuaternion(p.q0, -p.q1, 0, 0)
+    p2 = SplitQuaternion(p.q2, p.q3, 0, 0)
+    p1_conj_inverse = p1_conj.conjugate() / coeff_forms(p1_conj)[0]
+    m = one - _times(_times(p2, p1_conj_inverse), j)
+    return ((one, _times(m, a)), (-b.conjugate(), m))
+
+
+def consimilar_verdict(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS):
+    """(verdict, witness) of x*a = b*conj(x): w = conj(a)+b, or the fallback list when w = 0."""
+    w = a.conjugate() + b
+    if w.is_zero(eps):
+        candidates = (
+            SplitQuaternion(0, a.q3, 0, a.q1),
+            SplitQuaternion(0, a.q2, a.q1, 0),
+            SplitQuaternion(a.q1, a.q0, 0, 0),
+        )
+        return True, max(candidates, key=lambda x: abs(coeff_forms(x)[0]))
+    forms_equal = scalars_close(coeff_forms(a)[0], coeff_forms(b)[0], eps)
+    if forms_equal and not scalar_is_zero(coeff_forms(w)[0], eps):
+        return True, w
+    return False, None
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +405,10 @@ class M2:
         a, b, c, d = self.entries
         return M2(a, c, b, d)
 
+    def minus_scalar(self, s) -> "M2":
+        a, b, c, d = self.entries
+        return M2(a - s, b, c, d - s)
+
     def divide(self, s) -> "M2":
         return M2(*(x / s for x in self.entries))
 
@@ -357,6 +425,26 @@ class M2:
         if rank == 1:
             return self.transpose().divide(sum(x * x for x in self.entries))
         return self
+
+
+def xa_bx_rank2_image(a: SplitQuaternion, b: SplitQuaternion) -> List[SplitQuaternion]:
+    """(w, w*a), w the cyclic witness: both solve x*a = b*x for similar non-real a and b."""
+    w = cyclic_witness(a, b)
+    return [w, (M2.phi(w) @ M2.phi(a)).phi_inverse()]
+
+
+def xa_bx_rank3_image(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
+    """phi^-1(u v^T) for X A = B X, with lam = (det A - det B)/(tr A - tr B) shared by A and B.
+
+    u is a nonzero column of adj(B - lam), so B u = lam u, and v^T a
+    nonzero row of adj(A - lam), so v^T A = lam v^T.
+    """
+    p, q = M2.phi(a), M2.phi(b)
+    lam = (p.det() - q.det()) / (p.trace() - q.trace())
+    bu, av = q.minus_scalar(lam).adj(), p.minus_scalar(lam).adj()
+    u = next(c for c in ((bu.entries[0], bu.entries[2]), (bu.entries[1], bu.entries[3])) if any(c))
+    v = next(r for r in (av.entries[:2], av.entries[2:]) if any(r))
+    return M2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1]).phi_inverse()
 
 
 def cyclic_basis(x: SplitQuaternion) -> M2:

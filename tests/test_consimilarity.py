@@ -22,9 +22,9 @@ from splitquat.matrices import family_matrix, image_basis
 
 from conftest import (
     nonreal_quats,
+    pairs_in_every_s_case,
     rand_conjugate,
     rand_consim_pair_rank3b,
-    rand_lightlike,
     rand_nonreal,
     rand_quat,
 )
@@ -82,22 +82,6 @@ class TestSolver:
             assert x * a == b * x.conjugate()
 
 
-def _pairs_in_every_s_case(rng: random.Random, count: int):
-    """Exact pairs aimed at each S-rank case in turn; a = b = 0 first."""
-    yield ZERO, ZERO
-    for _ in range(count):
-        a = rand_quat(rng)
-        yield a, rand_quat(rng)  # nonsingular
-        yield a, -a.conjugate()  # rank 1
-        lightlike = rand_lightlike(rng)
-        yield lightlike, rand_quat(rng) * lightlike.conjugate()  # rank 2: b*a = 0
-        yield ZERO, lightlike  # rank 2
-        yield a, rand_conjugate(rng, a)  # rank 3a: conjugation keeps the form
-        yield rand_consim_pair_rank3b(rng)
-        w = rand_lightlike(rng)
-        yield a, w - a.conjugate()  # rank 3c: conj(a)+b = w
-
-
 class TestKernelFamily:
     """The family is sum_t re(y e_t^-1) n_t over the kernel basis n_t of S, in every S case."""
 
@@ -105,7 +89,7 @@ class TestKernelFamily:
         rng = random.Random(66)
         units = (ONE, I, J, K)
         seen = set()
-        for a, b in _pairs_in_every_s_case(rng, 15):
+        for a, b in pairs_in_every_s_case(rng, 15):
             case = s_rank_case(a, b)
             seen.add(case)
             s = s_matrix(a, b)
@@ -135,7 +119,7 @@ class TestKernelFamily:
         # eliminating its linear matrix would give, and span the kernel of S
         rng = random.Random(67)
         seen = set()
-        for a, b in _pairs_in_every_s_case(rng, 10):
+        for a, b in pairs_in_every_s_case(rng, 10):
             seen.add(s_rank_case(a, b))
             family = solve_xa_bxbar(a, b)
             basis = family.basis()

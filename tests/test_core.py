@@ -197,6 +197,27 @@ class TestValueSemantics:
         assert 1 + q == q + 1 == parse_quat("2+j")
         assert 1 - q == -(q - 1)
 
+    def test_int_factors_of_float_values_are_float_literals(self):
+        # q*n, n*q and q/n on a float q compute with float(n), as q*float(n)
+        # and q*Fraction(n) do: same bits, signed zeros, or the same error
+        def outcome(compute):
+            try:
+                return tuple(map(repr, compute().coeffs))
+            except Exception as exc:
+                return type(exc)
+
+        rng = random.Random(31)
+        sizes = (0.0, -0.0, 1.0, 1e3, 1e300)
+        for _ in range(200):
+            q = SplitQuaternion(*(rng.uniform(-1, 1) * rng.choice(sizes) for _ in range(4)))
+            for n in (0, 1, -1, 4, 2**60 + 1, 10**400):
+                for scalar in (float, Fraction):
+                    times = outcome(lambda: SplitQuaternion(*(c * scalar(n) for c in q.coeffs)))
+                    over = outcome(lambda: SplitQuaternion(*(c / scalar(n) for c in q.coeffs)))
+                    assert outcome(lambda: q * n) == outcome(lambda: n * q) == times, (q, n)
+                    assert outcome(lambda: q / n) == over, (q, n)
+        assert all(type(c) is Fraction for c in (parse_quat("1/3+j") * 4 / 3).coeffs)
+
     def test_non_finite_float_values_raise(self):
         big = SplitQuaternion(1e200, 0.0, 1e200, 0.0)
         with pytest.raises(NonFiniteError):

@@ -1,4 +1,4 @@
-"""Exact products, Moore-Penrose inverses, T/S matrices and family matrices on integer numerators.
+"""Exact products, inverses, forms, T/S and family matrices, families and consimilarity on integer numerators.
 
 Each exact result must equal the Fraction formula of ``oracles`` with
 the same reduced numerator and denominator; each float result must be
@@ -11,18 +11,44 @@ from fractions import Fraction
 from splitquat import (
     F_MATRIX,
     Mat4,
+    SolutionFamily,
     SplitQuaternion,
     ZERO,
+    is_consimilar,
     left_matrix,
     mp_inverse,
     right_matrix,
     s_matrix,
+    solve_axb,
+    solve_xa_bx,
     t_matrix,
 )
 from splitquat.matrices import family_matrix, image_basis
 
-from conftest import rand_conjugate, rand_fraction, rand_lightlike, rand_quat
-from oracles import _matmul, coeff_product, family_rows, fraction_rref, quat_mp_inverse
+from conftest import (
+    pairs_in_every_s_case,
+    rand_conjugate,
+    rand_fraction,
+    rand_lightlike,
+    rand_quat,
+    rand_rank3_pair,
+    rand_similar_pair,
+)
+from oracles import (
+    SRankCase,
+    _matmul,
+    coeff_forms,
+    coeff_product,
+    consimilar_verdict,
+    family_rows,
+    fraction_rref,
+    quat_mp_inverse,
+    rows_apply,
+    s_rank_case,
+    term_at,
+    xa_bx_rank2_terms,
+    xa_bx_rank3_terms,
+)
 
 
 def _draw(rng: random.Random) -> SplitQuaternion:
@@ -191,3 +217,151 @@ class TestRepresentations:
                 assert _bits((x @ y)._e) == _bits(expected), (x, y)
             negative_zeros += sum(repr(v) == "-0.0" for v in m._e)
         assert negative_zeros > 100
+
+
+def _forms(q: SplitQuaternion) -> tuple:
+    return (q.quadratic_form, q.im_squared, q.im_norm_sq)
+
+
+def _same_quats(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(
+        all(map(_same_fraction, x.coeffs, y.coeffs)) for x, y in zip(xs, ys)
+    )
+
+
+def _flat(terms) -> list:
+    return [q for term in terms for q in term]
+
+
+class TestForms:
+    def test_exact_forms_match_the_fraction_formulas(self):
+        rng = random.Random(160)
+        for _ in range(400):
+            q = _draw(rng)
+            assert all(map(_same_fraction, _forms(q), coeff_forms(q))), q
+
+    def test_float_forms_are_bit_identical(self):
+        rng = random.Random(161)
+        for _ in range(400):
+            q = _draw(rng)
+            for x in (q.to_float(), -(q.to_float())):
+                assert _bits(_forms(x)) == _bits(coeff_forms(x)), x
+
+
+class TestSimilarityFamilies:
+    """solve_xa_bx's rank-2 and rank-3 terms against their Fraction bodies."""
+
+    def _pairs(self, rng: random.Random):
+        """Rank-2 and rank-3 pairs; conjugating one side keeps the case and makes taller rationals."""
+        for _ in range(60):
+            a, b = rand_similar_pair(rng, k_zero=rng.random() < 0.2)
+            yield rand_conjugate(rng, a) if rng.random() < 0.5 else a, b
+            a, b = rand_rank3_pair(rng)
+            yield a, rand_conjugate(rng, b) if rng.random() < 0.5 else b
+
+    def test_exact_terms_match_the_fraction_bodies(self):
+        rng = random.Random(162)
+        ranks = []
+        for a, b in self._pairs(rng):
+            ranks.append(t_matrix(a, b).rank())
+            oracle = xa_bx_rank2_terms if ranks[-1] == 2 else xa_bx_rank3_terms
+            terms = solve_xa_bx(a, b).terms
+            assert _same_quats(_flat(terms), _flat(oracle(a, b))), (a, b)
+        assert sorted(set(ranks)) == [2, 3] and ranks.count(3) == 60
+
+    def test_float_terms_are_bit_identical(self):
+        rng = random.Random(163)
+        compared = 0
+        for a, b in self._pairs(rng):
+            fa, fb = a.to_float(), b.to_float()
+            terms = solve_xa_bx(fa, fb).terms
+            if not terms:  # a float rank decision may read the pair as nonsingular
+                continue
+            oracle = xa_bx_rank2_terms if len(terms) == 5 else xa_bx_rank3_terms
+            expected = oracle(fa, fb)
+            assert _bits(c for q in _flat(terms) for c in q.coeffs) == _bits(
+                c for q in _flat(expected) for c in q.coeffs
+            ), (fa, fb)
+            compared += 1
+        assert compared > 100
+
+
+class TestIsConsimilar:
+    def test_exact_verdict_and_witness_match_the_fraction_body(self):
+        rng = random.Random(164)
+        cases = set()
+        for a, b in pairs_in_every_s_case(rng, 40):
+            if a.is_real() or b.is_real():
+                continue
+            cases.add(s_rank_case(a, b))
+            verdict, witness = consimilar_verdict(a, b)
+            result = is_consimilar(a, b)
+            assert result.verdict is verdict, (a, b)
+            if witness is None:
+                assert result.witness is None, (a, b)
+            else:
+                assert _same_quats([result.witness], [witness]), (a, b)
+        assert cases == set(SRankCase) - {SRankCase.ZERO}
+
+    def test_float_verdict_and_witness_are_bit_identical(self):
+        rng = random.Random(165)
+        for a, b in pairs_in_every_s_case(rng, 40):
+            fa, fb = a.to_float(), b.to_float()
+            if fa.is_real() or fb.is_real():
+                continue
+            for x, y in ((fa, fb), (a, fb), (fa, b)):
+                verdict, witness = consimilar_verdict(x, y)
+                result = is_consimilar(x, y)
+                assert result.verdict is verdict, (x, y)
+                assert _bits(result.witness.coeffs if witness else ()) == _bits(
+                    witness.coeffs if witness else ()
+                ), (x, y)
+
+
+class TestFamilyAt:
+    def _families(self, rng: random.Random):
+        for _ in range(40):
+            constant = _draw(rng)
+            if constant == ZERO:
+                constant = rand_quat(rng) + 1
+            terms = tuple((_draw(rng), _draw(rng)) for _ in range(rng.randint(1, 3)))
+            yield SolutionFamily(constant, terms)
+            a = rand_lightlike(rng)
+            outcome = solve_axb(a, a, a * rand_quat(rng) * a)
+            assert outcome.solvable
+            yield outcome.family
+
+    def test_exact_values_match_the_terms(self):
+        rng = random.Random(166)
+        nonzero_constants = 0
+        for family in self._families(rng):
+            nonzero_constants += family.constant != ZERO
+            for y in (_draw(rng), _draw(rng), ZERO):
+                x = family.at(y)
+                expected = term_at(family.constant, family.terms, y)
+                assert all(map(_same_fraction, x.coeffs, expected.coeffs)), (family, y)
+        assert nonzero_constants > 40
+
+    def test_float_and_mixed_values_keep_the_matrix_product(self):
+        rng = random.Random(167)
+        for family in self._families(rng):
+            exact_y = _draw(rng)
+            m = family.linear_matrix
+            for y in (exact_y.to_float(), -(exact_y.to_float())):
+                x = family.at(y)
+                expected = family.constant + SplitQuaternion(*rows_apply(m.rows, y.coeffs))
+                assert _bits(x.coeffs) == _bits(expected.coeffs), (family, y)
+                # and close to the exact value at the same y, relative to the size of the sum
+                reference = term_at(family.constant, family.terms, y.to_exact())
+                scale = 1 + 4 * max(map(abs, m._floats())) * max(map(abs, y.coeffs))
+                scale += max(map(abs, family.constant.coeffs))
+                assert all(abs(u - v) <= 1e-12 * scale for u, v in zip(x.coeffs, reference.coeffs))
+            float_family = SolutionFamily(
+                family.constant.to_float(),
+                tuple((left.to_float(), right) for left, right in family.terms),
+            )
+            x = float_family.at(exact_y)
+            expected = float_family.constant + SplitQuaternion(
+                *rows_apply(float_family.linear_matrix.rows, exact_y.coeffs)
+            )
+            assert _bits(x.coeffs) == _bits(expected.coeffs), (float_family, exact_y)

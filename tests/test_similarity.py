@@ -35,7 +35,14 @@ from conftest import (
 )
 from splitquat.solvers import SolutionFamily
 
-from oracles import cyclic_witness, family_rows
+from oracles import (
+    M2,
+    cyclic_witness,
+    family_rows,
+    fraction_rref,
+    xa_bx_rank2_image,
+    xa_bx_rank3_image,
+)
 
 PROBES = (ONE, I, J, K)
 
@@ -216,6 +223,38 @@ class TestRankThreeSolver:
         assert exact.dimension == 1
         for y in PROBES:
             assert family.at(y) == exact.at(y)
+
+
+def _rank(quats) -> int:
+    return len(fraction_rref([q.coeffs for q in quats])[1])
+
+
+def _same_solution_space(a, b, basis, image) -> bool:
+    """Every vector solves x*a = b*x in the 2x2 model, and both lists span one space."""
+    solves = all(M2.phi(x) @ M2.phi(a) == M2.phi(b) @ M2.phi(x) for x in basis + image)
+    return solves and _rank(image) == _rank(basis) == _rank(basis + image) == len(basis)
+
+
+class TestFamilyImagesInTheMatrixModel:
+    """The eliminated bases of solve_xa_bx against closed-form images derived through M2 alone."""
+
+    def test_rank2_image_is_the_witness_and_its_product_with_a(self):
+        rng = random.Random(71)
+        for n in range(80):
+            a, b = rand_similar_pair(rng, k_zero=n % 4 == 0)
+            basis = solve_xa_bx(a, b).basis()
+            assert len(basis) == 2, (a, b)
+            assert _same_solution_space(a, b, basis, xa_bx_rank2_image(a, b)), (a, b)
+
+    def test_rank3_image_is_the_outer_product_of_eigenvectors(self):
+        rng = random.Random(72)
+        for n in range(80):
+            a, b = rand_rank3_pair(rng)
+            if n % 2:
+                b = rand_conjugate(rng, b)
+            basis = solve_xa_bx(a, b).basis()
+            assert len(basis) == 1, (a, b)
+            assert _same_solution_space(a, b, basis, [xa_bx_rank3_image(a, b)]), (a, b)
 
 
 class TestDispatch:
