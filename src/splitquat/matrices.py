@@ -152,14 +152,18 @@ class Mat4:
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
         """The column m . v: exact on int numerators, or in floats once any entry is a float."""
-        d = self._d
-        if d is None or any(isinstance(x, float) for x in v):
+        if self._d is None or any(isinstance(x, float) for x in v):
             # a Fraction times a float rounds the Fraction first, as n/d does
             e, v = self._floats(), [float(x) for x in v]
             return tuple(_dot(e[i : i + 4], v) for i in (0, 4, 8, 12))
+        nums, d = self._apply_ratio(v)
+        return tuple(Fraction(x, d) for x in nums)
+
+    def _apply_ratio(self, v: Sequence) -> Tuple[Tuple[int, ...], int]:
+        """The column m . v of an exact m and v as int numerators over one int denominator."""
         nums, dv = _ratio(v)
-        e, d = self._e, d * dv
-        return tuple(Fraction(_dot(e[i : i + 4], nums), d) for i in (0, 4, 8, 12))
+        e = self._e
+        return tuple(_dot(e[i : i + 4], nums) for i in (0, 4, 8, 12)), self._d * dv
 
     def transpose(self) -> "Mat4":
         e = self._e

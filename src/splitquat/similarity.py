@@ -14,8 +14,9 @@ and builds that case's family in closed form:
   quadratic form equals det(t_matrix(a, b));
 * otherwise t_matrix(a, b) is nonsingular and x = 0 is the only solution.
 
-On exact inputs the rank-2 denominator and the rank-3 element m are
-computed on the int numerators of a and b, with one reduction each.
+On exact inputs the rank-3 element m is computed on the int numerators
+of a and b, with one reduction; the rank-2 denominator reads im_norm_sq,
+which is itself one reduction of numerators.
 
 Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
@@ -33,7 +34,6 @@ satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .core import Frozen, J, ONE, SplitQuaternion, ZERO, _form, _from_ratio
 from .errors import ExactnessWarning, RealInputError
@@ -73,18 +73,12 @@ def solve_xa_bx(
     """
     _require_nonreal(a, eps, "a")
     _require_nonreal(b, eps, "b")
-    exact = a.is_exact and b.is_exact
     same_re = scalars_close(a.q0, b.q0, eps)
     if same_re and scalars_close(a.im_squared, b.im_squared, eps):
         # with equal real parts x*a = b*x is x*im(a) = im(b)*x, and the
         # imaginary parts keep a large shared real part from cancelling
         a, b = a.im, b.im
-        if exact:
-            (na, da), (nb, db) = _ratio(a.coeffs), _ratio(b.coeffs)
-            sa, sb = sum(x * x for x in na), sum(x * x for x in nb)
-            d = Fraction(2 * (sa * db * db + sb * da * da), (da * db) ** 2)
-        else:
-            d = 2 * (a.im_norm_sq + b.im_norm_sq)
+        d = 2 * (a.im_norm_sq + b.im_norm_sq)
         ap, bp = a.prime(), b.prime()
         terms = (
             (ONE, ONE),
@@ -96,9 +90,9 @@ def solve_xa_bx(
         return _family(ZERO, terms, eps)
     if same_re or t_matrix(a, b).rank(eps) == 4:
         return _family(ZERO, (), eps)
-    if exact:
+    if a.is_exact and b.is_exact:
         # p over (da*db)^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
-        # x + y*i = p2*conj(p1): the denominator of p cancels in m
+        # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
         (na, da), (nb, db) = _ratio(a.coeffs), _ratio(b.coeffs)
         c = 2 * (na[0] * db - nb[0] * da) * db
         shift = _form(nb) * da * da - _form(na) * db * db

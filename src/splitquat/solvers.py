@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .core import ONE, Frozen, SplitQuaternion, ZERO, _from_ratio
 from .errors import NotLightlikeError, ZeroCoefficientError
-from .matrices import _dot, family_matrix, image_basis
+from .matrices import family_matrix, image_basis
 from .pinv import mp_inverse
 from .scalars import DEFAULT_EPS, _ratio
 
@@ -65,14 +65,11 @@ class SolutionFamily(Frozen):
         if not self.terms:
             return self.constant
         m, c = self.linear_matrix, self.constant
-        if m._d is None or not (c.is_exact and y.is_exact):
+        if not (m.is_exact and c.is_exact and y.is_exact):
             return c + SplitQuaternion(*m.apply(y.coeffs))
         # constant + m . vec(y) on numerators, over one denominator
-        (ny, dy), (nc, dc) = _ratio(y.coeffs), _ratio(c.coeffs)
-        e, d = m._e, m._d * dy
-        return _from_ratio(
-            tuple(_dot(e[i : i + 4], ny) * dc + x * d for i, x in zip((0, 4, 8, 12), nc)), d * dc
-        )
+        (nums, d), (nc, dc) = m._apply_ratio(y.coeffs), _ratio(c.coeffs)
+        return _from_ratio(tuple(x * dc + k * d for x, k in zip(nums, nc)), d * dc)
 
     __call__ = at
 
