@@ -6,6 +6,10 @@ For each seed it runs, in process and on the checkout it lives in:
 * every ``perfbench/inputs.py`` ``cli_pool`` line through
   ``splitquat.cli.main``, once as text (``--json`` dropped) and once with
   ``--json``: exit code, stdout and stderr;
+* every ``cli_pool`` line again on the float backend (``cli-approx``:
+  ``--backend approx`` in place of any backend option), as text and
+  with ``--json``, so that the float bodies the seeded lines reach are
+  fingerprinted too;
 * every item of the ``algebra-exact`` and ``families-exact`` pools, and of
   the float ``float-mixed`` pool, through perfbench's op table
   (``perfbench/ops.py``): the result down to the ``repr`` of each scalar
@@ -41,7 +45,17 @@ import splitquat.cli  # noqa: E402
 from splitquat import Mat4  # noqa: E402
 from splitquat.core import Frozen  # noqa: E402
 
-MODES = ("cli-text", "cli-json", "algebra-exact", "families-exact", "float-mixed")
+MODES = ("cli-text", "cli-json", "cli-approx", "algebra-exact", "families-exact", "float-mixed")
+
+
+def _text(argv) -> list:
+    return [arg for arg in argv if arg != "--json"]
+
+
+def _approx(argv) -> list:
+    """argv on the float backend: any --backend option is replaced by --backend approx."""
+    i = argv.index("--backend") if "--backend" in argv else len(argv)
+    return argv[:i] + argv[i + 2 :] + ["--backend", "approx"]
 
 
 def _cli_line(argv) -> str:
@@ -79,10 +93,12 @@ def _item_line(kind, case, args, approx: bool) -> str:
 def lines(seed: int, mode: str, limit=None):
     """The output lines of one seed and mode, in pool order; the first ``limit`` only if given."""
     if mode.startswith("cli-"):
-        argvs = inputs.cli_pool(seed)[:limit]
+        argvs = inputs.cli_pool(seed)
         if mode == "cli-text":
-            argvs = [[arg for arg in argv if arg != "--json"] for argv in argvs]
-        return [_cli_line(argv) for argv in argvs]
+            argvs = [_text(argv) for argv in argvs]
+        elif mode == "cli-approx":
+            argvs = [v for argv in map(_approx, argvs) for v in (_text(argv), argv)]
+        return [_cli_line(argv) for argv in argvs[:limit]]
     approx = mode == "float-mixed"
     return [_item_line(kind, case, args, approx) for kind, case, args, _ in inputs.pool(mode, seed)[:limit]]
 

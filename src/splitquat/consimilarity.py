@@ -10,11 +10,12 @@ therefore solvable-but-not-consimilar, which is why the predicate and
 the solver are separate operations.  When conj(a)+b = 0 the witness is
 the closed-form solution of largest |quadratic form| among three, which
 is invertible, so the predicate ends with an answer on every non-real
-pair.  On exact inputs the predicate runs on the int numerators of a
-and b: w over their common denominator, Ia = Ib cross-multiplied, and
-one reduction for a witness that is returned.  The solution space is
+pair.  The predicate runs on the numerators of a and b over their
+common denominator (ints on the exact backend, the floats themselves
+on the float one): w, Ia = Ib and I(w) on the numerators, and one
+result built for a witness that is returned.  The solution space is
 read off one elimination of s_matrix(a, b), whose kernel basis the
-exact family keeps.
+family keeps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from .core import I, J, K, ONE, SplitQuaternion, ZERO, _form, _from_ratio
 from .errors import RealInputError
 from .matrices import _kernel, _mat, s_matrix
-from .scalars import DEFAULT_EPS, _ratio, scalars_close
+from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero, scalars_close
 from .solvers import SolutionFamily, Verdict, _family
 
 
@@ -48,9 +49,9 @@ def solve_xa_bxbar(
     + j z j + k z k)/4, that is at most four terms e y r_e, one per unit
     e, with r_e = sum_t e_t^-1 e^-1 n_t / 4; a zero r_e is no term.
 
-    S is eliminated once.  On the exact backend the r_e are summed on the
-    kernel's int numerators, and since re(y e_t^-1) = y_t the linear
-    matrix has the columns n_t: the family keeps them as its basis.
+    S is eliminated once.  The r_e are summed on the kernel's
+    numerators, and since re(y e_t^-1) = y_t the linear matrix has the
+    columns n_t: the family keeps it, and the n_t as its basis.
     """
     kernel, d = _kernel(s_matrix(a, b), eps)
     if not kernel:
@@ -62,15 +63,9 @@ def solve_xa_bxbar(
         # e_t^-1 e^-1 = -e^-1 e_t^-1 exactly when e and e_t are distinct imaginary units
         signed = [v if e in (0, t) or t == 0 else [-x for x in v] for t, v in enumerate(m)]
         right = _INVERSE_TIMES[e](*map(sum, zip(*signed)))
-        if d is None:
-            right = SplitQuaternion(*right) / 4
-            if not right.is_zero(0.0):
-                terms.append((unit, right))
-        elif any(right):
+        if not _all_zero(right, 0.0):
             terms.append((unit, _from_ratio(right, 4 * d)))
-    if d is None:
-        return _family(ZERO, tuple(terms), eps)
-    columns = kernel + [[0] * 4] * (4 - len(kernel))
+    columns = kernel + [[0 * d] * 4] * (4 - len(kernel))
     matrix = _mat(tuple(c[i] for i in range(4) for c in columns), d)
     return _family(ZERO, tuple(terms), eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
 
@@ -89,21 +84,13 @@ def is_consimilar(
     """
     if a.is_real(eps) or b.is_real(eps):
         raise RealInputError("consimilarity is only defined here for non-real elements")
-    if a.is_exact and b.is_exact:
-        ((a0, a1, a2, a3), da), ((b0, b1, b2, b3), db) = _ratio(a.coeffs), _ratio(b.coeffs)
-        # conj(a) + b over da*db, and Ia = Ib cross-multiplied
-        w = (a0 * db + b0 * da, b1 * da - a1 * db, b2 * da - a2 * db, b3 * da - a3 * db)
-        if any(w):
-            forms_equal = _form((a0, a1, a2, a3)) * db * db == _form((b0, b1, b2, b3)) * da * da
-            if forms_equal and _form(w):
-                return Verdict(True, _from_ratio(w, da * db))
-            return Verdict(False, None)
-    else:
-        w = a.conjugate() + b
-        if not w.is_zero(eps):
-            if scalars_close(a.quadratic_form, b.quadratic_form, eps) and not w.is_lightlike(eps):
-                return Verdict(True, w)
-            return Verdict(False, None)
+    n, d = _ratio(a.coeffs, b.coeffs)
+    na, nb = n[:4], n[4:]
+    w = (na[0] + nb[0], nb[1] - na[1], nb[2] - na[2], nb[3] - na[3])  # conj(a) + b over d
+    if not _all_zero(w, eps):
+        if scalars_close(_form(na), _form(nb), eps) and not scalar_is_zero(_form(w), eps):
+            return Verdict(True, _from_ratio(w, d))
+        return Verdict(False, None)
     candidates = (
         SplitQuaternion(0, a.q3, 0, a.q1),
         SplitQuaternion(0, a.q2, a.q1, 0),

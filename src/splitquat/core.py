@@ -14,11 +14,12 @@ the zero divisors, and they are what most of this library is about.
 Coefficients are either all :class:`~fractions.Fraction` (exact backend)
 or all :class:`float` (approximate backend with absolute tolerance
 ``eps``); mixing converts the whole value to floats, and an ``int``
-factor or divisor of a float value is taken as a float.  An exact
-product and the three quadratic forms run on the ``int`` numerators
-of their operands over a common denominator and build each result
-Fraction once, so no Fraction arithmetic runs inside them;
-coefficients are still stored and read as reduced Fractions.  The
+factor or divisor of a float value is taken as a float.  The product
+and the three quadratic forms have one body each, on the numerators
+of their operands over a common denominator (see
+:func:`~.scalars._ratio`): ``int`` numerators on exact values, so no
+Fraction arithmetic runs inside them and each result Fraction is built
+once, and the floats themselves over ``1.0`` on float values.  The
 ring operations, the involutions and ``im``
 already produce four scalars of one backend, so they build their result
 through ``_new``, which skips ``__init__``'s coercion and backend scan
@@ -40,6 +41,8 @@ from .errors import NonFiniteError, NotInvertibleError
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
+    _all_zero,
+    _quotient,
     _ratio,
     as_scalar,
     format_scalar,
@@ -167,11 +170,11 @@ class SplitQuaternion(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, SplitQuaternion):
-            p, q = self._values(), other._values()
-            if isinstance(p[0], float) or isinstance(q[0], float):
-                return _new(*_quat_product(p, q))
-            (np, dp), (nq, dq) = _ratio(p), _ratio(q)
-            return _from_ratio(_quat_product(np, nq), dp * dq)
+            # one operand of both factors' coefficients: a float factor that
+            # meets an exact one as it is rounds each coefficient product as
+            # rounding the factor first would, since the product is bilinear
+            n, d = _ratio((self.q0, self.q1, self.q2, self.q3, other.q0, other.q1, other.q2, other.q3))
+            return _from_ratio(_quat_product(n), d * d)
         try:
             s = self._scalar(other)
         except TypeError:
@@ -238,29 +241,20 @@ class SplitQuaternion(Frozen):
     @property
     def quadratic_form(self) -> Scalar:
         """The multiplicative form q0^2 + q1^2 - q2^2 - q3^2."""
-        q = self._values()
-        if isinstance(q[0], float):
-            return _finite(_form(q), "quadratic form")
-        n, d = _ratio(q)
-        return Fraction(_form(n), d * d)
+        n, d = _ratio(self._values())
+        return _quotient(_form(n), d * d)
 
     @property
     def im_squared(self) -> Scalar:
         """Scalar value of im(q)*im(q): -q1^2 + q2^2 + q3^2, a similarity invariant."""
-        q1, q2, q3 = self.q1, self.q2, self.q3
-        if isinstance(q1, float):
-            return _finite(-q1 * q1 + q2 * q2 + q3 * q3, "im_squared")
-        (n1, n2, n3), d = _ratio((q1, q2, q3))
-        return Fraction(-n1 * n1 + n2 * n2 + n3 * n3, d * d)
+        (n1, n2, n3), d = _ratio((self.q1, self.q2, self.q3))
+        return _quotient(_finite(-n1 * n1 + n2 * n2 + n3 * n3, "im_squared"), d * d)
 
     @property
     def im_norm_sq(self) -> Scalar:
         """Euclidean q1^2 + q2^2 + q3^2; zero exactly for real values."""
-        q1, q2, q3 = self.q1, self.q2, self.q3
-        if isinstance(q1, float):
-            return _finite(q1 * q1 + q2 * q2 + q3 * q3, "im_norm_sq")
-        (n1, n2, n3), d = _ratio((q1, q2, q3))
-        return Fraction(n1 * n1 + n2 * n2 + n3 * n3, d * d)
+        (n1, n2, n3), d = _ratio((self.q1, self.q2, self.q3))
+        return _quotient(_finite(n1 * n1 + n2 * n2 + n3 * n3, "im_norm_sq"), d * d)
 
     def classify(self, eps: float = DEFAULT_EPS) -> CausalClass:
         """Causal class by the sign of the quadratic form.
@@ -278,10 +272,10 @@ class SplitQuaternion(Frozen):
     # ------------------------------------------------------------------
 
     def is_zero(self, eps: float = DEFAULT_EPS) -> bool:
-        return all(scalar_is_zero(c, eps) for c in self.coeffs)
+        return _all_zero(self._values(), eps)
 
     def is_real(self, eps: float = DEFAULT_EPS) -> bool:
-        return all(scalar_is_zero(c, eps) for c in (self.q1, self.q2, self.q3))
+        return _all_zero((self.q1, self.q2, self.q3), eps)
 
     def is_lightlike(self, eps: float = DEFAULT_EPS) -> bool:
         return scalar_is_zero(self.quadratic_form, eps)
@@ -343,15 +337,14 @@ class SplitQuaternion(Frozen):
 
 
 def _form(n: tuple):
-    """The quadratic form n0^2 + n1^2 - n2^2 - n3^2 of four numerators (or floats)."""
+    """The quadratic form n0^2 + n1^2 - n2^2 - n3^2 of four numerators; NonFiniteError if it overflows."""
     n0, n1, n2, n3 = n
-    return n0 * n0 + n1 * n1 - n2 * n2 - n3 * n3
+    return _finite(n0 * n0 + n1 * n1 - n2 * n2 - n3 * n3, "quadratic form")
 
 
-def _quat_product(p: tuple, q: tuple) -> tuple:
-    """Coefficients of the product of two coefficient tuples: int numerators, or floats."""
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
+def _quat_product(n: tuple) -> tuple:
+    """Coefficients of p*q from the numerators p0..p3, q0..q3 of both factors, in one tuple."""
+    p0, p1, p2, p3, q0, q1, q2, q3 = n
     return (
         p0 * q0 - p1 * q1 + p2 * q2 + p3 * q3,
         p0 * q1 + p1 * q0 - p2 * q3 + p3 * q2,
@@ -370,7 +363,7 @@ def _new(q0: Scalar, q1: Scalar, q2: Scalar, q3: Scalar) -> SplitQuaternion:
 
     A non-finite float raises NonFiniteError, as in __init__.
     """
-    if isinstance(q0, float) and not all(map(isfinite, (q0, q1, q2, q3))):
+    if q0.__class__ is float and not (isfinite(q0) and isfinite(q1) and isfinite(q2) and isfinite(q3)):
         raise NonFiniteError("coefficient is not finite on the float backend")
     q = object.__new__(SplitQuaternion)
     _SET_Q0(q, q0)
@@ -380,9 +373,11 @@ def _new(q0: Scalar, q1: Scalar, q2: Scalar, q3: Scalar) -> SplitQuaternion:
     return q
 
 
-def _from_ratio(nums: tuple, d: int) -> SplitQuaternion:
-    """The exact quaternion with coefficients n/d, each reduced."""
+def _from_ratio(nums: tuple, d) -> SplitQuaternion:
+    """The quaternion with coefficients n/d, each built as _quotient builds it."""
     n0, n1, n2, n3 = nums
+    if d.__class__ is float:
+        return _new(n0 / d, n1 / d, n2 / d, n3 / d)
     return _new(Fraction(n0, d), Fraction(n1, d), Fraction(n2, d), Fraction(n3, d))
 
 

@@ -6,28 +6,32 @@ their products over a solution family's terms.  ``t_matrix`` and
 ``s_matrix`` are the operator matrices whose kernels carry the solutions
 of ``x*a = b*x`` and ``x*a = b*conj(x)``.
 
-An exact :class:`Mat4` holds sixteen ``int`` numerators over one
-positive ``int`` denominator, reduced by their ``gcd``; sums, products
-and ``apply`` work on the numerators, and ``rows`` builds the Fractions
-on first read.  A float matrix holds sixteen floats.  The sign patterns
-of L(q) and R(q) are written once (``_left``, ``_right``); an exact
-``t_matrix`` or ``s_matrix`` is built from them in one step on the
-numerators of both quaternions, with no intermediate matrix.
-Rank, determinant, nullspace, column basis and Moore-Penrose inverse
-come from the elimination kernel of the matrix's backend (see
+A :class:`Mat4` holds sixteen numerators over one denominator: ``int``
+numerators over a positive ``int`` reduced by their ``gcd`` on the
+exact backend, floats over ``1.0`` on the float one (see
+:func:`~.scalars._ratio`).  Sums, products, ``apply`` and the
+representations have one body on the numerators, and ``rows`` builds
+the entries on first read.  An exact matrix meeting a float one is
+rounded to floats once (:func:`~.scalars._rounded`).  The sign patterns of
+L(q) and R(q) are written once (``_left``, ``_right``); ``t_matrix``
+and ``s_matrix`` are built from them in one step on the numerators of
+both quaternions, with no intermediate matrix, and ``family_matrix``
+from quaternion products on the numerators of all its terms.  Rank,
+determinant, nullspace, column basis and Moore-Penrose inverse come
+from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
 pivoting and the tolerance ``eps`` on floats, picked in one place,
-``_eliminate``.  Elimination is the source of truth for every rank
-decision taken elsewhere in the library; the closed-form spectra and
+``_eliminate``, which also returns the common denominator of the rows
+it leaves.  Elimination is the source of truth for every rank decision
+taken elsewhere in the library; the closed-form spectra and
 determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite
 from operator import add, mul, neg, sub
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from . import elimination
 from .core import SplitQuaternion, _from_ratio, _quat_product
@@ -35,10 +39,12 @@ from .errors import NonFiniteError, NotInvertibleError
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
+    _all_zero,
+    _quotient,
     _ratio,
+    _rounded,
     as_scalar,
     format_scalar,
-    scalars_close,
 )
 
 Vec4 = Tuple[Scalar, Scalar, Scalar, Scalar]
@@ -56,8 +62,8 @@ def unvec(v: Sequence[Scalar]) -> SplitQuaternion:
 class Mat4:
     """Immutable 4x4 matrix over the scalar backends, row-major."""
 
-    # _e: the sixteen entries, row-major: int numerators, or floats
-    # _d: the positive int denominator, or None on the float backend
+    # _e: the sixteen numerators, row-major: ints, or floats
+    # _d: their denominator: a positive int, or 1.0 on the float backend
     # _rows: the entries as Fractions or floats, built on first read
     __slots__ = ("_e", "_d", "_rows")
 
@@ -67,7 +73,7 @@ class Mat4:
             raise ValueError("Mat4 requires 4 rows of 4 entries")
         flat = [x for row in rows for x in row]
         if any(isinstance(x, float) for x in flat):
-            self._e, self._d = tuple(map(float, flat)), None
+            self._e, self._d = tuple(map(float, flat)), 1.0
             if not all(map(isfinite, self._e)):
                 raise NonFiniteError("matrix entry is not finite on the float backend")
         else:
@@ -90,18 +96,17 @@ class Mat4:
     def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
         if self._rows is None:
             d = self._d
-            flat = self._e if d is None else [Fraction(x, d) for x in self._e]
+            flat = [_quotient(x, d) for x in self._e]
             self._rows = tuple(tuple(flat[i : i + 4]) for i in (0, 4, 8, 12))
         return self._rows
 
     @property
     def is_exact(self) -> bool:
-        return self._d is not None
+        return self._d.__class__ is not float
 
     def _floats(self) -> Tuple[float, ...]:
         """The entries as floats; n/d rounds as float(Fraction(n, d)) does."""
-        d = self._d
-        return self._e if d is None else tuple(x / d for x in self._e)
+        return _rounded(self._e, self._d)[0]
 
     def _lists(self) -> List[list]:
         """The entries (numerators on the exact backend) as fresh row lists."""
@@ -111,7 +116,7 @@ class Mat4:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._d is None or other._d is None:
+        if self._d.__class__ is not other._d.__class__:
             return self.rows == other.rows
         return self._d == other._d and self._e == other._e
 
@@ -124,13 +129,18 @@ class Mat4:
     def __repr__(self) -> str:
         return f"Mat4(rows={self.rows!r})"
 
+    def _pair(self, other: "Mat4") -> Tuple[tuple, tuple]:
+        """The (numerators, denominator) pairs of self and other, on one backend."""
+        x, y = (self._e, self._d), (other._e, other._d)
+        if self._d.__class__ is not other._d.__class__:
+            return _rounded(*x), _rounded(*y)
+        return x, y
+
     def _entrywise(self, other: "Mat4", op) -> "Mat4":
-        d, e = self._d, other._d
-        if d is None or e is None:
-            return _mat(tuple(map(op, self._floats(), other._floats())), None)
+        (a, d), (b, e) = self._pair(other)
         if d == e:
-            return _mat(tuple(map(op, self._e, other._e)), d)
-        return _mat(tuple(op(x * e, y * d) for x, y in zip(self._e, other._e)), d * e)
+            return _mat(tuple(map(op, a, b)), d)
+        return _mat(tuple(op(x * e, y * d) for x, y in zip(a, b)), d * e)
 
     def __add__(self, other: "Mat4") -> "Mat4":
         return self._entrywise(other, add)
@@ -142,9 +152,8 @@ class Mat4:
         return _mat(tuple(map(neg, self._e)), self._d)
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
-        if self._d is None or other._d is None:
-            return _mat(_float_product(self._floats(), other._floats()), None)
-        return _mat(_product(self._e, other._e), self._d * other._d)
+        (a, d), (b, e) = self._pair(other)
+        return _mat(_product(a, b), d * e)
 
     def __truediv__(self, s) -> "Mat4":
         s = as_scalar(s)
@@ -152,27 +161,23 @@ class Mat4:
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
         """The column m . v: exact on int numerators, or in floats once any entry is a float."""
-        if self._d is None or any(isinstance(x, float) for x in v):
-            # a Fraction times a float rounds the Fraction first, as n/d does
-            e, v = self._floats(), [float(x) for x in v]
-            return tuple(_dot(e[i : i + 4], v) for i in (0, 4, 8, 12))
         nums, d = self._apply_ratio(v)
-        return tuple(Fraction(x, d) for x in nums)
+        return tuple(_quotient(x, d) for x in nums)
 
-    def _apply_ratio(self, v: Sequence) -> Tuple[Tuple[int, ...], int]:
-        """The column m . v of an exact m and v as int numerators over one int denominator."""
-        nums, dv = _ratio(v)
-        e = self._e
-        return tuple(_dot(e[i : i + 4], nums) for i in (0, 4, 8, 12)), self._d * dv
+    def _apply_ratio(self, v: Sequence) -> Tuple[tuple, Union[int, float]]:
+        """The column m . v as numerators over one denominator."""
+        x, y = (self._e, self._d), _ratio(v)
+        if self._d.__class__ is not y[1].__class__:
+            x, y = _rounded(*x), _rounded(*y)
+        (e, d), (nums, dv) = x, y
+        return tuple(_dot(e[i : i + 4], nums) for i in (0, 4, 8, 12)), d * dv
 
     def transpose(self) -> "Mat4":
         e = self._e
         return _mat(tuple(e[i + j] for j in range(4) for i in (0, 4, 8, 12)), self._d)
 
     def isclose(self, other: "Mat4", eps: float = DEFAULT_EPS) -> bool:
-        if self._d is not None and other._d is not None:
-            return self == other
-        return all(scalars_close(a, b, eps) for a, b in zip(self._floats(), other._floats()))
+        return self == other or _all_zero((self - other)._e, eps)
 
     def is_symmetric(self, eps: float = DEFAULT_EPS) -> bool:
         return self.isclose(self.transpose(), eps)
@@ -181,10 +186,8 @@ class Mat4:
         return len(_pivots(self, eps))
 
     def det(self, eps: float = DEFAULT_EPS) -> Scalar:
-        pivots, last, sign = _eliminate(self, self._lists(), eps)
-        if self._d is None:
-            return sign * last if len(pivots) == 4 else 0.0
-        return Fraction(sign * last if len(pivots) == 4 else 0, self._d**4)
+        pivots, det, _ = _eliminate(self._lists(), self._d, eps)
+        return _quotient(det if len(pivots) == 4 else 0, self._d**4)
 
     def __str__(self) -> str:
         widths = [max(len(format_scalar(self.rows[r][c])) for r in range(4)) for c in range(4)]
@@ -194,9 +197,9 @@ class Mat4:
         )
 
 
-def _mat(e: Tuple, d: Optional[int]) -> Mat4:
-    """Matrix of entries e over the int d != 0, reduced here, or of floats when d is None."""
-    if d is not None:
+def _mat(e: Tuple, d: Union[int, float]) -> Mat4:
+    """Matrix of numerators e over d: ints over an int d != 0, reduced here, or floats over 1.0."""
+    if d.__class__ is not float:
         g = -gcd(d, *e) if d < 0 else gcd(d, *e)
         if g != 1:
             e, d = tuple(x // g for x in e), d // g
@@ -209,17 +212,8 @@ def _dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def _float_product(a: Sequence[float], b: Sequence[float]) -> tuple:
-    """Row-major product of two flat 4x4 float matrices, one dot product per entry.
-
-    ``sum`` starts from the int 0, which turns an entry of -0.0 into 0.0.
-    """
-    cols = (b[0::4], b[1::4], b[2::4], b[3::4])
-    return tuple(_dot(a[i : i + 4], col) for i in (0, 4, 8, 12) for col in cols)
-
-
-def _product(a: Sequence[int], b: Sequence[int]) -> tuple:
-    """Row-major product of two flat 4x4 int matrices, written out row by row."""
+def _product(a: Sequence, b: Sequence) -> tuple:
+    """Row-major product of two flat 4x4 numerator matrices, written out row by row."""
     b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
     out = []
     for i in (0, 4, 8, 12):
@@ -238,29 +232,28 @@ def _matmul(a: List[list], b: List[list]) -> List[list]:
     return [[_dot(row, col) for col in cols] for row in a]
 
 
-def _eliminate(m: Mat4, rows: List[list], eps: float) -> Tuple[List[int], float, int]:
-    """Eliminate rows (int numerators if m is exact, else floats) with m's kernel, in place.
+def _eliminate(rows: List[list], d, eps: float) -> Tuple[List[int], Scalar, Union[int, float]]:
+    """Eliminate the numerator rows of a matrix over d with its backend's kernel, in place.
 
-    The exact kernel ignores eps and leaves the echelon rows times the
-    last pivot; the float kernel leaves the echelon rows themselves.
+    Returns (pivot columns, determinant of the rows if they are square
+    and nonsingular, common denominator of the reduced rows left).  The
+    exact kernel ignores eps and leaves the echelon rows times the last
+    pivot; the float kernel leaves the echelon rows themselves, over 1.0.
     """
-    if m._d is None:
-        return elimination.rref(rows, eps)
-    return elimination.eliminate(rows)
+    if d.__class__ is float:
+        pivots, product, sign = elimination.rref(rows, eps)
+        return pivots, sign * product, 1.0
+    pivots, last, sign = elimination.eliminate(rows)
+    return pivots, sign * last, last
 
 
 def _pivots(m: Mat4, eps: float) -> List[int]:
-    return _eliminate(m, m._lists(), eps)[0]
+    return _eliminate(m._lists(), m._d, eps)[0]
 
 
 # ----------------------------------------------------------------------
 # representations
 # ----------------------------------------------------------------------
-
-
-def _coeffs(q: SplitQuaternion):
-    """A quaternion's coefficients as the entries of a matrix: (numerators, d) or (floats, None)."""
-    return _ratio(q.coeffs) if q.is_exact else (q.coeffs, None)
 
 
 def _left(q0, q1, q2, q3) -> tuple:
@@ -275,13 +268,13 @@ def _right(q0, q1, q2, q3) -> tuple:
 
 def left_matrix(q: SplitQuaternion) -> Mat4:
     """Matrix of x -> q*x on coefficient columns."""
-    c, d = _coeffs(q)
+    c, d = _ratio(q.coeffs)
     return _mat(_left(*c), d)
 
 
 def right_matrix(q: SplitQuaternion) -> Mat4:
     """Matrix of x -> x*q on coefficient columns."""
-    c, d = _coeffs(q)
+    c, d = _ratio(q.coeffs)
     return _mat(_right(*c), d)
 
 
@@ -295,48 +288,37 @@ _MINUS_F = (-1, 1, 1, 1) * 4
 def family_matrix(terms: Sequence[Tuple[SplitQuaternion, SplitQuaternion]]) -> Mat4:
     """sum_k L(left_k) R(right_k): the matrix of y -> sum_k left_k * y * right_k.
 
-    On exact terms, column c of L(l) R(r) is vec(l * e_c * r), with e_c
-    the units 1, i, j, k: four integer quaternion products on signed
-    permutations of l's numerators.  The terms are summed over a common
-    denominator and reduced once.  Any float term keeps the float matrix
-    products, so float sums stay bit-identical.
+    Column c of L(l) R(r) is vec(l * e_c * r), with e_c the units 1, i,
+    j, k: four quaternion products on signed permutations of l's
+    numerators.  All terms are taken over one common denominator d, so
+    the sum is over d^2, reduced once.
     """
     if not terms:
         return Mat4.zero()
-    if not all(left.is_exact and right.is_exact for left, right in terms):
-        products = [left_matrix(left) @ right_matrix(right) for left, right in terms]
-        return sum(products[1:], products[0])
-    total, d = (0,) * 16, 1
-    for left, right in terms:
-        ((l0, l1, l2, l3), dl), (r, dr) = _ratio(left.coeffs), _ratio(right.coeffs)
+    n, d = _ratio(*(q.coeffs for term in terms for q in term))
+    total = (0,) * 16
+    for k in range(0, len(n), 8):
+        l0, l1, l2, l3 = n[k : k + 4]
+        r = n[k + 4 : k + 8]
         units = ((l0, l1, l2, l3), (-l1, l0, l3, -l2), (l2, l3, l0, l1), (l3, -l2, -l1, l0))
-        cols = [_quat_product(u, r) for u in units]
-        e, de = [col[i] for i in range(4) for col in cols], dl * dr
-        if de != d:
-            m = lcm(d, de)
-            total, e = [x * (m // d) for x in total], [x * (m // de) for x in e]
-            d = m
-        total = tuple(map(add, total, e))
-    return _mat(total, d)
+        cols = [_quat_product(u + r) for u in units]
+        total = tuple(map(add, total, (col[i] for i in range(4) for col in cols)))
+    return _mat(total, d * d)
 
 
 def t_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
     """Matrix whose kernel is the solution space of x*a = b*x: R(a) - L(b)."""
-    if not (a.is_exact and b.is_exact):
-        return right_matrix(a) - left_matrix(b)
-    n, d = _ratio(a.coeffs + b.coeffs)
+    n, d = _ratio(a.coeffs, b.coeffs)
     return _mat(tuple(map(sub, _right(*n[:4]), _left(*n[4:]))), d)
 
 
 def s_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
     """Matrix whose kernel is the solution space of x*a = b*conj(x): R(a) - L(b) F_MATRIX.
 
-    On exact a and b that is R(a) - L(b) with columns 1-3 of L(b)
-    negated, built once on the numerators of both.
+    That is R(a) - L(b) with columns 1-3 of L(b) negated, built once
+    on the numerators of both.
     """
-    if not (a.is_exact and b.is_exact):
-        return right_matrix(a) - left_matrix(b) @ F_MATRIX
-    n, d = _ratio(a.coeffs + b.coeffs)
+    n, d = _ratio(a.coeffs, b.coeffs)
     return _mat(tuple(map(add, _right(*n[:4]), map(mul, _left(*n[4:]), _MINUS_F))), d)
 
 
@@ -359,7 +341,7 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     """
     a = m._lists()
     echelon = m._lists()
-    pivots, _, _ = _eliminate(m, echelon, eps)
+    pivots = _eliminate(echelon, m._d, eps)[0]
     r = len(pivots)
     if r == 0:
         return Mat4.zero()
@@ -369,36 +351,33 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
         bt = [[row[p] for row in a] for p in pivots]
         et = list(zip(*echelon[:r]))
         block = _matmul(bt, _matmul(a, et))
-    one, zero = (1.0, 0.0) if m._d is None else (1, 0)
-    augmented = [row + [one if i == j else zero for j in range(r)] for i, row in enumerate(block)]
-    # the right half becomes block^-1 on floats, last * block^-1 on exact
-    pivots, last, _ = _eliminate(m, augmented, 0.0)
+    # with d I on the right, the inverse of block comes out times d, which cancels
+    # the 1/d of m's numerators: x ends as scale * m+
+    d, zero = m._d, 0 * m._d
+    augmented = [row + [d if i == j else zero for j in range(r)] for i, row in enumerate(block)]
+    pivots, _, scale = _eliminate(augmented, d, 0.0)
     if pivots != list(range(r)):
         raise NotInvertibleError("matrix is singular")
     x = [row[r:] for row in augmented]
     if r < 4:
         x = _matmul(_matmul(et, x), bt)
-    if m._d is None:
-        return _mat(tuple(v for row in x for v in row), None)
-    return _mat(tuple(v * m._d for row in x for v in row), last)
+    return _mat(tuple(v for row in x for v in row), scale)
 
 
-def _kernel(m: Mat4, eps: float) -> Tuple[List[list], Optional[int]]:
+def _kernel(m: Mat4, eps: float) -> Tuple[List[list], Union[int, float]]:
     """Kernel basis of m from one elimination, one vector per free column.
 
-    Exact vectors are int numerators over the last pivot, returned with
-    it; float vectors are returned with None.
+    The vectors are numerators over one denominator, returned with it:
+    ints over the last pivot, or floats over 1.0.
     """
     reduced = m._lists()
-    pivots, last, _ = _eliminate(m, reduced, eps)
-    d = None if m._d is None else last
-    zero, one = (0.0, 1.0) if d is None else (0, d)
+    pivots, _, d = _eliminate(reduced, m._d, eps)
     basis = []
     for f in range(4):
         if f in pivots:
             continue
-        v = [zero] * 4
-        v[f] = one
+        v = [0 * d] * 4
+        v[f] = d
         for row, p in zip(reduced, pivots):
             v[p] = -row[f]
         basis.append(v)
@@ -408,16 +387,12 @@ def _kernel(m: Mat4, eps: float) -> Tuple[List[list], Optional[int]]:
 def nullspace_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[Vec4]:
     """Exact kernel basis; one vector per free column, dimension 4 - rank."""
     basis, d = _kernel(m, eps)
-    if d is None:
-        return [tuple(v) for v in basis]
-    return [tuple(Fraction(x, d) for x in v) for v in basis]
+    return [tuple(_quotient(x, d) for x in v) for v in basis]
 
 
 def image_basis(m: Mat4, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
     """The pivot columns of m, as quaternions: a basis of its image."""
     e, d = m._e, m._d
-    if d is None:
-        return [unvec(e[p::4]) for p in _pivots(m, eps)]
     return [_from_ratio(e[p::4], d) for p in _pivots(m, eps)]
 
 
@@ -426,13 +401,13 @@ def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAUL
 
     Pivot choice in the columns of m never reads the rhs column, so one
     elimination of the augmented matrix decides it.  Scaling a column or
-    the whole matrix moves no pivot, so the exact kernel takes the
-    numerators of m and of rhs.  A float in rhs makes the system a float
-    one, on m's float entries, as in :meth:`Mat4.apply`.
+    the whole matrix moves no pivot, so the kernel takes the numerators
+    of m and of rhs.  A float in rhs makes the system a float one, on m's
+    float entries, as in :meth:`Mat4.apply`.
     """
-    rhs = [as_scalar(v) for v in rhs]
-    if m._d is not None and any(isinstance(v, float) for v in rhs):
-        m = _mat(m._floats(), None)
-    if m._d is not None:
-        rhs, _ = _ratio(rhs)
-    return 4 not in _eliminate(m, [row + [v] for row, v in zip(m._lists(), rhs)], eps)[0]
+    x, y = (m._e, m._d), _ratio([as_scalar(v) for v in rhs])
+    if m._d.__class__ is not y[1].__class__:
+        x, y = _rounded(*x), _rounded(*y)
+    (e, d), (rhs, _) = x, y
+    rows = [list(e[i : i + 4]) + [v] for i, v in zip((0, 4, 8, 12), rhs)]
+    return 4 not in _eliminate(rows, d, eps)[0]

@@ -8,8 +8,9 @@ a = c1 + c2*j it is
 
 which satisfies a*a+*a = a and a+*a*a+ = a+; the products a*a+ and a+*a
 are idempotent projectors.  |c1| = |c2| != 0 for nonzero zero divisors,
-so the division is always defined.  On the exact backend both closed
-forms run on the int numerators of a over one denominator.
+so the division is always defined.  Both closed forms have one body,
+on the numerators of a over one denominator: ints on the exact
+backend, the floats themselves on the float one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Optional
 from .core import SplitQuaternion, ZERO, _form, _from_ratio
 from .errors import IllConditionedWarning, NotLightlikeError, ZeroInputError
 from .matrices import Mat4, left_matrix, mat_mp_inverse, right_matrix
-from .scalars import DEFAULT_EPS, _ratio, scalar_is_zero
+from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
 
 
 def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
@@ -28,33 +29,26 @@ def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
 
     On the float backend, a quadratic form with eps < |I| <= 100*eps is
     close enough to the branch cutoff that the result may be unreliable;
-    an IllConditionedWarning is emitted in that band.  An exact a runs on
-    its int numerators n over their common denominator d: the result is
-    conj(n)*d / I(n) or prime(n)*d / (4*(n0^2 + n1^2)), each coefficient
-    built once.
+    an IllConditionedWarning is emitted in that band.  An exact form is
+    tested against zero exactly, so it never warns.  The body runs on the numerators n of a over their
+    common denominator d: the result is conj(n)*d / I(n) or
+    prime(n)*d / (4*(n0^2 + n1^2)), each coefficient built once.
     """
-    if a.is_exact:
-        (n0, n1, n2, n3), d = _ratio(a.coeffs)
-        if not (n0 or n1 or n2 or n3):
-            return ZERO
-        form = _form((n0, n1, n2, n3))
-        if form:
-            return _from_ratio((n0 * d, -n1 * d, -n2 * d, -n3 * d), form)
-        return _from_ratio((n0 * d, -n1 * d, n2 * d, n3 * d), 4 * (n0 * n0 + n1 * n1))
-    if a.is_zero(eps):
+    n, d = _ratio(a.coeffs)
+    if _all_zero(n, eps):
         return ZERO
-    form = a.quadratic_form
+    n0, n1, n2, n3 = n
+    form = _form(n)
     if scalar_is_zero(form, eps):
-        denom = 4 * (a.q0 * a.q0 + a.q1 * a.q1)
-        return a.prime() / denom
-    if abs(form) <= 100 * eps:
+        return _from_ratio((n0 * d, -n1 * d, n2 * d, n3 * d), 4 * (n0 * n0 + n1 * n1))
+    if scalar_is_zero(form, 100 * eps):
         warnings.warn(
             f"quadratic form {form!r} is within 100*eps of zero; "
             "the inverse branch is numerically fragile here",
             IllConditionedWarning,
             stacklevel=2,
         )
-    return a.conjugate() / form
+    return _from_ratio((n0 * d, -n1 * d, -n2 * d, -n3 * d), form)
 
 
 def projectors(a: SplitQuaternion, eps: float = DEFAULT_EPS):

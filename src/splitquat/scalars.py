@@ -4,22 +4,26 @@ Every coefficient in this library is either a :class:`fractions.Fraction`
 (exact backend) or a :class:`float` (approximate backend, compared up to
 an absolute tolerance ``eps``).  The helpers below centralize the zero
 tests, square roots, and display rules so the algebra modules stay
-backend-agnostic.  Inside, exact quaternion products (see :mod:`.core`),
-the quaternion Moore-Penrose inverse (see :mod:`.pinv`)
-and every 4x4 matrix run on ``int`` numerators over one common
-denominator, taken by :func:`_ratio`, and reduce once per result
-(Henrici's method; Knuth, *TAOCP* vol. 2, 4.5.1); so do the quadratic
-forms, the similarity and consimilarity decisions and closed-form
-families, and a family's value at a point; matrices are also
-eliminated fraction-free (see :mod:`.matrices` and :mod:`.elimination`).
-Coefficients are still stored and read as reduced Fractions.
+backend-agnostic.  Products, forms, inverses, matrices, families and
+decisions each have one body, which runs on numerators over one common
+denominator taken by :func:`_ratio`: ``int`` numerators over their least
+common denominator on exact values, reduced once per result (Henrici's
+method; Knuth, *TAOCP* vol. 2, 4.5.1), and the floats themselves over
+``1.0`` on float values, so that every multiplication by the denominator
+is exact and a body computes what a float formula would.  What differs
+between the backends is written once: building a result
+(:func:`_quotient`), the zero tests (:func:`scalar_is_zero`,
+:func:`scalars_close`, :func:`_all_zero`), the meeting of an exact
+operand with a float one (:func:`_rounded`), and the elimination kernel
+(see :mod:`.matrices` and :mod:`.elimination`).  Coefficients are
+stored and read as reduced Fractions or as floats.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -40,15 +44,46 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"unsupported scalar type: {type(x).__name__}")
 
 
-def _ratio(values: Iterable[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    """Exact scalars as int numerators over their least common denominator.
+def _ratio(values: Sequence[Scalar], *more: Sequence[Scalar]) -> Tuple[Sequence, Union[int, float]]:
+    """The values of one or more operands as numerators over one common denominator.
 
-    That is already reduced: a prime dividing the denominator does not
-    divide the numerator of the value whose denominator it divides most.
+    An operand is a sequence of scalars, such as a quaternion's
+    coefficients, and the numerators of all operands come back in order.
+    Exact values give int numerators over their least common
+    denominator, which is already reduced: a prime dividing the
+    denominator does not divide the numerator of the value whose
+    denominator it divides most.  Floats give themselves over 1.0.  An
+    operand whose first value is a float is read as floats with no
+    further test.  Where a float operand meets an exact one, or a float
+    sits among exact values, every value is rounded to a float, as
+    float(Fraction) rounds it; only such a mixed set pays for the test.
     """
-    values = tuple(values)
-    d = math.lcm(*(x.denominator for x in values))
+    if more:
+        operands = (values, *more)
+        values = sum(operands, ())
+        if values[0].__class__ is float and any(x[0].__class__ is not float for x in operands):
+            return tuple(map(float, values)), 1.0
+    if values[0].__class__ is float:
+        return values, 1.0
+    try:
+        d = math.lcm(*(x.denominator for x in values))
+    except AttributeError:  # a float among exact values
+        return tuple(map(float, values)), 1.0
     return tuple(x.numerator * (d // x.denominator) for x in values), d
+
+
+def _quotient(n, d: Union[int, float]) -> Scalar:
+    """One result n/d: a reduced Fraction over an int d, a float over a float d."""
+    return n / d if d.__class__ is float else Fraction(n, d)
+
+
+def _rounded(nums: Sequence, d: Union[int, float]) -> Tuple[tuple, float]:
+    """Numerators over d as floats over 1.0, where an exact operand meets a float one.
+
+    Each n/d is rounded once, as float(Fraction(n, d)) rounds it; floats
+    over 1.0 stay as they are.
+    """
+    return tuple(n / d for n in nums), 1.0
 
 
 def scalar_is_zero(x: Scalar, eps: float = DEFAULT_EPS) -> bool:
@@ -61,6 +96,13 @@ def scalars_close(x: Scalar, y: Scalar, eps: float = DEFAULT_EPS) -> bool:
     if isinstance(x, float) or isinstance(y, float):
         return abs(x - y) <= eps
     return x == y
+
+
+def _all_zero(nums: Sequence, eps: float) -> bool:
+    """Whether every numerator is zero: within eps on floats, exactly on ints and Fractions."""
+    if nums[0].__class__ is float:
+        return max(map(abs, nums)) <= eps
+    return not any(nums)
 
 
 def exact_sqrt(x: Fraction) -> Optional[Fraction]:

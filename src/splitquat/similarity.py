@@ -14,9 +14,10 @@ and builds that case's family in closed form:
   quadratic form equals det(t_matrix(a, b));
 * otherwise t_matrix(a, b) is nonsingular and x = 0 is the only solution.
 
-On exact inputs the rank-3 element m is computed on the int numerators
-of a and b, with one reduction; the rank-2 denominator reads im_norm_sq,
-which is itself one reduction of numerators.
+The rank-3 element m is computed on the numerators of a and b over
+their common denominator, with one result built; the rank-2
+denominator reads im_norm_sq, which is itself one result of
+numerators.
 
 Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 import warnings
 
-from .core import Frozen, J, ONE, SplitQuaternion, ZERO, _form, _from_ratio
-from .errors import ExactnessWarning, RealInputError
+from .core import Frozen, ONE, SplitQuaternion, ZERO, _form, _from_ratio
+from .errors import ExactnessWarning, NotInvertibleError, RealInputError
 from .matrices import t_matrix
 from .scalars import DEFAULT_EPS, _ratio, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
 from .solvers import SolutionFamily, Verdict, _family
@@ -90,23 +91,19 @@ def solve_xa_bx(
         return _family(ZERO, terms, eps)
     if same_re or t_matrix(a, b).rank(eps) == 4:
         return _family(ZERO, (), eps)
-    if a.is_exact and b.is_exact:
-        # p over (da*db)^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
-        # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
-        (na, da), (nb, db) = _ratio(a.coeffs), _ratio(b.coeffs)
-        c = 2 * (na[0] * db - nb[0] * da) * db
-        shift = _form(nb) * da * da - _form(na) * db * db
-        p0, p1, p2, p3 = shift + c * na[0], c * na[1], c * na[2], c * na[3]
-        s = p0 * p0 + p1 * p1
-        m = _from_ratio((s, 0, p3 * p1 - p2 * p0, -(p2 * p1 + p3 * p0)), s)
-        return _family(ZERO, ((ONE, m * a), (-b.conjugate(), m)), eps)
-    shift = b.quadratic_form - a.quadratic_form
-    p = shift + 2 * (a.q0 - b.q0) * a
-    p1_conj = SplitQuaternion(p.q0, -p.q1, 0, 0)
-    p2 = SplitQuaternion(p.q2, p.q3, 0, 0)
+    # p over d^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
+    # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
+    n, _ = _ratio(a.coeffs, b.coeffs)
+    na, nb = n[:4], n[4:]
+    c = 2 * (na[0] - nb[0])
+    shift = _form(nb) - _form(na)
+    p0, p1, p2, p3 = shift + c * na[0], c * na[1], c * na[2], c * na[3]
+    s = p0 * p0 + p1 * p1
     # p = p1 + p2*j is a nonzero zero divisor, so |p1| = |p2| > 0; |p1|^2 has
     # degree 2 and falls under eps on small inputs, so only exact zero is refused
-    m = ONE - p2 * p1_conj.inverse(0.0) * J
+    if scalar_is_zero(s, 0.0):
+        raise NotInvertibleError("|p1|^2 is zero; the rank-3 element m is not defined")
+    m = _from_ratio((s, 0, p3 * p1 - p2 * p0, -(p2 * p1 + p3 * p0)), s)
     return _family(ZERO, ((ONE, m * a), (-b.conjugate(), m)), eps)
 
 

@@ -20,7 +20,7 @@ from .core import ONE, Frozen, SplitQuaternion, ZERO, _from_ratio
 from .errors import NotLightlikeError, ZeroCoefficientError
 from .matrices import family_matrix, image_basis
 from .pinv import mp_inverse
-from .scalars import DEFAULT_EPS, _ratio
+from .scalars import DEFAULT_EPS, _ratio, _rounded
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
@@ -64,11 +64,11 @@ class SolutionFamily(Frozen):
     def at(self, y: SplitQuaternion) -> SplitQuaternion:
         if not self.terms:
             return self.constant
-        m, c = self.linear_matrix, self.constant
-        if not (m.is_exact and c.is_exact and y.is_exact):
-            return c + SplitQuaternion(*m.apply(y.coeffs))
         # constant + m . vec(y) on numerators, over one denominator
-        (nums, d), (nc, dc) = m._apply_ratio(y.coeffs), _ratio(c.coeffs)
+        my, c = self.linear_matrix._apply_ratio(y.coeffs), _ratio(self.constant.coeffs)
+        if my[1].__class__ is not c[1].__class__:
+            my, c = _rounded(*my), _rounded(*c)
+        (nums, d), (nc, dc) = my, c
         return _from_ratio(tuple(x * dc + k * d for x, k in zip(nums, nc)), d * dc)
 
     __call__ = at

@@ -14,6 +14,8 @@ from splitquat import (
     ONE,
     SplitQuaternion,
     ZERO,
+    is_consimilar,
+    mp_inverse,
     parse_quat,
 )
 
@@ -230,6 +232,11 @@ class TestValueSemantics:
             big * big
         with pytest.raises(NonFiniteError):
             SplitQuaternion(float("nan"), 0, 0, 0)
+        # the quadratic form overflows inside the inverse and the consimilarity test
+        with pytest.raises(NonFiniteError):
+            mp_inverse(parse_quat("1e200+i+j+k"))
+        with pytest.raises(NonFiniteError):
+            is_consimilar(parse_quat("1e200+i+j+k"), parse_quat("1e200+2i+2j+2k"))
         huge = SplitQuaternion(10**400, 0, 10**400, 0)
         assert huge.quadratic_form == 0 and (huge * huge).is_exact
 

@@ -21,6 +21,7 @@ from splitquat import (
     solve_xa_bx,
     solve_xa_bxbar,
     solve_xad,
+    s_matrix,
     t_matrix,
 )
 from splitquat import elimination
@@ -224,6 +225,31 @@ class TestOneElimination:
             seen.add(name)
         assert {f"xa_bxbar {case.value}" for case in SRankCase} <= seen
         assert {"axb", "ax0", "axd", "xad", "xa_bx rank 2", "xa_bx rank 3"} <= seen
+
+    def test_float_xa_bxbar_family_is_eliminated_once(self, monkeypatch):
+        # a float solve_xa_bxbar family keeps the kernel basis of S too:
+        # building it runs one elimination, of S, and reading it runs none
+        rng = random.Random(15)
+        pairs = [pair for _ in range(2) for pair in _s_pairs(rng)]
+        eliminated = []
+        kernel = elimination.rref
+        monkeypatch.setattr(
+            elimination,
+            "rref",
+            lambda rows, eps: eliminated.append([list(row) for row in rows]) or kernel(rows, eps),
+        )
+        seen = set()
+        for a, b in pairs:
+            fa, fb = a.to_float(), b.to_float()
+            eliminated.clear()
+            family = solve_xa_bxbar(fa, fb)
+            assert eliminated == [[list(row) for row in s_matrix(fa, fb).rows]], (a, b)
+            dimension = family.dimension
+            first, second = family.basis(), family.basis()
+            assert first == second and dimension == len(first) == 4 - s_rank_case(a, b).rank
+            assert len(eliminated) == 1, (a, b)
+            seen.add(s_rank_case(a, b))
+        assert seen == set(SRankCase)
 
     def test_float_family_honours_each_eps(self):
         # twin of the CLI's --eps test: the family is built at 1e-3, each
