@@ -325,7 +325,7 @@ class SplitQuaternion(Frozen):
             magnitude = -coeff if coeff < 0 else coeff
             body = format_scalar(magnitude)
             if unit:
-                body = unit if magnitude == 1 else body + unit
+                body = unit if body == "1" else body + unit
             if not parts:
                 parts.append(body if sign == "+" else "-" + body)
             else:

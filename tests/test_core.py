@@ -276,3 +276,6 @@ class TestDisplay:
     def test_float_display_sig_digits(self):
         q = SplitQuaternion(0.5, 0.0, 0.0, 0.0)
         assert str(q) == "0.5"
+        # a coefficient that formats as 1 prints as its unit alone, as an exact 1 does
+        assert str(SplitQuaternion(1.0, 1.0000000000001, 0, 0)) == "1+i"
+        assert str(SplitQuaternion(0.0, 0.9999999999999999, -1.0000000000001, 0.0)) == "i-j"
