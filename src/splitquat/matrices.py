@@ -12,7 +12,7 @@ exact backend, floats over ``1.0`` on the float one (see
 :func:`~.scalars._ratio`).  Sums, products, ``apply`` and the
 representations have one body on the numerators, and ``rows`` builds
 the entries on first read.  An exact matrix meeting a float one is
-rounded to floats once (:func:`~.scalars._rounded`).  The sign patterns of
+rounded to floats once (:func:`~.scalars._common`).  The sign patterns of
 L(q) and R(q) are written once (``_left``, ``_right``); ``t_matrix``
 and ``s_matrix`` are built from them in one step on the numerators of
 both quaternions, with no intermediate matrix, and ``family_matrix``
@@ -40,9 +40,9 @@ from .scalars import (
     DEFAULT_EPS,
     Scalar,
     _all_zero,
+    _common,
     _quotient,
     _ratio,
-    _rounded,
     as_scalar,
     format_scalar,
 )
@@ -106,7 +106,8 @@ class Mat4:
 
     def _floats(self) -> Tuple[float, ...]:
         """The entries as floats; n/d rounds as float(Fraction(n, d)) does."""
-        return _rounded(self._e, self._d)[0]
+        d = self._d
+        return tuple(x / d for x in self._e)
 
     def _lists(self) -> List[list]:
         """The entries (numerators on the exact backend) as fresh row lists."""
@@ -129,15 +130,8 @@ class Mat4:
     def __repr__(self) -> str:
         return f"Mat4(rows={self.rows!r})"
 
-    def _pair(self, other: "Mat4") -> Tuple[tuple, tuple]:
-        """The (numerators, denominator) pairs of self and other, on one backend."""
-        x, y = (self._e, self._d), (other._e, other._d)
-        if self._d.__class__ is not other._d.__class__:
-            return _rounded(*x), _rounded(*y)
-        return x, y
-
     def _entrywise(self, other: "Mat4", op) -> "Mat4":
-        (a, d), (b, e) = self._pair(other)
+        (a, d), (b, e) = _common((self._e, self._d), (other._e, other._d))
         if d == e:
             return _mat(tuple(map(op, a, b)), d)
         return _mat(tuple(op(x * e, y * d) for x, y in zip(a, b)), d * e)
@@ -152,7 +146,7 @@ class Mat4:
         return _mat(tuple(map(neg, self._e)), self._d)
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
-        (a, d), (b, e) = self._pair(other)
+        (a, d), (b, e) = _common((self._e, self._d), (other._e, other._d))
         return _mat(_product(a, b), d * e)
 
     def __truediv__(self, s) -> "Mat4":
@@ -166,10 +160,7 @@ class Mat4:
 
     def _apply_ratio(self, v: Sequence) -> Tuple[tuple, Union[int, float]]:
         """The column m . v as numerators over one denominator."""
-        x, y = (self._e, self._d), _ratio(v)
-        if self._d.__class__ is not y[1].__class__:
-            x, y = _rounded(*x), _rounded(*y)
-        (e, d), (nums, dv) = x, y
+        (e, d), (nums, dv) = _common((self._e, self._d), _ratio(v))
         return tuple(_dot(e[i : i + 4], nums) for i in (0, 4, 8, 12)), d * dv
 
     def transpose(self) -> "Mat4":
@@ -405,9 +396,6 @@ def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAUL
     of m and of rhs.  A float in rhs makes the system a float one, on m's
     float entries, as in :meth:`Mat4.apply`.
     """
-    x, y = (m._e, m._d), _ratio([as_scalar(v) for v in rhs])
-    if m._d.__class__ is not y[1].__class__:
-        x, y = _rounded(*x), _rounded(*y)
-    (e, d), (rhs, _) = x, y
+    (e, d), (rhs, _) = _common((m._e, m._d), _ratio([as_scalar(v) for v in rhs]))
     rows = [list(e[i : i + 4]) + [v] for i, v in zip((0, 4, 8, 12), rhs)]
     return 4 not in _eliminate(rows, d, eps)[0]

@@ -14,7 +14,7 @@ is exact and a body computes what a float formula would.  What differs
 between the backends is written once: building a result
 (:func:`_quotient`), the zero tests (:func:`scalar_is_zero`,
 :func:`scalars_close`, :func:`_all_zero`), the meeting of an exact
-operand with a float one (:func:`_rounded`), and the elimination kernel
+operand with a float one (:func:`_common`), and the elimination kernel
 (see :mod:`.matrices` and :mod:`.elimination`).  Coefficients are
 stored and read as reduced Fractions or as floats.
 """
@@ -77,13 +77,15 @@ def _quotient(n, d: Union[int, float]) -> Scalar:
     return n / d if d.__class__ is float else Fraction(n, d)
 
 
-def _rounded(nums: Sequence, d: Union[int, float]) -> Tuple[tuple, float]:
-    """Numerators over d as floats over 1.0, where an exact operand meets a float one.
+def _common(x: tuple, y: tuple) -> Tuple[tuple, tuple]:
+    """Two (numerators, denominator) pairs on one backend.
 
-    Each n/d is rounded once, as float(Fraction(n, d)) rounds it; floats
-    over 1.0 stay as they are.
+    Where an exact pair meets a float one, both become floats over 1.0,
+    each n/d rounded once, as float(Fraction(n, d)) rounds it.
     """
-    return tuple(n / d for n in nums), 1.0
+    if x[1].__class__ is y[1].__class__:
+        return x, y
+    return (tuple(n / x[1] for n in x[0]), 1.0), (tuple(n / y[1] for n in y[0]), 1.0)
 
 
 def scalar_is_zero(x: Scalar, eps: float = DEFAULT_EPS) -> bool:

@@ -20,7 +20,7 @@ from .core import ONE, Frozen, SplitQuaternion, ZERO, _from_ratio
 from .errors import NotLightlikeError, ZeroCoefficientError
 from .matrices import family_matrix, image_basis
 from .pinv import mp_inverse
-from .scalars import DEFAULT_EPS, _ratio, _rounded
+from .scalars import DEFAULT_EPS, _common, _ratio
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
@@ -65,10 +65,9 @@ class SolutionFamily(Frozen):
         if not self.terms:
             return self.constant
         # constant + m . vec(y) on numerators, over one denominator
-        my, c = self.linear_matrix._apply_ratio(y.coeffs), _ratio(self.constant.coeffs)
-        if my[1].__class__ is not c[1].__class__:
-            my, c = _rounded(*my), _rounded(*c)
-        (nums, d), (nc, dc) = my, c
+        (nums, d), (nc, dc) = _common(
+            self.linear_matrix._apply_ratio(y.coeffs), _ratio(self.constant.coeffs)
+        )
         return _from_ratio(tuple(x * dc + k * d for x, k in zip(nums, nc)), d * dc)
 
     __call__ = at
