@@ -170,9 +170,9 @@ class SplitQuaternion(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, SplitQuaternion):
-            # one operand of both factors' coefficients: a float factor that
-            # meets an exact one as it is rounds each coefficient product as
-            # rounding the factor first would, since the product is bilinear
+            # both factors as one operand: if it starts with a float, an exact
+            # factor's Fractions stay, and since each coefficient product pairs
+            # one value of each factor, they round there as rounding first would
             n, d = _ratio((self.q0, self.q1, self.q2, self.q3, other.q0, other.q1, other.q2, other.q3))
             return _from_ratio(_quat_product(n), d * d)
         try:

@@ -110,7 +110,7 @@ class Mat4:
         return tuple(x / d for x in self._e)
 
     def _lists(self) -> List[list]:
-        """The entries (numerators on the exact backend) as fresh row lists."""
+        """The numerators as fresh row lists."""
         e = self._e
         return [list(e[i : i + 4]) for i in (0, 4, 8, 12)]
 
