@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import reduce
 from math import isfinite
 from typing import Tuple
 
@@ -351,6 +352,11 @@ def _quat_product(n: tuple) -> tuple:
         p0 * q2 + p2 * q0 - p1 * q3 + p3 * q1,
         p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1,
     )
+
+
+def _mul(*factors: tuple) -> tuple:
+    """The numerators of a product from those of its factors, multiplied left to right."""
+    return reduce(lambda p, q: _quat_product(p + q), factors)
 
 
 _SET_Q0, _SET_Q1, _SET_Q2, _SET_Q3 = (

@@ -16,7 +16,8 @@ rounded to floats once (:func:`~.scalars._common`).  The sign patterns of
 L(q) and R(q) are written once (``_left``, ``_right``); ``t_matrix``
 and ``s_matrix`` are built from them in one step on the numerators of
 both quaternions, with no intermediate matrix, and ``family_matrix``
-from quaternion products on the numerators of all its terms.  Rank,
+from quaternion products on the numerators of all its terms
+(``_family_sum``, which solvers call on the numerators they hold).  Rank,
 determinant, nullspace, column basis and Moore-Penrose inverse come
 from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
@@ -103,11 +104,6 @@ class Mat4:
     @property
     def is_exact(self) -> bool:
         return self._d.__class__ is not float
-
-    def _floats(self) -> Tuple[float, ...]:
-        """The entries as floats; n/d rounds as float(Fraction(n, d)) does."""
-        d = self._d
-        return tuple(x / d for x in self._e)
 
     def _lists(self) -> List[list]:
         """The numerators as fresh row lists."""
@@ -277,16 +273,21 @@ _MINUS_F = (-1, 1, 1, 1) * 4
 
 
 def family_matrix(terms: Sequence[Tuple[SplitQuaternion, SplitQuaternion]]) -> Mat4:
-    """sum_k L(left_k) R(right_k): the matrix of y -> sum_k left_k * y * right_k.
-
-    Column c of L(l) R(r) is vec(l * e_c * r), with e_c the units 1, i,
-    j, k: four quaternion products on signed permutations of l's
-    numerators.  All terms are taken over one common denominator d, so
-    the sum is over d^2, reduced once.
-    """
+    """sum_k L(left_k) R(right_k), the matrix of y -> sum_k left_k * y * right_k, over one d^2."""
     if not terms:
         return Mat4.zero()
     n, d = _ratio(*(q.coeffs for term in terms for q in term))
+    return _mat(_family_sum(n), d * d)
+
+
+def _family_sum(n: Sequence) -> tuple:
+    """The sixteen numerators of sum_k L(l_k) R(r_k), from l_k's and r_k's numerators in turn.
+
+    Column c of L(l) R(r) is vec(l * e_c * r), with e_c the units 1, i,
+    j, k: four quaternion products on signed permutations of l's
+    numerators.  The sum is over the product of the denominators of l_k
+    and r_k, which must be one product for every k.
+    """
     total = (0,) * 16
     for k in range(0, len(n), 8):
         l0, l1, l2, l3 = n[k : k + 4]
@@ -294,7 +295,7 @@ def family_matrix(terms: Sequence[Tuple[SplitQuaternion, SplitQuaternion]]) -> M
         units = ((l0, l1, l2, l3), (-l1, l0, l3, -l2), (l2, l3, l0, l1), (l3, -l2, -l1, l0))
         cols = [_quat_product(u + r) for u in units]
         total = tuple(map(add, total, (col[i] for i in range(4) for col in cols)))
-    return _mat(total, d * d)
+    return total
 
 
 def t_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:

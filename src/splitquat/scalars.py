@@ -77,6 +77,13 @@ def _quotient(n, d: Union[int, float]) -> Scalar:
     return n / d if d.__class__ is float else Fraction(n, d)
 
 
+def _over(nums: Sequence, d: Union[int, float]) -> Tuple[Sequence, Union[int, float]]:
+    """nums/d as numerators over a denominator: ints stay over the int d, floats are divided, over 1.0."""
+    if d.__class__ is float:
+        return tuple(x / d for x in nums), 1.0
+    return nums, d
+
+
 def _common(x: tuple, y: tuple) -> Tuple[tuple, tuple]:
     """Two (numerators, denominator) pairs on one backend.
 

@@ -14,10 +14,8 @@ and builds that case's family in closed form:
   quadratic form equals det(t_matrix(a, b));
 * otherwise t_matrix(a, b) is nonsingular and x = 0 is the only solution.
 
-The rank-3 element m is computed on the numerators of a and b over
-their common denominator, with one result built; the rank-2
-denominator reads im_norm_sq, which is itself one result of
-numerators.
+solve_xa_bx takes one _ratio of a and b, decides on those numerators,
+builds each term once from them and hands over the matrix of its terms.
 
 Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
@@ -36,11 +34,11 @@ from __future__ import annotations
 
 import warnings
 
-from .core import Frozen, ONE, SplitQuaternion, ZERO, _form, _from_ratio
+from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _mul
 from .errors import ExactnessWarning, NotInvertibleError, RealInputError
-from .matrices import t_matrix
-from .scalars import DEFAULT_EPS, _ratio, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
-from .solvers import SolutionFamily, Verdict, _family
+from .matrices import Mat4, _dot, _family_sum, _mat, t_matrix
+from .scalars import DEFAULT_EPS, _over, _ratio, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
+from .solvers import _UNITS, SolutionFamily, Verdict, _family
 
 
 class CanonicalForm(Frozen):
@@ -74,27 +72,29 @@ def solve_xa_bx(
     """
     _require_nonreal(a, eps, "a")
     _require_nonreal(b, eps, "b")
-    same_re = scalars_close(a.q0, b.q0, eps)
-    if same_re and scalars_close(a.im_squared, b.im_squared, eps):
-        # with equal real parts x*a = b*x is x*im(a) = im(b)*x, and the
-        # imaginary parts keep a large shared real part from cancelling
-        a, b = a.im, b.im
-        d = 2 * (a.im_norm_sq + b.im_norm_sq)
-        ap, bp = a.prime(), b.prime()
-        terms = (
-            (ONE, ONE),
-            (-(ONE / d), a * ap),
-            (b / d, ap),
-            (bp / d, a),
-            (-(bp * b) / d, ONE),
-        )
-        return _family(ZERO, terms, eps)
-    if same_re or t_matrix(a, b).rank(eps) == 4:
-        return _family(ZERO, (), eps)
-    # p over d^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
-    # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
-    n, _ = _ratio(a.coeffs, b.coeffs)
+    n, e = _ratio(a.coeffs, b.coeffs)
     na, nb = n[:4], n[4:]
+    one, zero, unit = _UNITS[e.__class__]
+    # im(a) and im(b) over e; the form of an imaginary part is -im_squared
+    ia, ib = (0 * na[0],) + na[1:], (0 * nb[0],) + nb[1:]
+    same_re = scalars_close(na[0], nb[0], eps)
+    if same_re and scalars_close(_form(ia), _form(ib), eps):
+        # with equal real parts x*a = b*x is x*im(a) = im(b)*x: A, B keep a large shared real
+        # part from cancelling.  With 1/d = e^2/t the terms (1, 1), (-1/d, A*A'), (B/d, A'),
+        # (B'/d, A), (-B'*B/d, 1) have their left sides over t and their right ones over e^2
+        ap, bp = (ia[0], -ia[1]) + ia[2:], (ib[0], -ib[1]) + ib[2:]
+        e2, z = e * e, 0 * e
+        t = 2 * (_dot(ia, ia) + _dot(ib, ib))
+        scaled = tuple(x * e for x in ib + bp + ap + ia)  # B, B', A', A over e^2
+        lefts, t = _over((t, z, z, z, -e2, -z, -z, -z) + scaled[:8] + tuple(-x for x in _mul(bp, ib)), t)
+        rights = (e2, z, z, z) + _mul(ia, ap) + scaled[8:] + (e2, z, z, z)
+        sides = [(lefts[k : k + 4], rights[k : k + 4]) for k in range(0, 20, 4)]
+        terms = ((one, one),) + tuple((_from_ratio(l, t), _from_ratio(r, e2)) for l, r in sides[1:])
+        return _family(zero, terms, eps, _mat(_family_sum(sum(sum(sides, ()), ())), t * e2))
+    if same_re or t_matrix(a, b).rank(eps) == 4:
+        return _family(zero, (), eps, Mat4.zero())
+    # p over e^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
+    # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
     c = 2 * (na[0] - nb[0])
     shift = _form(nb) - _form(na)
     p0, p1, p2, p3 = shift + c * na[0], c * na[1], c * na[2], c * na[3]
@@ -103,8 +103,10 @@ def solve_xa_bx(
     # degree 2 and falls under eps on small inputs, so only exact zero is refused
     if scalar_is_zero(s, 0.0):
         raise NotInvertibleError("|p1|^2 is zero; the rank-3 element m is not defined")
-    m = _from_ratio((s, 0, p3 * p1 - p2 * p0, -(p2 * p1 + p3 * p0)), s)
-    return _family(ZERO, ((ONE, m * a), (-b.conjugate(), m)), eps)
+    m, s = _over((s, 0, p3 * p1 - p2 * p0, -(p2 * p1 + p3 * p0)), s)
+    ma, minus_conj_b = _mul(m, na), (-nb[0],) + nb[1:]  # m*a over s*e, -conj(b) over e
+    terms = ((one, _from_ratio(ma, s * e)), (_from_ratio(minus_conj_b, e), _from_ratio(m, s)))
+    return _family(zero, terms, eps, _mat(_family_sum(unit + ma + minus_conj_b + m), s * e))
 
 
 def _cyclic_basis(x: SplitQuaternion):

@@ -7,6 +7,13 @@ is the affine family
 
     x(y) = a+*d*b+  +  y - (a+*a)*y*(b*b+)        over all y.
 
+Each solver takes one _ratio of its operands, numerators n over e, and
+a+ is e*prime(n)/(4*(n0^2 + n1^2)).  The tests, the chain and every
+result are computed on numerators, each result built once, and the
+family gets the matrix of its terms from those numerators.  Floats are
+their own numerators over 1.0, multiplied in the order of the float
+products they replaced, so they keep their bits.
+
 Invertible coefficients are rejected on purpose: those equations are
 solved by plain division and mixing the two regimes in one return type
 would hide the structure.
@@ -16,13 +23,15 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .core import ONE, Frozen, SplitQuaternion, ZERO, _from_ratio
+from .core import ONE, Frozen, SplitQuaternion, ZERO, _form, _from_ratio, _mul
 from .errors import NotLightlikeError, ZeroCoefficientError
-from .matrices import family_matrix, image_basis
-from .pinv import mp_inverse
-from .scalars import DEFAULT_EPS, _common, _ratio
+from .matrices import _family_sum, _mat, family_matrix, image_basis
+from .scalars import DEFAULT_EPS, _all_zero, _common, _over, _ratio, scalar_is_zero
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
+
+#: 1, 0 and the numerators of 1 on each backend, by the class of a denominator
+_UNITS = {int: (ONE, ZERO, (1, 0, 0, 0)), float: (ONE.to_float(), ZERO.to_float(), (1.0, 0.0, 0.0, 0.0))}
 
 
 class Verdict(Frozen):
@@ -47,9 +56,9 @@ class SolutionFamily(Frozen):
     that basis.  A family records the ``eps`` its solver ran at, and
     ``dimension`` and a bare ``basis()`` read it.  The basis at that
     ``eps`` is found once and kept (an exact matrix ignores ``eps``); a
-    float one is eliminated again at each other ``basis(eps)``.  A
-    solver that already holds the matrix and its basis hands them over
-    (see ``_family``), so reading the family eliminates nothing.
+    float one is eliminated again at each other ``basis(eps)``.  Every
+    solver hands over the matrix it built from the numerators of its
+    terms, and solve_xa_bxbar its basis too (see ``_family``).
     """
 
     __slots__ = ("constant", "terms", "linear_matrix", "_basis", "_eps")
@@ -126,52 +135,66 @@ class SolveOutcome(Frozen):
         return cls(None, certificate)
 
 
-def _require_lightlike(name: str, q: SplitQuaternion, eps: float) -> None:
-    if q.is_zero(eps):
+def _pinv(name: str, n: tuple, eps: float) -> tuple:
+    """n+ = prime(n)/(4*(n0^2 + n1^2)), as _over gives it, for nonzero lightlike numerators n at eps."""
+    if _all_zero(n, eps):
         raise ZeroCoefficientError(f"coefficient {name} must be nonzero")
-    if not q.is_lightlike(eps):
-        raise NotLightlikeError(
-            f"coefficient {name} is invertible; solve by direct division instead"
-        )
+    if not scalar_is_zero(_form(n), eps):
+        raise NotLightlikeError(f"coefficient {name} is invertible; solve by direct division instead")
+    n0, n1, n2, n3 = n
+    return _over((n0, -n1, n2, n3), 4 * (n0 * n0 + n1 * n1))
 
 
 def solve_axb(
     a: SplitQuaternion, b: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS
 ) -> SolveOutcome:
     """General solution of a*x*b = d for nonzero lightlike a and b."""
-    _require_lightlike("a", a, eps)
-    _require_lightlike("b", b, eps)
-    pa = mp_inverse(a, eps)
-    pb = mp_inverse(b, eps)
-    projected = a * pa * d * pb * b
-    if not projected.isclose(d, eps):
-        return SolveOutcome.unsolvable(projected - d)
-    family = _family(pa * d * pb, ((ONE, ONE), (-(pa * a), b * pb)), eps)
-    return SolveOutcome.solved(family)
+    n, e = _ratio(a.coeffs, b.coeffs, d.coeffs)
+    na, nb, nd = n[:4], n[4:8], n[8:]
+    (pa, sa), (pb, sb) = _pinv("a", na, eps), _pinv("b", nb, eps)
+    s = sa * sb
+    residual = tuple(x - y * s for x, y in zip(_mul(na, pa, nd, pb, nb), nd))  # over e*s
+    if not _all_zero(residual, eps):
+        return SolveOutcome.unsolvable(_from_ratio(residual, e * s))
+    one, _, unit = _UNITS[e.__class__]
+    left = tuple(-x for x in _mul(pa, na))  # -a+*a over sa
+    right = _mul(nb, pb)  # b*b+ over sb
+    matrix = _mat(_family_sum(tuple(x * y for y in (sa, sb) for x in unit) + left + right), s)
+    constant = _from_ratio(tuple(x * e for x in _mul(pa, nd, pb)), s)  # a+*d*b+
+    terms = ((one, one), (_from_ratio(left, sa), _from_ratio(right, sb)))
+    return SolveOutcome.solved(_family(constant, terms, eps, matrix))
 
 
 def solve_ax0(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolutionFamily:
     """Right kernel of a nonzero lightlike a: x(y) = (1 - a+*a)*y, dimension 2."""
-    _require_lightlike("a", a, eps)
-    pa = mp_inverse(a, eps)
-    return _family(ZERO, ((ONE - pa * a, ONE),), eps)
+    n, e = _ratio(a.coeffs)
+    pa, sa = _pinv("a", n, eps)
+    one, zero, unit = _UNITS[e.__class__]
+    left = tuple(u * sa - x for u, x in zip(unit, _mul(pa, n)))  # 1 - a+*a over sa
+    return _family(zero, ((_from_ratio(left, sa), one),), eps, _mat(_family_sum(left + unit), sa))
 
 
 def solve_axd(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolveOutcome:
     """a*x = d for nonzero lightlike a; solvable iff a*a+ fixes d."""
-    _require_lightlike("a", a, eps)
-    pa = mp_inverse(a, eps)
-    projected = a * pa * d
-    if not projected.isclose(d, eps):
-        return SolveOutcome.unsolvable(projected - d)
-    return SolveOutcome.solved(_family(pa * d, ((ONE - pa * a, ONE),), eps))
+    return _solve_one_sided(a, d, eps, lambda x: x)
 
 
 def solve_xad(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolveOutcome:
     """x*a = d for nonzero lightlike a; mirror image of solve_axd."""
-    _require_lightlike("a", a, eps)
-    pa = mp_inverse(a, eps)
-    projected = d * pa * a
-    if not projected.isclose(d, eps):
-        return SolveOutcome.unsolvable(projected - d)
-    return SolveOutcome.solved(_family(d * pa, ((ONE, ONE - a * pa),), eps))
+    return _solve_one_sided(a, d, eps, lambda x: x[::-1])
+
+
+def _solve_one_sided(a, d, eps: float, order) -> SolveOutcome:
+    """a*x = d, each product's factors and each term's sides in the given order; reversed,
+    x*a = d, which is a*x = d in the opposite algebra (product q*p)."""
+    n, e = _ratio(a.coeffs, d.coeffs)
+    na, nd = n[:4], n[4:]
+    pa, sa = _pinv("a", na, eps)
+    residual = tuple(x - y * sa for x, y in zip(_mul(*order((na, pa, nd))), nd))  # over e*sa
+    if not _all_zero(residual, eps):
+        return SolveOutcome.unsolvable(_from_ratio(residual, e * sa))
+    one, _, unit = _UNITS[e.__class__]
+    k = tuple(u * sa - x for u, x in zip(unit, _mul(*order((pa, na)))))  # 1 - a+*a over sa
+    constant = _from_ratio(_mul(*order((pa, nd))), sa)  # a+*d
+    matrix = _mat(_family_sum(sum(order((k, unit)), ())), sa)
+    return SolveOutcome.solved(_family(constant, (order((_from_ratio(k, sa), one)),), eps, matrix))

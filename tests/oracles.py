@@ -11,8 +11,10 @@ denominator; ``coeff_product``, run on the Fractions (or floats)
 themselves, is the body it replaced, and ``quat_mp_inverse`` is the
 same for the quaternion Moore-Penrose inverse, ``coeff_forms`` for the
 three quadratic forms, ``xa_bx_rank2_terms``/``xa_bx_rank3_terms`` for
-the closed-form families of ``solve_xa_bx``, and ``consimilar_verdict``
-for ``is_consimilar``.  ``xa_bx_rank2_image`` and ``xa_bx_rank3_image``
+the closed-form families of ``solve_xa_bx``, ``consimilar_verdict``
+for ``is_consimilar``, and ``axb_outcome``, ``ax0_terms``,
+``axd_outcome`` and ``xad_outcome`` for the quaternion chains of the
+four lightlike solvers.  ``xa_bx_rank2_image`` and ``xa_bx_rank3_image``
 derive the images of those families in the 2x2 model alone.  A
 solution family's linear matrix and values are rebuilt from its terms
 by quaternion products, and ``rows_apply`` is the row-by-row
@@ -193,6 +195,46 @@ def xa_bx_rank3_terms(a: SplitQuaternion, b: SplitQuaternion) -> tuple:
     p1_conj_inverse = p1_conj.conjugate() / coeff_forms(p1_conj)[0]
     m = one - _times(_times(p2, p1_conj_inverse), j)
     return ((one, _times(m, a)), (-b.conjugate(), m))
+
+
+# ----------------------------------------------------------------------
+# the lightlike solvers as quaternion chains: (constant, terms) of a
+# solvable equation with None, or None with the certificate
+# ----------------------------------------------------------------------
+
+_ONE = SplitQuaternion(1, 0, 0, 0)
+
+
+def axb_outcome(a: SplitQuaternion, b: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS):
+    """a*x*b = d: solvable iff a*a+*d*b+*b = d; constant a+*d*b+, terms (1, 1), (-a+*a, b*b+)."""
+    pa, pb = quat_mp_inverse(a, eps), quat_mp_inverse(b, eps)
+    projected = _times(_times(_times(_times(a, pa), d), pb), b)
+    if not projected.isclose(d, eps):
+        return None, projected - d
+    return (_times(_times(pa, d), pb), ((_ONE, _ONE), (-_times(pa, a), _times(b, pb)))), None
+
+
+def ax0_terms(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> tuple:
+    """The one term (1 - a+*a, 1) of a*x = 0."""
+    return ((_ONE - _times(quat_mp_inverse(a, eps), a), _ONE),)
+
+
+def axd_outcome(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS):
+    """a*x = d: solvable iff a*a+*d = d; constant a+*d, term (1 - a+*a, 1)."""
+    pa = quat_mp_inverse(a, eps)
+    projected = _times(_times(a, pa), d)
+    if not projected.isclose(d, eps):
+        return None, projected - d
+    return (_times(pa, d), ax0_terms(a, eps)), None
+
+
+def xad_outcome(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS):
+    """x*a = d: solvable iff d*a+*a = d; constant d*a+, term (1, 1 - a*a+)."""
+    pa = quat_mp_inverse(a, eps)
+    projected = _times(_times(d, pa), a)
+    if not projected.isclose(d, eps):
+        return None, projected - d
+    return (_times(d, pa), ((_ONE, _ONE - _times(a, pa)),)), None
 
 
 def consimilar_verdict(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS):

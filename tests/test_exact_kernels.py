@@ -1,4 +1,4 @@
-"""Exact products, inverses, forms, T/S and family matrices, families and consimilarity on integer numerators.
+"""Exact products, inverses, forms, T/S and family matrices, solvers, families and consimilarity on integer numerators.
 
 Each exact result must equal the Fraction formula of ``oracles`` with
 the same reduced numerator and denominator.  A float result whose body
@@ -11,7 +11,9 @@ binary-exact draws, where every float operation is exact, and within a
 relative bound otherwise.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from splitquat import (
@@ -25,8 +27,12 @@ from splitquat import (
     mp_inverse,
     right_matrix,
     s_matrix,
+    solve_ax0,
     solve_axb,
+    solve_axd,
     solve_xa_bx,
+    solve_xa_bxbar,
+    solve_xad,
     t_matrix,
 )
 from splitquat.matrices import family_matrix, image_basis
@@ -43,6 +49,9 @@ from conftest import (
 from oracles import (
     SRankCase,
     _matmul,
+    ax0_terms,
+    axb_outcome,
+    axd_outcome,
     coeff_forms,
     coeff_product,
     consimilar_verdict,
@@ -54,6 +63,7 @@ from oracles import (
     term_at,
     xa_bx_rank2_terms,
     xa_bx_rank3_terms,
+    xad_outcome,
 )
 
 
@@ -452,7 +462,7 @@ class TestFamilyAt:
                 assert _bits(x.coeffs) == _bits(expected.coeffs), (family, y)
                 # and close to the exact value at the same y, relative to the size of the sum
                 reference = term_at(family.constant, family.terms, y.to_exact())
-                scale = 1 + 4 * max(map(abs, m._floats())) * max(map(abs, y.coeffs))
+                scale = 1 + 4 * max(abs(float(x)) for x in _entries(m.rows)) * max(map(abs, y.coeffs))
                 scale += max(map(abs, family.constant.coeffs))
                 assert all(abs(u - v) <= 1e-12 * scale for u, v in zip(x.coeffs, reference.coeffs))
             float_family = SolutionFamily(
@@ -464,3 +474,140 @@ class TestFamilyAt:
                 *rows_apply(float_family.linear_matrix.rows, exact_y.coeffs)
             )
             assert _bits(x.coeffs) == _bits(expected.coeffs), (float_family, exact_y)
+
+
+def _int_lightlike(rng: random.Random) -> SplitQuaternion:
+    """Nonzero zero divisor with small int coefficients: x^2 + y^2 = z^2 + w^2."""
+    while True:
+        x, y, z, w = (rng.randint(-7, 7) for _ in range(4))
+        if (x, y) != (0, 0) and x * x + y * y == z * z + w * w:
+            return SplitQuaternion(x, y, z, w)
+
+
+class TestSolverFamilies:
+    """The lightlike solvers against their quaternion chains, and every handed-over matrix."""
+
+    @staticmethod
+    def _cases(rng: random.Random, rounds: int = 150):
+        """(name, solver, oracle, inputs) on int, rational and taller (conjugated) inputs.
+
+        Half of the right-hand sides are built solvable; the others are
+        drawn freely, and are almost never solvable.
+        """
+        for i in range(rounds):
+            if i % 3 == 0:
+                a, b = _int_lightlike(rng), _int_lightlike(rng)
+                z = SplitQuaternion(*(rng.randint(-9, 9) for _ in range(4)))
+            elif i % 3 == 1:
+                a, b, z = rand_lightlike(rng), rand_lightlike(rng), _draw(rng)
+            else:
+                a, b = rand_conjugate(rng, rand_lightlike(rng)), rand_lightlike(rng)
+                z = rand_conjugate(rng, rand_quat(rng))
+            solvable = rng.random() < 0.5
+            yield "axb", solve_axb, axb_outcome, (a, b, a * z * b if solvable else z)
+            yield "axd", solve_axd, axd_outcome, (a, a * z if solvable else z)
+            yield "xad", solve_xad, xad_outcome, (a, z * a if solvable else z)
+
+    @staticmethod
+    def _families(rng: random.Random):
+        """Every solver's family: the lightlike ones, and solve_xa_bx and solve_xa_bxbar in each case."""
+        for name, solver, _, inputs in TestSolverFamilies._cases(rng, 30):
+            outcome = solver(*inputs)
+            if outcome.solvable:
+                yield name, inputs, outcome.family
+            yield "ax0", inputs[:1], solve_ax0(inputs[0])
+        for a, b in itertools.islice(TestSimilarityFamilies()._pairs(rng), 40):
+            yield "xa_bx", (a, b), solve_xa_bx(a, b)
+        for a, b in itertools.islice(TestSimilarityFamilies._integer_pairs(rng), 40):
+            yield "xa_bx", (a, b), solve_xa_bx(a, b)
+            yield "xa_bx", (a, b + 1), solve_xa_bx(a, b + 1)  # nonsingular, or rank 3 by chance
+        for a, b in pairs_in_every_s_case(rng, 5):
+            yield "xa_bxbar", (a, b), solve_xa_bxbar(a, b)
+
+    def test_exact_outcomes_match_the_quaternion_chains(self):
+        rng = random.Random(170)
+        seen = Counter()
+        for name, solver, oracle, inputs in self._cases(rng):
+            outcome = solver(*inputs)
+            family, certificate = oracle(*inputs)
+            seen[name, outcome.solvable] += 1
+            if family is None:
+                assert not outcome.solvable, (name, inputs)
+                assert _same_quats([outcome.certificate], [certificate]), (name, inputs)
+                continue
+            constant, terms = family
+            assert outcome.solvable, (name, inputs)
+            assert _same_quats([outcome.family.constant], [constant]), (name, inputs)
+            assert _same_quats(_flat(outcome.family.terms), _flat(terms)), (name, inputs)
+            if name != "xad":
+                a = inputs[0]
+                kernel = solve_ax0(a)
+                assert kernel.constant == ZERO and type(kernel.constant.q0) is Fraction
+                assert _same_quats(_flat(kernel.terms), _flat(ax0_terms(a))), a
+        assert all(seen[key] >= 30 for key in itertools.product(("axb", "axd", "xad"), (True, False)))
+
+    @staticmethod
+    def _int_pairs(rng: random.Random):
+        """Int pairs with equal real parts and im_squared (rank 2), then with distinct real parts."""
+
+        def quat(im_squared=None):
+            while True:
+                q = SplitQuaternion(*(rng.randint(-5, 5) for _ in range(4)))
+                if not q.is_real() and im_squared in (None, q.im_squared):
+                    return q
+
+        while True:
+            a = quat()
+            b = quat(a.im_squared)
+            yield a, SplitQuaternion(a.q0, b.q1, b.q2, b.q3)
+            yield from itertools.islice(TestSimilarityFamilies._integer_pairs(rng), 1, 2)
+
+    def test_exact_xa_bx_terms_on_int_inputs_match_the_fraction_bodies(self):
+        rng = random.Random(171)
+        ranks = Counter()
+        for a, b in itertools.islice(self._int_pairs(rng), 120):
+            rank = t_matrix(a, b).rank()
+            ranks[rank] += 1
+            if rank < 4:
+                oracle = xa_bx_rank2_terms if rank == 2 else xa_bx_rank3_terms
+                assert _same_quats(_flat(solve_xa_bx(a, b).terms), _flat(oracle(a, b))), (a, b)
+        assert ranks[2] >= 20 and ranks[3] >= 20
+
+    def test_handed_over_matrix_is_the_family_matrix_of_the_terms(self):
+        # exact families equal by reduced numerators and denominator, float ones bit for bit;
+        # a float solve_xa_bxbar family keeps its kernel columns, which round differently
+        rng = random.Random(172)
+        names = Counter()
+        for name, inputs, family in self._families(rng):
+            float_copy = None if name == "xa_bxbar" else self._solve(name, [q.to_float() for q in inputs])
+            for copy in (family, float_copy):
+                if copy is None:
+                    continue
+                m, expected = copy.linear_matrix, family_matrix(copy.terms)
+                assert _bits(m._e) == _bits(expected._e) and m._d == expected._d, (name, inputs)
+                names[name, m.is_exact] += 1
+        assert min(names[name, exact] for name in ("axb", "ax0", "axd", "xad", "xa_bx") for exact in (True, False)) > 10
+
+    @staticmethod
+    def _solve(name, inputs):
+        """The family the solver of name gives on inputs, or None for an unsolvable equation."""
+        solvers = {"axb": solve_axb, "ax0": solve_ax0, "axd": solve_axd, "xad": solve_xad}
+        solvers.update(xa_bx=solve_xa_bx, xa_bxbar=solve_xa_bxbar)
+        result = solvers[name](*inputs)
+        return result.family if hasattr(result, "family") else result
+
+    def test_float_and_mixed_families_hold_only_floats(self):
+        rng = random.Random(173)
+        names = Counter()
+        for name, inputs, _ in self._families(rng):
+            floats = tuple(q.to_float() for q in inputs)
+            copies = [floats] + [floats[:k] + inputs[k:] for k in range(1, len(inputs))]
+            copies += [inputs[:k] + floats[k:] for k in range(1, len(inputs))]
+            for copy in copies:
+                family = self._solve(name, copy)
+                if family is None:
+                    continue
+                quats = [family.constant] + _flat(family.terms)
+                assert all(type(c) is float for q in quats for c in q.coeffs), (name, copy)
+                names[name] += 1
+        assert min(names[name] for name in ("axb", "ax0", "axd", "xad", "xa_bx", "xa_bxbar")) > 10

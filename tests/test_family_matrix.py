@@ -12,6 +12,7 @@ from splitquat import (
     J,
     K,
     ONE,
+    SolutionFamily,
     SplitQuaternion,
     ZERO,
     parse_quat,
@@ -24,7 +25,7 @@ from splitquat import (
     s_matrix,
     t_matrix,
 )
-from splitquat import elimination
+from splitquat import elimination, solvers
 from splitquat.scalars import DEFAULT_EPS
 
 from oracles import SRankCase, family_rows, s_rank_case, term_at
@@ -225,6 +226,25 @@ class TestOneElimination:
             seen.add(name)
         assert {f"xa_bxbar {case.value}" for case in SRankCase} <= seen
         assert {"axb", "ax0", "axd", "xad", "xa_bx rank 2", "xa_bx rank 3"} <= seen
+
+    def test_no_family_is_built_through_family_matrix(self, monkeypatch):
+        # every solver hands its family the matrix it built from the numerators
+        # of its terms, so none is rebuilt from the term quaternions
+        rng = random.Random(16)
+        draws = list(_draws(rng, 2))
+        calls = []
+        build = solvers.family_matrix
+        monkeypatch.setattr(solvers, "family_matrix", lambda terms: calls.append(terms) or build(terms))
+        seen = set()
+        for name, solver, inputs in draws:
+            for copy in (inputs, tuple(q.to_float() for q in inputs)):
+                family = _family(solver, copy)
+                assert family is not None and calls == [], (name, copy)
+            seen.add(name)
+        assert {"axb", "ax0", "axd", "xad", "xa_bx rank 2", "xa_bx rank 3", "xa_bx nonsingular"} <= seen
+        assert {f"xa_bxbar {case.value}" for case in SRankCase} <= seen
+        SolutionFamily(ONE, ((I, J),))  # the public constructor still builds it
+        assert len(calls) == 1
 
     def test_float_xa_bxbar_family_is_eliminated_once(self, monkeypatch):
         # a float solve_xa_bxbar family keeps the kernel basis of S too:
