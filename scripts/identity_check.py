@@ -23,12 +23,19 @@ line with ``diff``::
     python3 scripts/identity_check.py --seeds 1-20
     python3 scripts/identity_check.py --seeds 3 --dump > new.txt
 
+``--diff OLD NEW`` reads two such dumps and prints the lines that moved,
+grouped by mode and kind (the op kind of a pool item, the subcommand of
+a CLI line), each group with its count, then the total::
+
+    python3 scripts/identity_check.py --diff old.txt new.txt
+
 perfbench is imported and never written to (no bytecode is cached).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -107,6 +114,38 @@ def digest(output_lines) -> str:
     return hashlib.sha256("\n".join(output_lines).encode()).hexdigest()
 
 
+def _read_dump(path: str) -> dict:
+    """{(seed, mode, index): line} of a --dump file."""
+    with open(path) as f:
+        rows = (row.rstrip("\n").split(" ", 3) for row in f)
+        return {(int(seed), mode, int(i)): line for seed, mode, i, line in rows}
+
+
+def _kind(mode: str, line: str) -> str:
+    """The op kind of a pool item's line, or the subcommand of a CLI line."""
+    if mode.startswith("cli-"):
+        return ast.literal_eval(line.split(" -> ", 1)[0]).split(" ", 1)[0]
+    return line.split(" ", 1)[0]
+
+
+def diff(old_path: str, new_path: str) -> None:
+    """Print the lines of two dumps that differ, grouped by mode and kind, with counts."""
+    old, new = _read_dump(old_path), _read_dump(new_path)
+    groups = {}
+    for key in sorted(old.keys() | new.keys(), key=lambda k: (k[1], k[0], k[2])):
+        before, after = old.get(key, "(absent)"), new.get(key, "(absent)")
+        if before != after:
+            mode = key[1]
+            kind = _kind(mode, after if before == "(absent)" else before)
+            groups.setdefault((mode, kind), []).append((key, before, after))
+    for (mode, kind), moved in sorted(groups.items()):
+        print(f"{mode} {kind}: {len(moved)} moved")
+        for (seed, _, i), before, after in moved:
+            print(f"  {seed} {mode} {i}\n  - {before}\n  + {after}")
+    total = sum(map(len, groups.values()))
+    print(f"moved: {total} of {len(old.keys() | new.keys())} lines")
+
+
 def _seeds(text: str):
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -118,7 +157,11 @@ def main(argv=None) -> int:
     parser.add_argument("--modes", nargs="+", choices=MODES, default=list(MODES))
     parser.add_argument("--limit", type=int, default=None, help="only the first N lines of each pool")
     parser.add_argument("--dump", action="store_true", help="print the lines instead of their hashes")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="compare two --dump files")
     args = parser.parse_args(argv)
+    if args.diff:
+        diff(*args.diff)
+        return 0
     for seed in (s for text in args.seeds for s in _seeds(text)):
         for mode in args.modes:
             output = lines(seed, mode, args.limit)

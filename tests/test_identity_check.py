@@ -1,6 +1,7 @@
-"""Smoke test: scripts/identity_check.py dumps and hashes a small slice of the benchmark pools."""
+"""Smoke test: scripts/identity_check.py dumps, hashes and diffs a small slice of the benchmark pools."""
 
 import hashlib
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,12 @@ SCRIPT = ROOT / "scripts" / "identity_check.py"
 
 
 def _run(*args) -> list:
+    return _script("--seeds", "1", "--limit", "3", *args)
+
+
+def _script(*args) -> list:
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--seeds", "1", "--limit", "3", *args],
+        [sys.executable, str(SCRIPT), *args],
         capture_output=True,
         text=True,
         timeout=60,
@@ -37,3 +42,21 @@ def test_dump_and_hash_of_a_small_slice():
     body = "\n".join(line.split(" ", 3)[3] for line in dump[:3])
     assert summary == f"1 cli-json 3 {hashlib.sha256(body.encode()).hexdigest()}"
     assert sorted((ROOT / "perfbench").rglob("*")) == perfbench_files
+
+
+def test_diff_groups_the_moved_lines_by_mode_and_kind(tmp_path):
+    dump = _run("--modes", "cli-json", "algebra-exact", "--dump")
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("\n".join(dump) + "\n")
+    assert _script("--diff", str(old), str(old)) == ["moved: 0 of 6 lines"]
+    # move the result of one line of each mode, and drop the last line
+    moved = [dump[0][:-1] + "!", dump[1], dump[2], dump[3] + " moved"] + dump[4:5]
+    new.write_text("\n".join(moved) + "\n")
+    out = _script("--diff", str(old), str(new))
+    # cli lines group by subcommand, pool items by op kind
+    groups = Counter({("cli-json", dump[0].split(" ", 3)[3][1:].split(" ", 1)[0]): 1})
+    groups.update(("algebra-exact", dump[i].split(" ", 4)[3]) for i in (3, 5))
+    headers = [line for line in out if not line.startswith("  ")]
+    expected = [f"{mode} {kind}: {n} moved" for (mode, kind), n in sorted(groups.items())]
+    assert headers == expected + ["moved: 3 of 6 lines"]
+    assert f"  + {dump[3].split(' ', 3)[3]} moved" in out and "  + (absent)" in out
