@@ -20,11 +20,11 @@ family keeps.
 
 from __future__ import annotations
 
-from .core import I, J, K, ONE, SplitQuaternion, _form, _from_ratio
+from .core import I, J, K, ONE, SplitQuaternion, ZERO, _form, _from_ratio
 from .errors import RealInputError
 from .matrices import Mat4, _kernel, _mat, s_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero, scalars_close
-from .solvers import _UNITS, SolutionFamily, Verdict, _family
+from .solvers import SolutionFamily, Verdict, _family
 
 
 #: e^-1 * q on the coefficients of q, for the units e = 1, i, j, k.
@@ -54,9 +54,8 @@ def solve_xa_bxbar(
     columns n_t: the family keeps it, and the n_t as its basis.
     """
     kernel, d = _kernel(s_matrix(a, b), eps)
-    exact, zero = d.__class__ is int, _UNITS[d.__class__][1]
     if not kernel:
-        return _family(zero, (), eps, Mat4.zero(), ())
+        return _family(ZERO, (), eps, Mat4.zero(), ())
     # m_t = e_t^-1 n_t
     m = [_INVERSE_TIMES[t](*n) for t, n in enumerate(kernel)]
     terms = []
@@ -65,10 +64,10 @@ def solve_xa_bxbar(
         signed = [v if e in (0, t) or t == 0 else [-x for x in v] for t, v in enumerate(m)]
         right = _INVERSE_TIMES[e](*map(sum, zip(*signed)))
         if not _all_zero(right, 0.0):
-            terms.append((unit if exact else unit.to_float(), _from_ratio(right, 4 * d)))
+            terms.append((unit, _from_ratio(right, 4 * d)))
     columns = kernel + [[0 * d] * 4] * (4 - len(kernel))
     matrix = _mat(tuple(c[i] for i in range(4) for c in columns), d)
-    return _family(zero, tuple(terms), eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
+    return _family(ZERO, tuple(terms), eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
 
 
 def is_consimilar(
