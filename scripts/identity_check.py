@@ -14,7 +14,12 @@ For each seed it runs, in process and on the checkout it lives in:
   the float ``float-mixed`` pool, through perfbench's op table
   (``perfbench/ops.py``): the result down to the ``repr`` of each scalar
   (so floats compare bit for bit), or the type and message of the
-  exception it raised.
+  exception it raised;
+* 5000 seeded strings of up to 12 characters over the literal alphabet,
+  space, ``x``, ``\u0661`` and ``\u00b2``, and the long literals of
+  ``tests/test_parsing.py`` (``parse``), through ``parse_quat`` on each
+  backend: the four coefficients' ``repr``, or the error's type and
+  message.
 
 It prints one SHA-256 per seed and mode.  With ``--dump`` it prints the
 lines that are hashed instead, so two checkouts can be compared line by
@@ -25,7 +30,8 @@ line with ``diff``::
 
 ``--diff OLD NEW`` reads two such dumps and prints the lines that moved,
 grouped by mode and kind (the op kind of a pool item, the subcommand of
-a CLI line), each group with its count, then the total::
+a CLI line, the backend of a parse), each group with its count, then
+the total::
 
     python3 scripts/identity_check.py --diff old.txt new.txt
 
@@ -39,6 +45,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -49,10 +56,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import inputs  # noqa: E402  (perfbench/inputs.py)
 import ops  # noqa: E402  (perfbench/ops.py)
 import splitquat.cli  # noqa: E402
-from splitquat import Mat4  # noqa: E402
+from splitquat import Mat4, parse_quat  # noqa: E402
 from splitquat.core import Frozen  # noqa: E402
 
-MODES = ("cli-text", "cli-json", "cli-approx", "algebra-exact", "families-exact", "float-mixed")
+MODES = ("cli-text", "cli-json", "cli-approx", "algebra-exact", "families-exact", "float-mixed", "parse")
+
+#: The characters of the parse mode's strings: the literal alphabet, then a
+#: space, a letter, an Arabic-Indic digit one and a superscript two.
+PARSE_ALPHABET = "0123456789./eE+-ijk x\u0661\u00b2"
+#: A 5000-digit integer, alone, as a numerator and as a denominator: longer than int() reads.
+PARSE_LONG = ("1" * 5000, "1" * 5000 + "/3", "1-3/" + "1" * 5000)
+PARSE_BACKENDS = (None, "exact", "approx")
 
 
 def _text(argv) -> list:
@@ -97,8 +111,25 @@ def _item_line(kind, case, args, approx: bool) -> str:
     return f"{kind} [{case}] {args!r} -> {result}"
 
 
+def _parse_texts(seed: int) -> list:
+    """The parse mode's literals of one seed: 5000 seeded strings, then the long ones."""
+    rng = random.Random(f"parse/{seed}")
+    drawn = ["".join(rng.choice(PARSE_ALPHABET) for _ in range(rng.randint(0, 12))) for _ in range(5000)]
+    return drawn + list(PARSE_LONG)
+
+
+def _parse_line(text: str, backend) -> str:
+    try:
+        result = repr(parse_quat(text, backend).coeffs)
+    except Exception as exc:  # a raised error is an output too
+        result = f"{type(exc).__name__}: {exc}"
+    return f"{text!r} {backend} -> {result}"
+
+
 def lines(seed: int, mode: str, limit=None):
     """The output lines of one seed and mode, in pool order; the first ``limit`` only if given."""
+    if mode == "parse":
+        return [_parse_line(text, b) for text in _parse_texts(seed) for b in PARSE_BACKENDS][:limit]
     if mode.startswith("cli-"):
         argvs = inputs.cli_pool(seed)
         if mode == "cli-text":
@@ -122,7 +153,9 @@ def _read_dump(path: str) -> dict:
 
 
 def _kind(mode: str, line: str) -> str:
-    """The op kind of a pool item's line, or the subcommand of a CLI line."""
+    """The op kind of a pool item's line, the subcommand of a CLI line, or the backend of a parse."""
+    if mode == "parse":
+        return line.split(" -> ", 1)[0].rsplit(" ", 1)[1]
     if mode.startswith("cli-"):
         return ast.literal_eval(line.split(" -> ", 1)[0]).split(" ", 1)[0]
     return line.split(" ", 1)[0]

@@ -35,6 +35,9 @@ _INVERSE_TIMES = (
     lambda q0, q1, q2, q3: (q3, q2, q1, q0),
 )
 
+#: 0 and the units 1, i, j, k on each backend, by the class of a denominator
+_UNITS = {int: (ZERO, (ONE, I, J, K)), float: (ZERO.to_float(), tuple(u.to_float() for u in (ONE, I, J, K)))}
+
 
 def solve_xa_bxbar(
     a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
@@ -54,12 +57,13 @@ def solve_xa_bxbar(
     columns n_t: the family keeps it, and the n_t as its basis.
     """
     kernel, d = _kernel(s_matrix(a, b), eps)
+    zero, units = _UNITS[d.__class__]
     if not kernel:
-        return _family(ZERO, (), eps, Mat4.zero(), ())
+        return _family(zero, (), eps, Mat4.zero(), ())
     # m_t = e_t^-1 n_t
     m = [_INVERSE_TIMES[t](*n) for t, n in enumerate(kernel)]
     terms = []
-    for e, unit in enumerate((ONE, I, J, K)):
+    for e, unit in enumerate(units):
         # e_t^-1 e^-1 = -e^-1 e_t^-1 exactly when e and e_t are distinct imaginary units
         signed = [v if e in (0, t) or t == 0 else [-x for x in v] for t, v in enumerate(m)]
         right = _INVERSE_TIMES[e](*map(sum, zip(*signed)))
@@ -67,7 +71,7 @@ def solve_xa_bxbar(
             terms.append((unit, _from_ratio(right, 4 * d)))
     columns = kernel + [[0 * d] * 4] * (4 - len(kernel))
     matrix = _mat(tuple(c[i] for i in range(4) for c in columns), d)
-    return _family(ZERO, tuple(terms), eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
+    return _family(zero, tuple(terms), eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
 
 
 def is_consimilar(

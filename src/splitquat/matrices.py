@@ -56,10 +56,6 @@ def vec(q: SplitQuaternion) -> Vec4:
     return q.coeffs
 
 
-def unvec(v: Sequence[Scalar]) -> SplitQuaternion:
-    return SplitQuaternion(*v)
-
-
 class Mat4:
     """Immutable 4x4 matrix over the scalar backends, row-major."""
 

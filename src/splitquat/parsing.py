@@ -1,30 +1,35 @@
 """Quaternion literals.
 
-Grammar (whitespace ignored everywhere):
+Grammar (whitespace ignored everywhere; ``digits`` are the decimal
+digits that ``int`` reads):
 
-    quat  := term (('+'|'-') term)*
-    term  := coeff unit? | unit
-    coeff := integer | integer '/' integer | decimal
-    unit  := 'i' | 'j' | 'k'
+    quat     := ('+'|'-')? term (('+'|'-') term)*
+    term     := coeff unit? | unit
+    coeff    := digits '/' digits | decimal | digits
+    decimal  := (digits '.' digits? | '.' digits) exponent? | digits exponent
+    exponent := ('e'|'E') ('+'|'-')? digits
+    unit     := 'i' | 'j' | 'k'
 
-Examples: ``1+3i+2j+k``, ``-1/2+j``, ``2.5i-k``.  Decimals may carry a
-scientific exponent (``1e-9i``) so that every float the library prints
-parses back.  Integer and rational coefficients parse exactly; any
-decimal literal switches the whole value to floats unless the exact
-backend is forced, in which case decimals are read as exact decimal
-fractions.
+Examples: ``1+3i+2j+k``, ``-1/2+j``, ``2.5i-k``, ``1e-9i`` (every printed
+float parses back).  Integers and rationals are exact; a decimal makes
+the value float, or an exact decimal fraction on the exact backend.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .core import SplitQuaternion
 from .errors import NonFiniteError, ParseError
-from .scalars import Scalar
 
-_UNIT_INDEX = {"i": 1, "j": 2, "k": 3}
+#: sign, coefficient and unit of a term; an empty den or exp is matched to report it
+_TERM = re.compile(
+    r"(?P<sign>[+-]?)(?:(?P<num>\d+)/(?P<den>\d*)"
+    r"|(?P<dec>(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][+-]?(?P<exp>\d*))?)"
+    r"|(?P<int>\d+))?(?P<unit>[ijk]?)"
+)
 
 
 def parse_quat(text: str, backend: Optional[str] = None) -> SplitQuaternion:
@@ -32,96 +37,49 @@ def parse_quat(text: str, backend: Optional[str] = None) -> SplitQuaternion:
 
     ``backend`` may be None (decimals produce floats), "exact" (decimals
     become exact decimal fractions) or "approx" (everything becomes
-    float).  Raises ParseError with the offending offset on bad input,
-    and at offset 0 when a float coefficient would not be finite.
+    float).  A bad literal raises ParseError at its offset: at the
+    coefficient if it has more digits than ``int`` reads or an exact
+    exponent of 4300 or more, and at 0 if a float one is not finite.
     """
     if backend not in (None, "exact", "approx"):
         raise ValueError(f"unknown backend {backend!r}")
-    chars = [(ch, idx) for idx, ch in enumerate(text) if not ch.isspace()]
-    stripped = "".join(ch for ch, _ in chars)
-    positions = [idx for _, idx in chars]
-    end = len(text)
-
-    def offset(i: int) -> int:
-        return positions[i] if i < len(positions) else end
-
-    n = len(stripped)
-    if n == 0:
+    offset = [i for i, ch in enumerate(text) if not ch.isspace()] + [len(text)]
+    s = "".join(text[i] for i in offset[:-1])  # offset[i] is the offset of s[i] in text
+    if not s:
         raise ParseError("empty quaternion literal", 0)
-    coeffs: list = [Fraction(0), Fraction(0), Fraction(0), Fraction(0)]
-    i = 0
-    first = True
+    coeffs = dict.fromkeys(("", "i", "j", "k"), Fraction(0))  # by unit
+    pos = 0
     try:
-        while i < n:
-            sign = 1
-            if stripped[i] in "+-":
-                sign = -1 if stripped[i] == "-" else 1
-                i += 1
-            elif not first:
-                raise ParseError("expected '+' or '-' between terms", offset(i))
-            value, i = _scan_coefficient(stripped, i, offset, backend)
-            unit = None
-            if i < n and stripped[i] in _UNIT_INDEX:
-                unit = stripped[i]
-                i += 1
-            if value is None and unit is None:
-                raise ParseError("expected a coefficient or one of 'i', 'j', 'k'", offset(i))
-            idx = _UNIT_INDEX[unit] if unit else 0
-            coeffs[idx] = coeffs[idx] + sign * (value if value is not None else 1)
-            first = False
-        q = SplitQuaternion(*coeffs)
+        while pos < len(s):
+            m = _TERM.match(s, pos)
+            if pos and not m["sign"]:
+                raise ParseError("expected '+' or '-' between terms", offset[pos])
+            if m.end() == m.end("sign"):
+                raise ParseError("expected a coefficient or one of 'i', 'j', 'k'", offset[m.end("sign")])
+            if m["exp"] == "":
+                raise ParseError("expected digits in exponent", offset[m.start("exp")])
+            if m["den"] == "":
+                raise ParseError("expected digits after '/'", offset[m.start("den")])
+            try:
+                if m["num"]:
+                    value = Fraction(int(m["num"]), int(m["den"]))
+                elif m["dec"] and backend != "exact":
+                    value = float(m["dec"])
+                elif m["dec"]:
+                    if abs(int(m["exp"] or 0)) >= 4300:  # bound 10**exp as int() bounds integers
+                        raise ValueError
+                    value = Fraction(m["dec"])
+                else:
+                    value = int(m["int"] or 1)  # a bare unit has coefficient 1
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", offset[m.start("den")]) from None
+            except ValueError:  # more digits than int() reads
+                raise ParseError("coefficient has too many digits", offset[m.end("sign")]) from None
+            coeffs[m["unit"]] += -value if m["sign"] == "-" else value
+            pos = m.end()
+        q = SplitQuaternion(*coeffs.values())
         if backend == "approx":
             q = q.to_float()
     except (OverflowError, NonFiniteError):  # too large for a float, or inf
         raise ParseError("coefficient is not finite as a float", 0) from None
     return q
-
-
-def _scan_coefficient(
-    s: str, i: int, offset, backend: Optional[str]
-) -> Tuple[Optional[Scalar], int]:
-    n = len(s)
-    start = i
-    while i < n and s[i].isdigit():
-        i += 1
-    int_end = i
-    has_dot = False
-    if i < n and s[i] == ".":
-        j = i + 1
-        while j < n and s[j].isdigit():
-            j += 1
-        if int_end == start and j == i + 1:
-            # a bare '.' is not a number; let the caller report the error
-            return None, start
-        has_dot = True
-        i = j
-    if int_end == start and not has_dot:
-        return None, start
-    if i < n and s[i] in "eE" and (has_dot or int_end > start):
-        j = i + 1
-        if j < n and s[j] in "+-":
-            j += 1
-        exp_start = j
-        while j < n and s[j].isdigit():
-            j += 1
-        if j == exp_start:
-            raise ParseError("expected digits in exponent", offset(exp_start))
-        has_dot = True
-        i = j
-    if has_dot:
-        literal = s[start:i]
-        if backend == "exact":
-            return Fraction(literal), i
-        return float(literal), i
-    if i < n and s[i] == "/":
-        j = i + 1
-        den_start = j
-        while j < n and s[j].isdigit():
-            j += 1
-        if j == den_start:
-            raise ParseError("expected digits after '/'", offset(den_start))
-        denominator = int(s[den_start:j])
-        if denominator == 0:
-            raise ParseError("zero denominator", offset(den_start))
-        return Fraction(int(s[start:int_end]), denominator), j
-    return Fraction(int(s[start:int_end])), i

@@ -58,7 +58,8 @@ class SolutionFamily(Frozen):
     ``eps`` is found once and kept (an exact matrix ignores ``eps``); a
     float one is eliminated again at each other ``basis(eps)``.  Every
     solver hands over the matrix it built from the numerators of its
-    terms, and solve_xa_bxbar its basis too (see ``_family``).
+    terms, and solve_xa_bxbar its basis too (see ``_family``); copies
+    keep both.
     """
 
     __slots__ = ("constant", "terms", "linear_matrix", "_basis", "_eps")
@@ -68,7 +69,7 @@ class SolutionFamily(Frozen):
         _fill(self, constant, terms, DEFAULT_EPS, family_matrix(terms), None)
 
     def __reduce__(self):
-        return (_family, (self.constant, self.terms, self._eps))
+        return (_family, (self.constant, self.terms, self._eps, self.linear_matrix, self._basis))
 
     def at(self, y: SplitQuaternion) -> SplitQuaternion:
         if not self.terms:

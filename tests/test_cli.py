@@ -252,6 +252,11 @@ class TestGlobalFlags:
         assert code == 2
         assert "offset 2" in err
 
+    def test_non_decimal_digit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "classify", "\u00b2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith("(at offset 0)\n")
+
     def test_non_finite_literal_exit_two(self, capsys):
         code, out, err = run(capsys, "classify", "1e400")
         assert code == 2 and out == ""

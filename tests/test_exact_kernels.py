@@ -602,12 +602,9 @@ class TestSolverFamilies:
         return result.family if hasattr(result, "family") else result
 
     def test_float_and_mixed_families_hold_only_floats(self):
-        # solve_xa_bxbar keeps the exact units 1, i, j, k as left sides and ZERO as its constant
         rng = random.Random(173)
         names = Counter()
         for name, inputs, _ in self._families(rng):
-            if name == "xa_bxbar":
-                continue
             floats = tuple(q.to_float() for q in inputs)
             copies = [floats] + [floats[:k] + inputs[k:] for k in range(1, len(inputs))]
             copies += [inputs[:k] + floats[k:] for k in range(1, len(inputs))]
@@ -618,4 +615,4 @@ class TestSolverFamilies:
                 quats = [family.constant] + _flat(family.terms)
                 assert all(type(c) is float for q in quats for c in q.coeffs), (name, copy)
                 names[name] += 1
-        assert min(names[name] for name in ("axb", "ax0", "axd", "xad", "xa_bx")) > 10
+        assert min(names[name] for name in ("axb", "ax0", "axd", "xad", "xa_bx", "xa_bxbar")) > 10

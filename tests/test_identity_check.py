@@ -27,11 +27,14 @@ def _script(*args) -> list:
 
 def test_dump_and_hash_of_a_small_slice():
     perfbench_files = sorted((ROOT / "perfbench").rglob("*"))
-    dump = _run("--modes", "cli-json", "cli-approx", "families-exact", "--dump")
-    assert [line.split(" ", 3)[:3] for line in dump] == [
-        ["1", mode, str(i)] for mode in ("cli-json", "cli-approx", "families-exact") for i in range(3)
-    ]
+    modes = ("cli-json", "cli-approx", "families-exact", "parse")
+    dump = _run("--modes", *modes, "--dump")
+    assert [line.split(" ", 3)[:3] for line in dump] == [["1", mode, str(i)] for mode in modes for i in range(3)]
     assert all(" -> " in line for line in dump)
+    # parse parses each string on the three backends in turn
+    parsed = [line.split(" ", 3)[3].split(" -> ")[0] for line in dump[9:]]
+    assert [text.rsplit(" ", 1)[1] for text in parsed] == ["None", "exact", "approx"]
+    assert len({text.rsplit(" ", 1)[0] for text in parsed}) == 1
     assert all("--json" in line for line in dump[:3])
     # cli-approx runs each pool line on the float backend, as text and then with --json
     approx = dump[3:6]
@@ -45,18 +48,19 @@ def test_dump_and_hash_of_a_small_slice():
 
 
 def test_diff_groups_the_moved_lines_by_mode_and_kind(tmp_path):
-    dump = _run("--modes", "cli-json", "algebra-exact", "--dump")
+    dump = _run("--modes", "cli-json", "algebra-exact", "parse", "--dump")
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     old.write_text("\n".join(dump) + "\n")
-    assert _script("--diff", str(old), str(old)) == ["moved: 0 of 6 lines"]
+    assert _script("--diff", str(old), str(old)) == ["moved: 0 of 9 lines"]
     # move the result of one line of each mode, and drop the last line
-    moved = [dump[0][:-1] + "!", dump[1], dump[2], dump[3] + " moved"] + dump[4:5]
+    moved = [dump[0][:-1] + "!", dump[1], dump[2], dump[3] + " moved", dump[4], dump[5]]
+    moved += [dump[6], dump[7] + " moved"]
     new.write_text("\n".join(moved) + "\n")
     out = _script("--diff", str(old), str(new))
-    # cli lines group by subcommand, pool items by op kind
+    # cli lines group by subcommand, pool items by op kind, parses by backend
     groups = Counter({("cli-json", dump[0].split(" ", 3)[3][1:].split(" ", 1)[0]): 1})
-    groups.update(("algebra-exact", dump[i].split(" ", 4)[3]) for i in (3, 5))
+    groups.update([("algebra-exact", dump[3].split(" ", 4)[3]), ("parse", "exact"), ("parse", "approx")])
     headers = [line for line in out if not line.startswith("  ")]
     expected = [f"{mode} {kind}: {n} moved" for (mode, kind), n in sorted(groups.items())]
-    assert headers == expected + ["moved: 3 of 6 lines"]
+    assert headers == expected + ["moved: 4 of 9 lines"]
     assert f"  + {dump[3].split(' ', 3)[3]} moved" in out and "  + (absent)" in out

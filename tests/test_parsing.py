@@ -9,6 +9,16 @@ from conftest import quats
 
 #: A 401-digit integer: exact, but too large for a float.
 HUGE = "1" + "0" * 400
+#: A 5000-digit integer: more digits than int() reads.
+LONG = "1" * 5000
+
+EMPTY = "empty quaternion literal"
+SIGN = "expected '+' or '-' between terms"
+TERM = "expected a coefficient or one of 'i', 'j', 'k'"
+EXPONENT = "expected digits in exponent"
+DENOMINATOR = "expected digits after '/'"
+NOT_FINITE = "coefficient is not finite as a float"
+TOO_LONG = "coefficient has too many digits"
 
 
 class TestGrammar:
@@ -66,22 +76,48 @@ class TestGrammar:
 
 
 class TestErrors:
-    def test_truncated_literal(self):
-        with pytest.raises(ParseError) as exc:
-            parse_quat("1+")
-        assert exc.value.position == 2
-
     @pytest.mark.parametrize(
-        "text", ["", "  ", "1++2", "x", "1i2", "1/", "1/0", "3//4", ".", "2e", "1.5e+"]
+        "text,backend,message,position",
+        [
+            ("", None, EMPTY, 0),
+            ("  ", None, EMPTY, 0),
+            ("1i2", None, SIGN, 2),
+            ("1/2.5", None, SIGN, 3),
+            ("1+", None, TERM, 2),
+            ("1 + ", None, TERM, 4),
+            ("1++2", None, TERM, 2),
+            (".", None, TERM, 0),
+            ("x", None, TERM, 0),
+            ("2e", None, EXPONENT, 2),
+            ("1.5e+", None, EXPONENT, 5),
+            ("1/", None, DENOMINATOR, 2),
+            ("3//4", None, DENOMINATOR, 2),
+            ("1/0", None, "zero denominator", 2),
+            ("1e400", None, NOT_FINITE, 0),
+            # digits that str.isdigit() admits and int() does not read
+            ("\u00b2", None, TERM, 0),
+            ("1+\u00b2i", None, TERM, 2),
+            ("1.\u00b2", None, SIGN, 2),
+            # more digits than int() reads
+            pytest.param(LONG, None, TOO_LONG, 0, id="long"),
+            pytest.param(LONG + "/3", None, TOO_LONG, 0, id="long/3"),
+            pytest.param("1-3/" + LONG, None, TOO_LONG, 2, id="1-3/long"),
+            pytest.param(LONG, "exact", TOO_LONG, 0, id="long-exact"),
+            ("i+1e4300", "exact", TOO_LONG, 2),
+            ("1.5e-4300", "exact", TOO_LONG, 0),
+        ],
     )
-    def test_malformed(self, text):
-        with pytest.raises(ParseError):
-            parse_quat(text)
-
-    def test_position_reported_on_original_string(self):
+    def test_message_and_offset(self, text, backend, message, position):
         with pytest.raises(ParseError) as exc:
-            parse_quat("1 + ")
-        assert exc.value.position == 4
+            parse_quat(text, backend=backend)
+        assert str(exc.value) == f"{message} (at offset {position})"
+        assert exc.value.position == position
+
+    def test_arabic_indic_digits_are_decimal_digits(self):
+        assert parse_quat("\u0661+\u0662i") == parse_quat("1+2i")
+
+    def test_exact_exponent_below_the_digit_limit(self):
+        assert parse_quat("1e4299", backend="exact").q0 == 10**4299
 
     @pytest.mark.parametrize(
         "text,backend",

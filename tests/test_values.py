@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from splitquat import (
     solve_xa_bxbar,
 )
 from splitquat.scalars import DEFAULT_EPS
+
+from conftest import pairs_in_every_s_case
 
 EXACT = SplitQuaternion(Fraction(1, 2), -3, Fraction(5, 8), 0)
 Q = parse_quat("1+j")
@@ -90,10 +93,20 @@ def test_family_matrix_is_built_once_and_kept_by_copies():
     assert family.linear_matrix is family.linear_matrix
     assert pickle.loads(pickle.dumps(family)).linear_matrix == family.linear_matrix
     consim = solve_xa_bxbar(parse_quat("1+2i+3j+4k"), parse_quat("2+i+3j+4k"))
-    consim.basis()  # an exact family keeps its basis; copies build their own
+    consim.basis()  # a family keeps its basis, and so do its copies
     for copied in (pickle.loads(pickle.dumps(consim)), copy.deepcopy(consim), copy.copy(consim)):
         assert copied.linear_matrix == consim.linear_matrix and copied.terms == consim.terms
         assert copied.basis() == consim.basis() and copied.dimension == consim.dimension
+
+
+def test_copies_of_a_float_family_keep_its_matrix_and_basis():
+    # the matrix of a float solve_xa_bxbar family is the kernel of S, not family_matrix of its terms
+    for a, b in pairs_in_every_s_case(random.Random(5), 30):
+        family = solve_xa_bxbar(a.to_float(), b.to_float())
+        for copied in (pickle.loads(pickle.dumps(family)), copy.deepcopy(family), copy.copy(family)):
+            assert repr(copied.linear_matrix._e) == repr(family.linear_matrix._e)
+            assert repr([q.coeffs for q in copied._basis]) == repr([q.coeffs for q in family._basis])
+            assert copied._eps == family._eps
 
 
 def test_copies_of_a_float_family_keep_its_eps():
