@@ -1,11 +1,12 @@
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from splitquat import ZERO, parse_quat
+from splitquat import ONE, ZERO, parse_quat
 from splitquat.cli import _witness, main
-from splitquat.solvers import Verdict
+from splitquat.solvers import SolutionFamily, SolveOutcome, Verdict
 
 
 def run(capsys, *argv):
@@ -351,6 +352,53 @@ class TestGlobalFlags:
             parse_quat(right)
         for b in family["basis"]:
             parse_quat(b)
+
+
+def _off_by_one(family):
+    """The family with its constant off by 1, so that none of its values solves the equation."""
+    return SolutionFamily(family.constant + 1, family.terms)
+
+
+def _unsolvable(outcome):
+    return SolveOutcome.unsolvable(ONE)
+
+
+def _one_as_witness(verdict):
+    """An invertible witness that solves neither x a = b x nor x a = b conj(x) for a != b."""
+    return Verdict(True, ONE)
+
+
+#: Each equation subcommand on a line it answers, the module and name of its
+#: solver, and what turns the solver's answer into a wrong one.
+WRONG_ANSWERS = [
+    pytest.param(line, module, solver, wrong, id=line[0])
+    for line, module, solver, wrong in (
+        (("solve-axb", "1+j", "1+j", "1+j"), "solvers", "solve_axb", _unsolvable),
+        (("solve-ax0", "1+j"), "solvers", "solve_ax0", _off_by_one),
+        (("solve-axd", "1+j", "1+j"), "solvers", "solve_axd", _unsolvable),
+        (("solve-xad", "1+j", "0"), "solvers", "solve_xad", _unsolvable),
+        (("similar", "1+5i+3j+4k", "1+13i+12j+5k"), "similarity", "is_similar", _one_as_witness),
+        (("sim-solve", "1+5i+5j+2k", "2+i+j+3k"), "similarity", "solve_xa_bx", _off_by_one),
+        (("consimilar", "1+2i+3j+4k", "2+i+3j+4k"), "consimilarity", "is_consimilar", _one_as_witness),
+        (("consim-solve", "1+2i+3j+4k", "2+i+3j+4k"), "consimilarity", "solve_xa_bxbar", _off_by_one),
+    )
+]
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize("line, module, solver, wrong", WRONG_ANSWERS)
+def test_wrong_answer_is_reported_unverified(capsys, monkeypatch, line, module, solver, wrong, backend):
+    argv = (*line, "--backend", backend)
+    code, doc, _ = run_json(capsys, *argv)
+    assert doc["verified"] is True
+    home = importlib.import_module(f"splitquat.{module}")
+    right = getattr(home, solver)
+    monkeypatch.setattr(home, solver, lambda *args: wrong(right(*args)))
+    wrong_code, doc, _ = run_json(capsys, *argv)
+    assert (wrong_code, doc["verified"]) == (code, False)
+    wrong_code, out, err = run(capsys, *argv)
+    assert wrong_code == code and out
+    assert err.endswith("warning: post-hoc verification failed\n")
 
 
 #: The command lines of README § Command line, with the T matrix its comment names.
