@@ -10,6 +10,8 @@ For each seed it runs, in process and on the checkout it lives in:
   ``--backend approx`` in place of any backend option), as text and
   with ``--json``, so that the float bodies the seeded lines reach are
   fingerprinted too;
+* the same float lines with ``--eps 1e-3`` added (``cli-eps``), so that
+  the tolerance is fingerprinted on its way to each solver and each check;
 * every item of the ``algebra-exact`` and ``families-exact`` pools, and of
   the float ``float-mixed`` pool, through perfbench's op table
   (``perfbench/ops.py``): the result down to the ``repr`` of each scalar
@@ -59,7 +61,9 @@ import splitquat.cli  # noqa: E402
 from splitquat import Mat4, parse_quat  # noqa: E402
 from splitquat.core import Frozen  # noqa: E402
 
-MODES = ("cli-text", "cli-json", "cli-approx", "algebra-exact", "families-exact", "float-mixed", "parse")
+MODES = (
+    "cli-text", "cli-json", "cli-approx", "cli-eps", "algebra-exact", "families-exact", "float-mixed", "parse",
+)
 
 #: The characters of the parse mode's strings: the literal alphabet, then a
 #: space, a letter, an Arabic-Indic digit one and a superscript two.
@@ -134,8 +138,9 @@ def lines(seed: int, mode: str, limit=None):
         argvs = inputs.cli_pool(seed)
         if mode == "cli-text":
             argvs = [_text(argv) for argv in argvs]
-        elif mode == "cli-approx":
-            argvs = [v for argv in map(_approx, argvs) for v in (_text(argv), argv)]
+        elif mode in ("cli-approx", "cli-eps"):
+            tail = ["--eps", "1e-3"] if mode == "cli-eps" else []
+            argvs = [v + tail for argv in map(_approx, argvs) for v in (_text(argv), argv)]
         return [_cli_line(argv) for argv in argvs[:limit]]
     approx = mode == "float-mixed"
     return [_item_line(kind, case, args, approx) for kind, case, args, _ in inputs.pool(mode, seed)[:limit]]

@@ -8,6 +8,15 @@ ships with a ``verified`` flag reporting a post-hoc substitution check
 of the result.  Exit status: 0 for success and true verdicts, 1 for
 false similar/consimilar verdicts, 2 for errors.
 
+An equation is declared by its solver, a public name of the package,
+and its left-hand side lhs(x, A, ...); the literal named ``d`` is its
+right side D, and D is 0 where there is none.  Its checks follow from
+lhs: a family at five probes and a witness, which must be invertible,
+solve lhs(x) = D, and an unsolvable verdict is confirmed by elimination
+when D lies outside the image of the matrix whose columns are lhs at 1,
+i, j and k.  ``_MATRICES`` writes the maps of L, R, T and S once, for
+the equations and for the ``matrix`` subcommand's check of its builders.
+
 A handler imports the library modules it runs when it is called, so a
 process loads only what its subcommand needs: one process per query
 spends most of its time starting up.
@@ -26,7 +35,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .core import I, J, K, ONE, ZERO
 from .errors import SplitQuaternionError
 from .parsing import parse_quat
-from .scalars import DEFAULT_EPS, format_scalar, scalars_close
+from .scalars import DEFAULT_EPS, format_scalar
 
 _SOLVE_PROBES = (ZERO, ONE, I, J, K)
 
@@ -53,22 +62,11 @@ def _family(family, residual, eps: float, solvable: bool = False) -> Result:
         "basis": [str(v) for v in basis],
     }
     lines = [f"dimension: {len(basis)}", f"constant: {family.constant}"]
-    for left, right in family.terms:
-        lines.append(f"term: ({left}) y ({right})")
+    lines += [f"term: ({left}) y ({right})" for left, right in family.terms]
     lines.append("basis: " + (", ".join(str(v) for v in basis) if basis else "(empty)"))
     if solvable:
         return {"solvable": True, "family": payload}, ["solvable"] + lines, verified, 0
     return {"family": payload}, lines, verified, 0
-
-
-def _outcome(outcome, residual, matrix, rhs, eps: float) -> Result:
-    if outcome.solvable:
-        return _family(outcome.family, residual, eps, solvable=True)
-    from .matrices import linear_system_consistent
-
-    verified = not linear_system_consistent(matrix, rhs, eps)
-    payload = {"solvable": False, "certificate": str(outcome.certificate)}
-    return payload, ["unsolvable", f"certificate: {outcome.certificate}"], verified, 0
 
 
 def _witness(name: str, verdict, residual, eps: float) -> Result:
@@ -117,46 +115,6 @@ def _power(args, eps, q) -> Result:
     return {"power": str(result)}, [str(result)], verified, 0
 
 
-def _solve_axb(args, eps, a, b, d) -> Result:
-    from .matrices import left_matrix, right_matrix, vec
-    from .solvers import solve_axb
-
-    outcome = solve_axb(a, b, d, eps)
-    return _outcome(outcome, lambda x: a * x * b - d, left_matrix(a) @ right_matrix(b), vec(d), eps)
-
-
-def _solve_ax0(args, eps, a) -> Result:
-    from .solvers import solve_ax0
-
-    return _family(solve_ax0(a, eps), lambda x: a * x, eps, solvable=True)
-
-
-def _solve_axd(args, eps, a, d) -> Result:
-    from .matrices import left_matrix, vec
-    from .solvers import solve_axd
-
-    return _outcome(solve_axd(a, d, eps), lambda x: a * x - d, left_matrix(a), vec(d), eps)
-
-
-def _solve_xad(args, eps, a, d) -> Result:
-    from .matrices import right_matrix, vec
-    from .solvers import solve_xad
-
-    return _outcome(solve_xad(a, d, eps), lambda x: x * a - d, right_matrix(a), vec(d), eps)
-
-
-def _similar(args, eps, a, b) -> Result:
-    from .similarity import is_similar
-
-    return _witness("similar", is_similar(a, b, eps), lambda x: x * a - b * x, eps)
-
-
-def _sim_solve(args, eps, a, b) -> Result:
-    from .similarity import solve_xa_bx
-
-    return _family(solve_xa_bx(a, b, eps), lambda x: x * a - b * x, eps)
-
-
 def _canonical(args, eps, a) -> Result:
     from .similarity import canonical_form
 
@@ -167,39 +125,54 @@ def _canonical(args, eps, a) -> Result:
     return payload, [f"target: {target}", f"conjugator: {p}", f"exact: {form.exact}"], verified, 0
 
 
-def _consimilar(args, eps, a, b) -> Result:
-    from .consimilarity import is_consimilar
-
-    verdict = is_consimilar(a, b, eps)
-    return _witness("consimilar", verdict, lambda x: x * a - b * x.conjugate(), eps)
-
-
-def _consim_solve(args, eps, a, b) -> Result:
-    from .consimilarity import solve_xa_bxbar
-
-    family = solve_xa_bxbar(a, b, eps)
-    return _family(family, lambda x: x * a - b * x.conjugate(), eps)
-
-
-#: Each matrix kind: the name of its builder in .matrices, and the map it represents.
+#: Each matrix kind: the public name of its builder, and the map x -> lhs(x, *quats) it represents.
 _MATRICES = {
     "L": ("left_matrix", lambda x, a: a * x),
     "R": ("right_matrix", lambda x, a: x * a),
     "T": ("t_matrix", lambda x, a, b: x * a - b * x),
     "S": ("s_matrix", lambda x, a, b: x * a - b * x.conjugate()),
 }
+_L, _R, _T, _S = (lhs for _, lhs in _MATRICES.values())
+
+
+def _read_off(lhs, quats):
+    """The matrix of x -> lhs(x, *quats): its columns are lhs at 1, i, j and k."""
+    from .matrices import Mat4
+
+    return Mat4(list(zip(*(lhs(e, *quats).coeffs for e in (ONE, I, J, K)))))
 
 
 def _matrix(args, eps, *qs) -> Result:
-    from . import matrices
-
-    builder, image = _MATRICES[args.kind]
-    m = getattr(matrices, builder)(*qs)
-    verified = all(
-        all(scalars_close(u, v, eps) for u, v in zip(m.apply(x.coeffs), image(x, *qs).coeffs))
-        for x in (ONE + 2 * I + 3 * J + 4 * K, I + J)
-    )
+    builder, lhs = _MATRICES[args.kind]
+    m = getattr(sys.modules[__package__], builder)(*qs)
+    verified = m.isclose(_read_off(lhs, qs), eps)
     return {"rows": [[format_scalar(x) for x in row] for row in m.rows]}, [str(m)], verified, 0
+
+
+def _equation(solver: str, lhs, solvable: bool = False) -> Callable[..., Result]:
+    """The handler of lhs(x, *quats) = D, whose family answer is headed ``solvable`` if asked."""
+
+    def handler(args, eps, *quats) -> Result:
+        from . import SolutionFamily, Verdict, linear_system_consistent
+
+        d = quats[-1] if args.declared.literals[-1] == "d" else None
+        coeffs = quats if d is None else quats[:-1]
+
+        def residual(x):
+            return lhs(x, *coeffs) if d is None else lhs(x, *coeffs) - d
+
+        answer = getattr(sys.modules[__package__], solver)(*quats, eps)
+        if isinstance(answer, Verdict):
+            return _witness(args.command, answer, residual, eps)
+        if isinstance(answer, SolutionFamily):
+            return _family(answer, residual, eps, solvable)
+        if answer.solvable:
+            return _family(answer.family, residual, eps, solvable=True)
+        verified = not linear_system_consistent(_read_off(lhs, coeffs), d.coeffs, eps)
+        payload = {"solvable": False, "certificate": str(answer.certificate)}
+        return payload, ["unsolvable", f"certificate: {answer.certificate}"], verified, 0
+
+    return handler
 
 
 class Command(NamedTuple):
@@ -217,15 +190,20 @@ COMMANDS = (
     Command("pinv", "Moore-Penrose inverse of Q", ("quat",), _pinv),
     Command("roots", "nth roots of a lightlike Q", ("quat",), _roots, "root degree, n >= 2"),
     Command("power", "Q raised to a positive integer power", ("quat",), _power, "exponent, n >= 1"),
-    Command("solve-axb", "general solution of A x B = D", ("a", "b", "d"), _solve_axb),
-    Command("solve-ax0", "right kernel of A (solutions of A x = 0)", ("a",), _solve_ax0),
-    Command("solve-axd", "general solution of A x = D", ("a", "d"), _solve_axd),
-    Command("solve-xad", "general solution of x A = D", ("a", "d"), _solve_xad),
-    Command("similar", "decide similarity of A and B, with witness", ("a", "b"), _similar),
-    Command("sim-solve", "all solutions of x A = B x", ("a", "b"), _sim_solve),
+    Command("solve-axb", "general solution of A x B = D", ("a", "b", "d"),
+            _equation("solve_axb", lambda x, a, b: a * x * b)),
+    Command("solve-ax0", "right kernel of A (solutions of A x = 0)", ("a",),
+            _equation("solve_ax0", _L, solvable=True)),
+    Command("solve-axd", "general solution of A x = D", ("a", "d"), _equation("solve_axd", _L)),
+    Command("solve-xad", "general solution of x A = D", ("a", "d"), _equation("solve_xad", _R)),
+    Command("similar", "decide similarity of A and B, with witness", ("a", "b"),
+            _equation("is_similar", _T)),
+    Command("sim-solve", "all solutions of x A = B x", ("a", "b"), _equation("solve_xa_bx", _T)),
     Command("canonical", "conjugacy normal form of A, with conjugator", ("a",), _canonical),
-    Command("consimilar", "decide consimilarity of A and B, with witness", ("a", "b"), _consimilar),
-    Command("consim-solve", "all solutions of x A = B conj(x)", ("a", "b"), _consim_solve),
+    Command("consimilar", "decide consimilarity of A and B, with witness", ("a", "b"),
+            _equation("is_consimilar", _S)),
+    Command("consim-solve", "all solutions of x A = B conj(x)", ("a", "b"),
+            _equation("solve_xa_bxbar", _S)),
     # a kind from _MATRICES, then one literal for L/R or two for T/S
     Command("matrix", "representation matrices L, R, T, S", ("quats",), _matrix),
 )
@@ -271,9 +249,7 @@ def _literals(args) -> List[str]:
         return [getattr(args, name) for name in args.declared.literals]
     expected = 1 if args.kind in ("L", "R") else 2
     if len(args.quats) != expected:
-        raise SplitQuaternionError(
-            f"matrix {args.kind} takes exactly {expected} quaternion literal(s)"
-        )
+        raise SplitQuaternionError(f"matrix {args.kind} takes exactly {expected} quaternion literal(s)")
     return args.quats
 
 

@@ -51,11 +51,6 @@ from .scalars import (
 Vec4 = Tuple[Scalar, Scalar, Scalar, Scalar]
 
 
-def vec(q: SplitQuaternion) -> Vec4:
-    """Coefficient column of a quaternion."""
-    return q.coeffs
-
-
 class Mat4:
     """Immutable 4x4 matrix over the scalar backends, row-major."""
 
@@ -261,7 +256,7 @@ def right_matrix(q: SplitQuaternion) -> Mat4:
     return _mat(_right(*c), d)
 
 
-#: Conjugation sign matrix: vec(conj(x)) = F_MATRIX . vec(x).
+#: Conjugation sign matrix: conj(x).coeffs = F_MATRIX . x.coeffs.
 F_MATRIX = Mat4.diagonal((1, -1, -1, -1))
 
 #: Column signs of -F_MATRIX, entry by entry: -L(b) F_MATRIX is L(b) times these.
@@ -279,8 +274,8 @@ def family_matrix(terms: Sequence[Tuple[SplitQuaternion, SplitQuaternion]]) -> M
 def _family_sum(n: Sequence) -> tuple:
     """The sixteen numerators of sum_k L(l_k) R(r_k), from l_k's and r_k's numerators in turn.
 
-    Column c of L(l) R(r) is vec(l * e_c * r), with e_c the units 1, i,
-    j, k: four quaternion products on signed permutations of l's
+    Column c of L(l) R(r) is (l * e_c * r).coeffs, with e_c the units
+    1, i, j, k: four quaternion products on signed permutations of l's
     numerators.  The sum is over the product of the denominators of l_k
     and r_k, which must be one product for every k.
     """

@@ -22,8 +22,11 @@ stored and read as reduced Fractions or as floats.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
+
+from .errors import SplitQuaternionError
 
 Scalar = Union[Fraction, float]
 
@@ -134,7 +137,17 @@ def scalar_sqrt(x: Scalar) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Display form: rationals as p/q, floats with 12 significant digits."""
+    """Display form: rationals as p/q, floats with 12 significant digits.
+
+    A rational with more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``) raises SplitQuaternionError.
+    """
     if isinstance(x, float):
         return f"{x:.12g}"
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SplitQuaternionError(
+            f"exact value too long to print: over {limit} digits, the limit of sys.get_int_max_str_digits()"
+        ) from None

@@ -51,8 +51,8 @@ class SolutionFamily(Frozen):
 
     ``terms`` are the closed form, as printed.  The linear part is one
     4x4 matrix, ``linear_matrix`` = sum_k L(left_k) R(right_k), built
-    once here; ``at`` applies it to vec(y), and its image is the set of
-    directions, so ``basis()`` eliminates it and ``dimension`` counts
+    once here; ``at`` applies it to y.coeffs, and its image is the set
+    of directions, so ``basis()`` eliminates it and ``dimension`` counts
     that basis.  A family records the ``eps`` its solver ran at, and
     ``dimension`` and a bare ``basis()`` read it.  The basis at that
     ``eps`` is found once and kept (an exact matrix ignores ``eps``); a
@@ -74,7 +74,7 @@ class SolutionFamily(Frozen):
     def at(self, y: SplitQuaternion) -> SplitQuaternion:
         if not self.terms:
             return self.constant
-        # constant + m . vec(y) on numerators, over one denominator
+        # constant + m . y.coeffs on numerators, over one denominator
         (nums, d), (nc, dc) = _common(
             self.linear_matrix._apply_ratio(y.coeffs), _ratio(self.constant.coeffs)
         )

@@ -35,7 +35,6 @@ from splitquat import (
     solve_xa_bxbar,
     t_matrix,
     to_polar,
-    vec,
 )
 from conftest import (
     rand_causal,
@@ -176,7 +175,7 @@ def test_criterion_3_solver_soundness():
     for _ in range(200):
         a, b, d = rand_lightlike(rng), rand_lightlike(rng), rand_quat(rng)
         outcome = solve_axb(a, b, d)
-        consistent = linear_system_consistent(left_matrix(a) @ right_matrix(b), vec(d))
+        consistent = linear_system_consistent(left_matrix(a) @ right_matrix(b), d.coeffs)
         if outcome.solvable != consistent:
             failures.append(f"verdict mismatch for {a}, {b}, {d}")
         if outcome.solvable:

@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,14 @@ class TestGlobalFlags:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_exact_result_past_the_digit_limit_exit_two(self, capsys, fmt):
+        # 2e2000 cubed has 6001 digits, more than Python converts to text
+        code, out, err = run(capsys, "power", "2e2000", "-n", "3", "--backend", "exact", *fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"over {sys.get_int_max_str_digits()} digits" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("n, count", [(5000, 2), (100001, 1)])
     def test_high_degree_roots_are_verified(self, capsys, n, count):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from splitquat import (
     NotInvertibleError,
     ONE,
     SplitQuaternion,
+    SplitQuaternionError,
     ZERO,
     is_consimilar,
     mp_inverse,
@@ -149,6 +151,9 @@ class TestComplexPair:
         z1, z2 = parse_quat("1+2i+3j+4k").to_complex_pair()
         assert z1 == SplitQuaternion(1, 2, 0, 0)
         assert z2 == SplitQuaternion(3, 4, 0, 0)
+        # Python complex numbers and plain scalars are components too
+        assert SplitQuaternion.from_complex_pair(1 + 2j, 3 + 4j) == parse_quat("1.0+2i+3j+4k")
+        assert SplitQuaternion.from_complex_pair(Fraction(1, 2), 3) == parse_quat("1/2+3j")
 
     @given(quats)
     def test_roundtrip(self, q):
@@ -187,6 +192,8 @@ class TestValueSemantics:
         q = SplitQuaternion(1, Fraction(1, 2), 0, 0)
         assert q.is_exact
         assert all(isinstance(c, Fraction) for c in q.coeffs)
+        with pytest.raises(TypeError, match="bool is not a scalar"):
+            SplitQuaternion(True, 0, 0, 0)
 
     def test_to_float_and_back(self):
         q = parse_quat("1/2+3i")
@@ -198,6 +205,9 @@ class TestValueSemantics:
         assert q / 2 == SplitQuaternion(Fraction(1, 2), 0, Fraction(1, 2), 0)
         assert 1 + q == q + 1 == parse_quat("2+j")
         assert 1 - q == -(q - 1)
+        for operation in (lambda: q + "x", lambda: "x" - q, lambda: q * "x", lambda: q / "x"):
+            with pytest.raises(TypeError):
+                operation()
 
     def test_int_factors_of_float_values_are_float_literals(self):
         # q*n, n*q and q/n on a float q compute with float(n), as q*float(n)
@@ -279,3 +289,9 @@ class TestDisplay:
         # a coefficient that formats as 1 prints as its unit alone, as an exact 1 does
         assert str(SplitQuaternion(1.0, 1.0000000000001, 0, 0)) == "1+i"
         assert str(SplitQuaternion(0.0, 0.9999999999999999, -1.0000000000001, 0.0)) == "i-j"
+
+    def test_exact_value_past_the_digit_limit_is_a_typed_error(self):
+        limit = sys.get_int_max_str_digits()
+        assert str(SplitQuaternion(10 ** (limit - 1), 0, 0, 0)) == "1" + "0" * (limit - 1)
+        with pytest.raises(SplitQuaternionError, match=f"over {limit} digits"):
+            str(SplitQuaternion(1, 0, 0, Fraction(1, 10**limit)))

@@ -27,12 +27,12 @@ def _script(*args) -> list:
 
 def test_dump_and_hash_of_a_small_slice():
     perfbench_files = sorted((ROOT / "perfbench").rglob("*"))
-    modes = ("cli-json", "cli-approx", "families-exact", "parse")
+    modes = ("cli-json", "cli-approx", "cli-eps", "families-exact", "parse")
     dump = _run("--modes", *modes, "--dump")
     assert [line.split(" ", 3)[:3] for line in dump] == [["1", mode, str(i)] for mode in modes for i in range(3)]
     assert all(" -> " in line for line in dump)
     # parse parses each string on the three backends in turn
-    parsed = [line.split(" ", 3)[3].split(" -> ")[0] for line in dump[9:]]
+    parsed = [line.split(" ", 3)[3].split(" -> ")[0] for line in dump[12:]]
     assert [text.rsplit(" ", 1)[1] for text in parsed] == ["None", "exact", "approx"]
     assert len({text.rsplit(" ", 1)[0] for text in parsed}) == 1
     assert all("--json" in line for line in dump[:3])
@@ -40,6 +40,9 @@ def test_dump_and_hash_of_a_small_slice():
     approx = dump[3:6]
     assert all(line.count("--backend") == 1 and "--backend approx' -> " in line for line in approx)
     assert ["--json" in line for line in approx] == [False, True, False]
+    # cli-eps runs the same float lines with --eps 1e-3 added
+    argvs = [line.split(" ", 3)[3].split(" -> ")[0] for line in dump[3:9]]
+    assert [argv[:-1] + " --eps 1e-3'" for argv in argvs[:3]] == argvs[3:]
     # the hash of a mode is the SHA-256 of its dumped lines
     [summary] = _run("--modes", "cli-json")
     body = "\n".join(line.split(" ", 3)[3] for line in dump[:3])

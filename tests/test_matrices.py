@@ -26,7 +26,6 @@ from splitquat import (
     s_matrix,
     solve_xa_bx,
     t_matrix,
-    vec,
 )
 from splitquat.solvers import SolutionFamily
 
@@ -62,6 +61,7 @@ class TestRepresentations:
     def test_left_of_one_is_identity(self):
         assert left_matrix(ONE) == Mat4.identity()
         assert right_matrix(ONE) == Mat4.identity()
+        assert (Mat4.identity() == 3) is False
 
     def test_left_of_i_first_column(self):
         col = [row[0] for row in left_matrix(I).rows]
@@ -70,8 +70,8 @@ class TestRepresentations:
     @given(quats, quats)
     @settings(max_examples=100)
     def test_vec_identities(self, q, x):
-        assert left_matrix(q).apply(vec(x)) == vec(q * x)
-        assert right_matrix(q).apply(vec(x)) == vec(x * q)
+        assert left_matrix(q).apply(x.coeffs) == (q * x).coeffs
+        assert right_matrix(q).apply(x.coeffs) == (x * q).coeffs
 
     @given(quats, quats)
     @settings(max_examples=100)
@@ -79,6 +79,8 @@ class TestRepresentations:
         assert left_matrix(p * q) == left_matrix(p) @ left_matrix(q)
         assert right_matrix(p * q) == right_matrix(q) @ right_matrix(p)
         assert left_matrix(p) @ right_matrix(q) == right_matrix(q) @ left_matrix(p)
+        assert left_matrix(p + q) == left_matrix(p) + left_matrix(q)
+        assert right_matrix(-p) == -right_matrix(p)
 
 
 class TestTMatrix:
@@ -86,7 +88,7 @@ class TestTMatrix:
         rng = random.Random(3)
         for _ in range(20):
             a = rand_quat(rng)
-            assert t_matrix(a, a).apply(vec(ONE)) == (0, 0, 0, 0)
+            assert t_matrix(a, a).apply(ONE.coeffs) == (0, 0, 0, 0)
 
     def test_reference_singular_pair(self):
         a, b = parse_quat("1+5i+5j+2k"), parse_quat("2+i+j+3k")
@@ -144,8 +146,8 @@ class TestSMatrix:
         rng = random.Random(5)
         for _ in range(30):
             a, b, x = rand_quat(rng), rand_quat(rng), rand_quat(rng)
-            lhs = s_matrix(a, b).apply(vec(x))
-            rhs = vec(x * a - b * x.conjugate())
+            lhs = s_matrix(a, b).apply(x.coeffs)
+            rhs = (x * a - b * x.conjugate()).coeffs
             assert lhs == rhs
 
     @pytest.mark.parametrize(
@@ -264,8 +266,8 @@ class TestElimination:
     def test_consistency_probe(self):
         a = ONE + J
         m = left_matrix(a)
-        assert linear_system_consistent(m, vec(a))  # a*x = a has x = 1
-        assert not linear_system_consistent(m, vec(ONE))  # a*x = 1 does not
+        assert linear_system_consistent(m, a.coeffs)  # a*x = a has x = 1
+        assert not linear_system_consistent(m, ONE.coeffs)  # a*x = 1 does not
 
 
 def random_matrix_of_rank(rng: random.Random, r: int) -> Mat4:
@@ -371,6 +373,8 @@ class TestFloatKernel:
             with pytest.raises(NonFiniteError):
                 Mat4([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, bad, 0], [0, 0, 0, 1]])
         assert Mat4.diagonal((1.0, 2.0, 3.0, 4.0)).det() == 24.0
+        with pytest.raises(ValueError, match="4 rows of 4 entries"):
+            Mat4([[1.0, 0, 0, 0]] * 3)
 
 
 class TestMatrixPseudoInverse:

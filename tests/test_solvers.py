@@ -22,7 +22,6 @@ from splitquat import (
     solve_axb,
     solve_axd,
     solve_xad,
-    vec,
 )
 
 from conftest import lightlike_quats, rand_lightlike, rand_quat
@@ -108,8 +107,9 @@ class TestAxb:
         for _ in range(40):
             a, b, d = rand_lightlike(rng), rand_lightlike(rng), rand_quat(rng)
             outcome = solve_axb(a, b, d)
-            consistent = linear_system_consistent(left_matrix(a) @ right_matrix(b), vec(d))
+            consistent = linear_system_consistent(left_matrix(a) @ right_matrix(b), d.coeffs)
             assert outcome.solvable == consistent
+            assert bool(outcome) == consistent
             if not outcome.solvable:
                 assert not outcome.certificate.is_zero(0.0)
 
@@ -196,8 +196,8 @@ class TestOneSided:
         rng = random.Random(13)
         for _ in range(30):
             a, d = rand_lightlike(rng), rand_quat(rng)
-            assert solve_axd(a, d).solvable == linear_system_consistent(left_matrix(a), vec(d))
-            assert solve_xad(a, d).solvable == linear_system_consistent(right_matrix(a), vec(d))
+            assert solve_axd(a, d).solvable == linear_system_consistent(left_matrix(a), d.coeffs)
+            assert solve_xad(a, d).solvable == linear_system_consistent(right_matrix(a), d.coeffs)
 
 
 class TestSolutionFamilyType:
