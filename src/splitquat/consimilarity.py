@@ -13,7 +13,10 @@ is invertible, so the predicate ends with an answer on every non-real
 pair.  The predicate runs on the numerators of a and b over their
 common denominator (ints on the exact backend, the floats themselves
 on the float one): w, Ia = Ib and I(w) on the numerators, and one
-result built for a witness that is returned.  The solution space is
+result built for a witness that is returned.  The three fallback
+candidates are compared by the forms of a's own numerators, which
+scale every form by the same d^2 > 0 and so keep the argmax and its
+tie order, and only the winner is built.  The solution space is
 read off one elimination of s_matrix(a, b), whose kernel basis the
 family keeps.
 """
@@ -95,9 +98,8 @@ def is_consimilar(
         if scalars_close(_form(na), _form(nb), eps) and not scalar_is_zero(_form(w), eps):
             return Verdict(True, _from_ratio(w, d))
         return Verdict(False, None)
-    candidates = (
-        SplitQuaternion(0, a.q3, 0, a.q1),
-        SplitQuaternion(0, a.q2, a.q1, 0),
-        SplitQuaternion(a.q1, a.q0, 0, 0),
-    )
-    return Verdict(True, max(candidates, key=lambda x: abs(x.quadratic_form)))
+    # the candidates on a's own numerators, so that an exact a keeps an exact witness
+    (a0, a1, a2, a3), d = _ratio(a.coeffs)
+    z = 0 * d
+    candidates = ((z, a3, z, a1), (z, a2, a1, z), (a1, a0, z, z))
+    return Verdict(True, _from_ratio(max(candidates, key=lambda x: abs(_form(x))), d))

@@ -14,9 +14,10 @@ the zero divisors, and they are what most of this library is about.
 Coefficients are either all :class:`~fractions.Fraction` (exact backend)
 or all :class:`float` (approximate backend with absolute tolerance
 ``eps``); mixing converts the whole value to floats, and an ``int``
-factor or divisor of a float value is taken as a float.  The product
-and the three quadratic forms have one body each, on the numerators
-of their operands over a common denominator (see
+factor or divisor of a float value is taken as a float.  The product,
+the three quadratic forms, ``classify``, ``is_lightlike`` and
+``inverse`` have one body each, on the numerators of their operands
+over a common denominator (see
 :func:`~.scalars._ratio`): ``int`` numerators on exact values, so no
 Fraction arithmetic runs inside them and each result Fraction is built
 once, and the floats themselves over ``1.0`` on float values.  The
@@ -248,8 +249,8 @@ class SplitQuaternion(Frozen):
     @property
     def im_squared(self) -> Scalar:
         """Scalar value of im(q)*im(q): -q1^2 + q2^2 + q3^2, a similarity invariant."""
-        (n1, n2, n3), d = _ratio((self.q1, self.q2, self.q3))
-        return _quotient(_finite(-n1 * n1 + n2 * n2 + n3 * n3, "im_squared"), d * d)
+        n, d = _ratio((self.q1, self.q2, self.q3))
+        return _quotient(_im_squared(n), d * d)
 
     @property
     def im_norm_sq(self) -> Scalar:
@@ -263,7 +264,7 @@ class SplitQuaternion(Frozen):
         On the float backend a form within ``eps`` of zero counts as
         lightlike; exact values use strict sign tests.
         """
-        form = self.quadratic_form
+        form = _form(_ratio(self._values())[0])  # the sign of the form's numerator over d^2 > 0
         if scalar_is_zero(form, eps):
             return CausalClass.LIGHTLIKE
         return CausalClass.TIMELIKE if form > 0 else CausalClass.SPACELIKE
@@ -279,7 +280,7 @@ class SplitQuaternion(Frozen):
         return _all_zero((self.q1, self.q2, self.q3), eps)
 
     def is_lightlike(self, eps: float = DEFAULT_EPS) -> bool:
-        return scalar_is_zero(self.quadratic_form, eps)
+        return scalar_is_zero(_form(_ratio(self._values())[0]), eps)
 
     def isclose(self, other: "SplitQuaternion", eps: float = DEFAULT_EPS) -> bool:
         """Coefficientwise equality; exact coefficients compare exactly."""
@@ -291,13 +292,14 @@ class SplitQuaternion(Frozen):
 
     def inverse(self, eps: float = DEFAULT_EPS) -> "SplitQuaternion":
         """Two-sided inverse conj(q)/form; raises on zero divisors."""
-        form = self.quadratic_form
+        n, d = _ratio(self._values())
+        form = _form(n)
         if scalar_is_zero(form, eps):
             raise NotInvertibleError(
                 "quadratic form is zero; zero divisors have no inverse "
                 "(see pinv.mp_inverse for the generalized inverse)"
             )
-        return self.conjugate() / form
+        return _inverse(n, d, form)
 
     def to_float(self) -> "SplitQuaternion":
         return SplitQuaternion(*(float(c) for c in self.coeffs))
@@ -341,6 +343,18 @@ def _form(n: tuple):
     """The quadratic form n0^2 + n1^2 - n2^2 - n3^2 of four numerators; NonFiniteError if it overflows."""
     n0, n1, n2, n3 = n
     return _finite(n0 * n0 + n1 * n1 - n2 * n2 - n3 * n3, "quadratic form")
+
+
+def _im_squared(n: tuple):
+    """-n1^2 + n2^2 + n3^2 of three imaginary numerators; NonFiniteError if it overflows."""
+    n1, n2, n3 = n
+    return _finite(-n1 * n1 + n2 * n2 + n3 * n3, "im_squared")
+
+
+def _inverse(n: tuple, d, form) -> SplitQuaternion:
+    """conj(q)/I(q) = conj(n)*d / I(n) for q = n/d, with form = I(n) nonzero."""
+    n0, n1, n2, n3 = n
+    return _from_ratio((n0 * d, -n1 * d, -n2 * d, -n3 * d), form)
 
 
 def _quat_product(n: tuple) -> tuple:

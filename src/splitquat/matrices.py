@@ -142,13 +142,8 @@ class Mat4:
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
         """The column m . v: exact on int numerators, or in floats once any entry is a float."""
-        nums, d = self._apply_ratio(v)
-        return tuple(_quotient(x, d) for x in nums)
-
-    def _apply_ratio(self, v: Sequence) -> Tuple[tuple, Union[int, float]]:
-        """The column m . v as numerators over one denominator."""
         (e, d), (nums, dv) = _common((self._e, self._d), _ratio(v))
-        return tuple(_dot(e[i : i + 4], nums) for i in (0, 4, 8, 12)), d * dv
+        return tuple(_quotient(_dot(e[i : i + 4], nums), d * dv) for i in (0, 4, 8, 12))
 
     def transpose(self) -> "Mat4":
         e = self._e

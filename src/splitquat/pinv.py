@@ -18,10 +18,10 @@ from __future__ import annotations
 import warnings
 from typing import Dict, Optional
 
-from .core import SplitQuaternion, ZERO, _form, _from_ratio
+from .core import SplitQuaternion, ZERO, _form, _from_ratio, _inverse, _quat_product
 from .errors import IllConditionedWarning, NotLightlikeError, ZeroInputError
 from .matrices import Mat4, left_matrix, mat_mp_inverse, right_matrix
-from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
+from .scalars import DEFAULT_EPS, _all_zero, _over, _ratio, scalar_is_zero
 
 
 def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
@@ -48,17 +48,24 @@ def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
             IllConditionedWarning,
             stacklevel=2,
         )
-    return _from_ratio((n0 * d, -n1 * d, -n2 * d, -n3 * d), form)
+    return _inverse(n, d, form)
 
 
 def projectors(a: SplitQuaternion, eps: float = DEFAULT_EPS):
-    """The idempotent pair (a*a+, a+*a) of a nonzero zero divisor."""
-    if a.is_zero(eps):
+    """The idempotent pair (a*a+, a+*a) of a nonzero zero divisor.
+
+    With a = n/d, a+ = prime(n)*d/s for s = 4*(n0^2 + n1^2), so both
+    products are numerator products over s alone; on floats a+ is
+    divided first, as mp_inverse builds it.
+    """
+    n, d = _ratio(a.coeffs)
+    if _all_zero(n, eps):
         raise ZeroInputError("projectors of 0 are not defined")
-    if not a.is_lightlike(eps):
+    if not scalar_is_zero(_form(n), eps):
         raise NotLightlikeError("projectors are only interesting for zero divisors; both equal 1 here")
-    p = mp_inverse(a, eps)
-    return (a * p, p * a)
+    n0, n1, n2, n3 = n
+    p, s = _over((n0, -n1, n2, n3), 4 * (n0 * n0 + n1 * n1))
+    return _from_ratio(_quat_product(n + p), s), _from_ratio(_quat_product(p + n), s)
 
 
 def check_penrose_coherence(

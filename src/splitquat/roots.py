@@ -1,12 +1,53 @@
 """Powers, nilpotents, idempotents, and roots of zero divisors.
 
-Any split quaternion satisfies q^2 = 2*re(q)*q - I(q); for zero divisors
-the quadratic form vanishes, so q^n = (2*re(q))^(n-1) * q in closed
-form.  The same identity gives the roots: a root w of a zero divisor q
-is itself a zero divisor, so w^n = (2*w0)^(n-1) * w = q makes w = c*q
-with c^n * (2*q0)^(n-1) = 1.  The nilpotents (q^2 = 0) are the zero
-divisors with q0 = 0, and the idempotents (q^2 = q) other than 0 and 1
-are those with 2*q0 = 1.
+Any split quaternion satisfies q^2 = t*q - I with t = 2*re(q) and
+I = I(q), the quadratic form.  So every power is q^n = alpha + beta*q,
+and powers multiply as pairs:
+
+    (alpha + beta*q)(gamma + delta*q) = (alpha*gamma - I*beta*delta)
+                                        + (alpha*delta + beta*gamma + t*beta*delta)*q.
+
+power runs square-and-multiply on that pair, on the numerators of
+q = (n0, n1, n2, n3)/d: with N = d*q, N^2 = 2*n0*N - I(n), and a power
+is (a + b*N)/e for ints a, b, e > 0 (floats over 1.0 on the float
+backend), reduced by gcd(a, b, e) after each step, and built once as
+(a + b*n0, b*n1, b*n2, b*n3)/e.  For zero divisors I = 0, and the pair
+gives the closed form q^n = t^(n-1)*q.
+
+The same identity gives the roots: a root w of a zero divisor q is
+itself a zero divisor, so w^n = (2*w0)^(n-1) * w = q makes w = c*q with
+c^n * (2*q0)^(n-1) = 1.  The nilpotents (q^2 = 0) are the zero divisors
+with q0 = 0, and the idempotents (q^2 = q) other than 0 and 1 are those
+with 2*q0 = 1.
+
+An exact power is refused with format_scalar's SplitQuaternionError
+when a numerator or denominator of the result has more digits than
+str() converts, the limit L of sys.get_int_max_str_digits().  Only the
+final value is checked, since the height of q^m can fall as m grows:
+1 + x*i + j + x*k with x = 2^-20000 is a zero divisor with t = 2, and
+q^m = 2^(m-1)*q reaches its least height at m = 10001.  A result far
+past the limit is refused before any powering, by heights (Bombieri
+and Gubler, Heights in Diophantine Geometry, ch. 1).  With h the
+absolute logarithmic Weil height, h(x^n) = n*h(x), h(x*y) <= h(x) + h(y),
+h(1/x) = h(x) and h(x + y) <= h(x) + h(y) + log 2; for a rational, h is
+the log of the larger of |numerator| and denominator.  A root lam of
+x^2 - t*x + I has lam^n = alpha + beta*lam with the alpha, beta of q^n,
+whose coefficients are c0 = alpha + beta*q0 and ci = beta*qi, so for
+a nonzero qi (i = 1, 2, 3)
+
+    (n - 1)*h(lam) <= h(c0) + 2*h(ci) + 2*h(qi) + h(q0) + 2*log 2,
+
+and for real q, c0 = lam^n.  A printable result has h(c) < L*log 10
+for every coefficient.  The larger height of the two roots is at least
+log M(g) / 2, where g = A*x^2 + B*x + C is the primitive integer
+multiple of x^2 - t*x + I and M(g) = A*max(1, |lam|)*max(1, |mu|) its
+Mahler measure, and M(g) >= max(A, |C|, (|B| + isqrt(B^2 - 4AC))/2),
+the last term for real roots only.  That bound exceeds 1 whenever
+M(g) does (Kronecker: otherwise the roots are 0 or roots of unity, and
+the powers do not grow geometrically), so _past_limit refuses every
+result that grows past the limit once n is a bounded multiple of the
+n at which it does, and a power that is computed has at most a bounded
+multiple of L digits beyond those of q.
 
 Nonzero zero divisors also have a polar presentation
 
@@ -24,32 +65,74 @@ import math
 import warnings
 from typing import List
 
-from .core import ONE, Frozen, SplitQuaternion
+from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio
 from .errors import ExactnessWarning, NonFiniteError, NotLightlikeError, ZeroInputError
-from .scalars import DEFAULT_EPS, scalar_is_zero, scalars_close
+from .scalars import DEFAULT_EPS, _digit_limit, _printable, _ratio, _too_long, scalar_is_zero, scalars_close
 
 _TWO_PI = 2.0 * math.pi
 
 
 def power(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> SplitQuaternion:
-    """q**n for n >= 1; closed form for zero divisors, square-and-multiply otherwise."""
+    """q**n for n >= 1, by square-and-multiply on the pair (alpha, beta) of q**n = alpha + beta*q.
+
+    No branch tests a tolerance, so eps is not read.  An exact result
+    too long to print raises SplitQuaternionError (see the module
+    docstring); a float one that overflows raises NonFiniteError.
+    """
     if n < 1:
         raise ValueError("exponent must be a positive integer")
-    if q.is_lightlike(eps):
-        try:
-            return ((2 * q.q0) ** (n - 1)) * q
-        except OverflowError:  # a float power raises where a product gives inf
-            raise NonFiniteError("coefficient is not finite on the float backend") from None
-    result = ONE
-    base = q
-    e = n
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+    nums, d = _ratio(q.coeffs)
+    exact = d.__class__ is int
+    if exact and _past_limit(nums, d, n):
+        raise _too_long()
+    t, form = 2 * nums[0], _form(nums)
+    zero = 0 * d
+    result, base = None, (zero, zero + 1, d)  # q = (0 + 1*N)/d
+    while True:
+        if n & 1:
+            result = base if result is None else _pair_product(result, base, t, form)
+        n >>= 1
+        if not n:
+            break
+        base = _pair_product(base, base, t, form)
+    a, b, e = result
+    n0, n1, n2, n3 = nums
+    value = _from_ratio((a + b * n0, b * n1, b * n2, b * n3), e)
+    if exact and not _printable(value.coeffs):
+        raise _too_long()
+    return value
+
+
+def _pair_product(x: tuple, y: tuple, t, form) -> tuple:
+    """(a + b*N)/e times (c + f*N)/g, with N^2 = t*N - form; ints reduced by their gcd."""
+    a, b, e = x
+    c, f, g = y
+    bf = b * f
+    a, b, e = a * c - form * bf, a * f + b * c + t * bf, e * g
+    if e.__class__ is int:
+        k = math.gcd(a, b, e)
+        return a // k, b // k, e // k
+    return a, b, e
+
+
+def _past_limit(nums: tuple, d: int, n: int) -> bool:
+    """Whether the module docstring's height bound proves q**n too long to print, for q = nums/d."""
+    limit = _digit_limit()
+    size = max(d, *map(abs, nums)).bit_length()
+    # log2 M(g) <= 2*size + 3, and a refusal needs (n - 1)*log2 M(g) >= 6*L*log2(10)
+    if not limit or (n - 1) * (2 * size + 3) < 19 * limit:
+        return False
+    n0 = nums[0]
+    a, b, c = d * d, -2 * n0 * d, _form(nums)  # d^2 * (x^2 - t*x + I)
+    k = math.gcd(a, b, c)
+    a, b, c = a // k, b // k, c // k
+    twice_m = max(2 * a, 2 * abs(c), abs(b) + math.isqrt(max(b * b - 4 * a * c, 0)))
+    if twice_m <= 2:
+        return False
+    heights = [math.log2(max(abs(x), d)) for x in nums[1:] if x]
+    bound = 3 * limit * math.log2(10) + 2 * min(heights, default=0.0) + math.log2(max(abs(n0), d)) + 2
+    # (n - 1) * log2(M(g)) / 2 >= bound, with a margin for the rounding of the logarithms
+    return n - 1 >= 2 * bound / (math.log2(twice_m) - 1) * (1 + 1e-9) + 1
 
 
 def is_nilpotent(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> bool:

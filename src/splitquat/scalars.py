@@ -3,7 +3,7 @@
 Every coefficient in this library is either a :class:`fractions.Fraction`
 (exact backend) or a :class:`float` (approximate backend, compared up to
 an absolute tolerance ``eps``).  The helpers below centralize the zero
-tests, square roots, and display rules so the algebra modules stay
+tests and display rules so the algebra modules stay
 backend-agnostic.  Products, forms, inverses, matrices, families and
 decisions each have one body, which runs on numerators over one common
 denominator taken by :func:`_ratio`: ``int`` numerators over their least
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .errors import SplitQuaternionError
 
@@ -117,25 +117,6 @@ def _all_zero(nums: Sequence, eps: float) -> bool:
     return not any(nums)
 
 
-def exact_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Rational square root of a nonnegative Fraction, or None."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def scalar_sqrt(x: Scalar) -> Scalar:
-    """Square root of a nonnegative scalar, exact whenever possible."""
-    if isinstance(x, float):
-        return math.sqrt(x)
-    root = exact_sqrt(x)
-    return root if root is not None else math.sqrt(x)
-
-
 def format_scalar(x: Scalar) -> str:
     """Display form: rationals as p/q, floats with 12 significant digits.
 
@@ -147,7 +128,31 @@ def format_scalar(x: Scalar) -> str:
     try:
         return str(x)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise SplitQuaternionError(
-            f"exact value too long to print: over {limit} digits, the limit of sys.get_int_max_str_digits()"
-        ) from None
+        raise _too_long() from None
+
+
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(), or 0 (no limit) on a Python 3.10 before 3.10.7, which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long() -> SplitQuaternionError:
+    """The error for an exact value with more digits than sys.get_int_max_str_digits()."""
+    limit = _digit_limit()
+    return SplitQuaternionError(
+        f"exact value too long to print: over {limit} digits, the limit of sys.get_int_max_str_digits()"
+    )
+
+
+def _printable(values: Sequence[Fraction]) -> bool:
+    """Whether str() converts every numerator and denominator of the values.
+
+    A digit count over the limit L means |x| >= 10^L, hence more than
+    3L bits, so only such ints are compared with 10^L.
+    """
+    limit = _digit_limit()
+    return not limit or all(
+        x.bit_length() <= 3 * limit or abs(x) < 10**limit
+        for v in values
+        for x in (v.numerator, v.denominator)
+    )

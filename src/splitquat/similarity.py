@@ -21,6 +21,13 @@ Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
 or a0 + i + j when k = 0.
 
+is_similar and canonical_form decide on the numerators of one _ratio:
+is_similar compares the real parts and the im_squared numerators of a
+and b over their common denominator d, and canonical_form reads
+k = -n1^2 + n2^2 + n3^2 over d^2.  As d^2 is a square, k/d^2 has a
+rational root exactly when the int k does, and that root is
+math.isqrt(|k|)/d; the target is built once from its numerators over d.
+
 Witnesses and conjugators come from one closed form in the 2x2 real
 matrix model phi(q) = [[q0+q2, q3-q1], [q1+q3, q0-q2]], an isomorphism
 under which the quadratic form is the determinant and 2*q0 the trace.
@@ -32,12 +39,13 @@ satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).
 
 from __future__ import annotations
 
+import math
 import warnings
 
-from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _mul
+from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul
 from .errors import ExactnessWarning, NotInvertibleError, RealInputError
 from .matrices import Mat4, _dot, _family_sum, _mat, t_matrix
-from .scalars import DEFAULT_EPS, _over, _ratio, exact_sqrt, scalar_is_zero, scalar_sqrt, scalars_close
+from .scalars import DEFAULT_EPS, _all_zero, _over, _ratio, scalar_is_zero, scalars_close
 from .solvers import _UNITS, SolutionFamily, Verdict, _family
 
 
@@ -150,9 +158,8 @@ def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS)
         return Verdict(same, ONE if same else None)
     if a_real or b_real:
         return Verdict(False, None)
-    if not (
-        scalars_close(a.q0, b.q0, eps) and scalars_close(a.im_squared, b.im_squared, eps)
-    ):
+    n, _ = _ratio(a.coeffs, b.coeffs)
+    if not (scalars_close(n[0], n[4], eps) and scalars_close(_im_squared(n[1:4]), _im_squared(n[5:]), eps)):
         return Verdict(False, None)
     return Verdict(True, _cyclic_witness(a, b))
 
@@ -166,24 +173,24 @@ def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalFor
     When k is not a perfect rational square the computation escalates to
     floats and the result is flagged inexact.
     """
-    _require_nonreal(a, eps, "a")
-    k = a.im_squared
-    exact = a.is_exact
+    n, d = _ratio(a.coeffs)
+    if _all_zero(n[1:], eps):
+        raise RealInputError("a must have a nonzero imaginary part")
+    k, z = _im_squared(n[1:]), 0 * d  # k over d^2, a square: its root is the root of k over d
+    exact = d.__class__ is int
     if scalar_is_zero(k, eps):
-        target = SplitQuaternion(a.q0, 1, 1, 0)
+        target = (n[0], d, d, z)
     else:
-        if exact and exact_sqrt(abs(k)) is None:
+        if exact and math.isqrt(abs(k)) ** 2 != abs(k):
             warnings.warn(
                 "im_squared is not a perfect rational square; escalating to floats",
                 ExactnessWarning,
                 stacklevel=2,
             )
             a = a.to_float()
-            k = a.im_squared
-            exact = False
-        root = scalar_sqrt(abs(k))
-        if k > 0:
-            target = SplitQuaternion(a.q0, 0, root, 0)
-        else:
-            target = SplitQuaternion(a.q0, root, 0, 0)
+            n, d = _ratio(a.coeffs)
+            k, z, exact = _im_squared(n[1:]), 0.0, False
+        root = math.isqrt(abs(k)) if exact else math.sqrt(abs(k))
+        target = (n[0], z, root, z) if k > 0 else (n[0], root, z, z)
+    target = _from_ratio(target, d)
     return CanonicalForm(target, _cyclic_witness(a, target), exact)

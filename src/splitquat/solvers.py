@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .core import ONE, Frozen, SplitQuaternion, ZERO, _form, _from_ratio, _mul
 from .errors import NotLightlikeError, ZeroCoefficientError
-from .matrices import _family_sum, _mat, family_matrix, image_basis
+from .matrices import _dot, _family_sum, _mat, family_matrix, image_basis
 from .scalars import DEFAULT_EPS, _all_zero, _common, _over, _ratio, scalar_is_zero
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
@@ -59,10 +59,11 @@ class SolutionFamily(Frozen):
     float one is eliminated again at each other ``basis(eps)``.  Every
     solver hands over the matrix it built from the numerators of its
     terms, and solve_xa_bxbar its basis too (see ``_family``); copies
-    keep both.
+    keep both.  The constant's numerators over their denominator are
+    kept beside it, in ``_constant_ratio``, for ``at``.
     """
 
-    __slots__ = ("constant", "terms", "linear_matrix", "_basis", "_eps")
+    __slots__ = ("constant", "terms", "linear_matrix", "_basis", "_eps", "_constant_ratio")
     _fields = ("constant", "terms")
 
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
@@ -75,9 +76,10 @@ class SolutionFamily(Frozen):
         if not self.terms:
             return self.constant
         # constant + m . y.coeffs on numerators, over one denominator
-        (nums, d), (nc, dc) = _common(
-            self.linear_matrix._apply_ratio(y.coeffs), _ratio(self.constant.coeffs)
-        )
+        m = self.linear_matrix
+        (e, d), (ny, dy) = _common((m._e, m._d), _ratio(y.coeffs))
+        column = tuple(_dot(e[i : i + 4], ny) for i in (0, 4, 8, 12))
+        (nums, d), (nc, dc) = _common((column, d * dy), self._constant_ratio)
         return _from_ratio(tuple(x * dc + k * d for x, k in zip(nums, nc)), d * dc)
 
     __call__ = at
@@ -97,7 +99,8 @@ class SolutionFamily(Frozen):
 
 
 def _fill(family: SolutionFamily, constant, terms, eps: float, matrix, basis) -> None:
-    for name, value in zip(SolutionFamily.__slots__, (constant, terms, matrix, basis, eps)):
+    values = (constant, terms, matrix, basis, eps, _ratio(constant.coeffs))
+    for name, value in zip(SolutionFamily.__slots__, values):
         object.__setattr__(family, name, value)
 
 

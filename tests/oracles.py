@@ -1,4 +1,4 @@
-"""Closed-form spectra, determinants and S-rank cases, the Fraction product, inverse and elimination, family matrices and the 2x2 matrix model, used as test oracles.
+"""Closed-form spectra, determinants and S-rank cases, the Fraction product, inverse, powers and elimination, family matrices and the 2x2 matrix model, used as test oracles.
 
 The library decides ranks and determinants of ``t_matrix`` and
 ``s_matrix`` by elimination; the closed forms below are independent
@@ -12,9 +12,13 @@ themselves, is the body it replaced, and ``quat_mp_inverse`` is the
 same for the quaternion Moore-Penrose inverse, ``coeff_forms`` for the
 three quadratic forms, ``xa_bx_rank2_terms``/``xa_bx_rank3_terms`` for
 the closed-form families of ``solve_xa_bx``, ``consimilar_verdict``
-for ``is_consimilar``, and ``axb_outcome``, ``ax0_terms``,
+for ``is_consimilar`` (its fallback witness the largest-form of three
+SplitQuaternions), and ``axb_outcome``, ``ax0_terms``,
 ``axd_outcome`` and ``xad_outcome`` for the quaternion chains of the
-four lightlike solvers.  ``xa_bx_rank2_image`` and ``xa_bx_rank3_image``
+four lightlike solvers.  ``square_and_multiply_power``,
+``projector_pair`` and ``canonical_target`` are the quaternion-level
+bodies of ``power``, ``projectors`` and ``canonical_form``'s target
+that the numerator bodies replaced.  ``xa_bx_rank2_image`` and ``xa_bx_rank3_image``
 derive the images of those families in the 2x2 model alone.  A
 solution family's linear matrix and values are rebuilt from its terms
 by quaternion products, and ``rows_apply`` is the row-by-row
@@ -26,19 +30,38 @@ library's 4x4 machinery.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from splitquat import SplitQuaternion
+from splitquat import SplitQuaternion, mp_inverse
 from splitquat.scalars import (
     DEFAULT_EPS,
     Scalar,
     scalar_is_zero,
-    scalar_sqrt,
     scalars_close,
 )
 
 Complexish = Tuple[Scalar, Scalar]  # (real, imaginary) parts
+
+
+def exact_sqrt(x: Fraction) -> Optional[Fraction]:
+    """Rational square root of a nonnegative Fraction, or None."""
+    if x < 0:
+        return None
+    n, d = x.numerator, x.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def scalar_sqrt(x: Scalar) -> Scalar:
+    """Square root of a nonnegative scalar, exact whenever possible."""
+    if isinstance(x, float):
+        return math.sqrt(x)
+    root = exact_sqrt(x)
+    return root if root is not None else math.sqrt(x)
 
 
 def _sqrt_signed(x: Scalar) -> Complexish:
@@ -251,6 +274,49 @@ def consimilar_verdict(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFA
     if forms_equal and not scalar_is_zero(coeff_forms(w)[0], eps):
         return True, w
     return False, None
+
+
+# ----------------------------------------------------------------------
+# power, projectors and the canonical target, as quaternion expressions
+# ----------------------------------------------------------------------
+
+
+def square_and_multiply_power(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> SplitQuaternion:
+    """q**n: (2*q0)**(n-1) * q for a zero divisor, square-and-multiply of quaternions otherwise."""
+    if q.is_lightlike(eps):
+        return ((2 * q.q0) ** (n - 1)) * q
+    result = _ONE
+    base = q
+    e = n
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def projector_pair(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> tuple:
+    """(a*a+, a+*a) for a nonzero zero divisor a, as two quaternion products."""
+    p = mp_inverse(a, eps)
+    return (a * p, p * a)
+
+
+def canonical_target(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> tuple:
+    """(target, a, exact) of canonical_form, the target built from Fractions; a as floats if escalated."""
+    k = a.im_squared
+    exact = a.is_exact
+    if scalar_is_zero(k, eps):
+        return SplitQuaternion(a.q0, 1, 1, 0), a, exact
+    if exact and exact_sqrt(abs(k)) is None:
+        a = a.to_float()
+        k = a.im_squared
+        exact = False
+    root = scalar_sqrt(abs(k))
+    if k > 0:
+        return SplitQuaternion(a.q0, 0, root, 0), a, exact
+    return SplitQuaternion(a.q0, root, 0, 0), a, exact
 
 
 # ----------------------------------------------------------------------

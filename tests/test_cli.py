@@ -1,6 +1,7 @@
 import importlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -281,12 +282,21 @@ class TestGlobalFlags:
         assert err.startswith("error: ") and "not finite" in err
 
     @pytest.mark.parametrize("fmt", [(), ("--json",)])
-    def test_exact_result_past_the_digit_limit_exit_two(self, capsys, fmt):
-        # 2e2000 cubed has 6001 digits, more than Python converts to text
-        code, out, err = run(capsys, "power", "2e2000", "-n", "3", "--backend", "exact", *fmt)
+    @pytest.mark.parametrize("q, n", [("2e2000", "3"), ("3+i", "30000000")])
+    def test_exact_result_past_the_digit_limit_exit_two(self, capsys, fmt, q, n):
+        # 2e2000 cubed has 6001 digits, more than Python converts to text; (3+i)^30000000
+        # has millions, and is refused before it is computed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "power", q, "-n", n, "--backend", "exact", *fmt)
+        assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error: ") and f"over {sys.get_int_max_str_digits()} digits" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("q, expected", [("1", "1"), ("i", "1"), ("1/2+1/2j", "1/2+1/2j")])
+    def test_bounded_power_at_a_huge_exponent_answers(self, capsys, q, expected):
+        code, doc, _ = run_json(capsys, "power", q, "-n", str(10**9))
+        assert code == 0 and doc["result"]["power"] == expected and doc["verified"] is True
 
     @pytest.mark.parametrize("n, count", [(5000, 2), (100001, 1)])
     def test_high_degree_roots_are_verified(self, capsys, n, count):

@@ -1,4 +1,4 @@
-"""Exact products, inverses, forms, T/S and family matrices, solvers, families and consimilarity on integer numerators.
+"""Exact products, inverses, forms, T/S and family matrices, solvers, families, consimilarity, powers, projectors and canonical targets on integer numerators.
 
 Each exact result must equal the Fraction formula of ``oracles`` with
 the same reduced numerator and denominator.  A float result whose body
@@ -13,18 +13,31 @@ relative bound otherwise.
 
 import itertools
 import random
+import sys
+import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from splitquat import (
+    ExactnessWarning,
     F_MATRIX,
     Mat4,
     SolutionFamily,
     SplitQuaternion,
+    SplitQuaternionError,
     ZERO,
+    canonical_form,
     is_consimilar,
     left_matrix,
     mp_inverse,
+    parse_quat,
+    power,
+    projectors,
     right_matrix,
     s_matrix,
     solve_ax0,
@@ -36,30 +49,46 @@ from splitquat import (
     t_matrix,
 )
 from splitquat.matrices import family_matrix, image_basis
+from splitquat.roots import _past_limit
+from splitquat.scalars import _printable, _ratio
+from splitquat.similarity import _cyclic_witness
 
 from conftest import (
+    _unit_circle_point,
+    lightlike_quats,
+    nonreal_quats,
     pairs_in_every_s_case,
+    quats,
     rand_conjugate,
     rand_fraction,
+    rand_invertible,
     rand_lightlike,
+    rand_nonreal,
     rand_quat,
     rand_rank3_pair,
     rand_similar_pair,
+    rand_with_im_squared_minus,
+    rand_with_im_squared_plus,
+    rationals,
 )
 from oracles import (
+    M2,
     SRankCase,
     _matmul,
     ax0_terms,
     axb_outcome,
     axd_outcome,
+    canonical_target,
     coeff_forms,
     coeff_product,
     consimilar_verdict,
     family_rows,
     fraction_rref,
+    projector_pair,
     quat_mp_inverse,
     rows_apply,
     s_rank_case,
+    square_and_multiply_power,
     term_at,
     xa_bx_rank2_terms,
     xa_bx_rank3_terms,
@@ -227,6 +256,15 @@ class TestMpInverse:
             a = rng.choice((_draw(rng), rand_lightlike(rng)))
             for x in (a.to_float(), -(a.to_float())):
                 assert _bits(mp_inverse(x).coeffs) == _bits(quat_mp_inverse(x).coeffs), x
+
+    def test_inverse_is_the_invertible_branch(self):
+        # conj(q)/I(q): the oracle's body, and SplitQuaternion.inverse's before it shared mp_inverse's
+        rng = random.Random(152)
+        for _ in range(200):
+            a = rand_invertible(rng)
+            assert all(map(_same_fraction, a.inverse().coeffs, quat_mp_inverse(a).coeffs)), a
+            for x in (a.to_float(), -(a.to_float())):
+                assert _bits(x.inverse().coeffs) == _bits(quat_mp_inverse(x).coeffs), x
 
 
 class TestRepresentations:
@@ -411,6 +449,15 @@ class TestIsConsimilar:
             else:
                 assert _same_quats([result.witness], [witness]), (a, b)
         assert cases == set(SRankCase) - {SRankCase.ZERO}
+
+    @given(nonreal_quats)
+    @settings(max_examples=100, deadline=None)
+    def test_fallback_witness_matches_the_fraction_body(self, a):
+        # conj(a) + b = 0: the candidate of largest |form|, by reduced numerator and denominator
+        b = -a.conjugate()
+        verdict, witness = consimilar_verdict(a, b)
+        result = is_consimilar(a, b)
+        assert verdict and result.verdict and _same_quats([result.witness], [witness])
 
     def test_float_verdict_and_witness_are_bit_identical(self):
         rng = random.Random(165)
@@ -616,3 +663,190 @@ class TestSolverFamilies:
                 assert all(type(c) is float for q in quats for c in q.coeffs), (name, copy)
                 names[name] += 1
         assert min(names[name] for name in ("axb", "ax0", "axd", "xad", "xa_bx", "xa_bxbar")) > 10
+
+
+HALF = Fraction(1, 2)
+POWER_KINDS = ("lightlike", "nilpotent", "idempotent", "general")
+
+
+def _zero_divisor(re, im, t) -> SplitQuaternion:
+    """re + im*i + (re + im*i)*(c + s*i)*j for the unit-circle point (c, s) of t: lightlike."""
+    c, s = _unit_circle_point(t)
+    return SplitQuaternion(re, im, re * c - im * s, re * s + im * c)
+
+
+def _power_draw(rng: random.Random, kind: str) -> SplitQuaternion:
+    """A zero divisor, a nilpotent (q0 = 0), an idempotent (q0 = 1/2) or a general _draw."""
+    if kind == "lightlike":
+        return rand_lightlike(rng)
+    if kind == "nilpotent":
+        return _zero_divisor(0, rand_fraction(rng, 1), rand_fraction(rng))
+    if kind == "idempotent":
+        return _zero_divisor(HALF, rand_fraction(rng), rand_fraction(rng))
+    return _draw(rng)
+
+
+POWER_BASES = st.one_of(
+    quats,
+    lightlike_quats(),
+    st.builds(_zero_divisor, st.just(0), rationals.filter(bool), rationals),
+    st.builds(_zero_divisor, st.just(HALF), rationals, rationals),
+)
+
+
+def _m2_power(q: SplitQuaternion, n: int) -> SplitQuaternion:
+    """phi^-1(phi(q)^n) by n - 1 products of 2x2 matrices."""
+    m = x = M2.phi(q)
+    for _ in range(n - 1):
+        m = m @ x
+    return m.phi_inverse()
+
+
+class TestPower:
+    def test_exact_power_matches_square_and_multiply(self):
+        rng = random.Random(168)
+        for kind in POWER_KINDS:
+            for _ in range(60):
+                q, n = _power_draw(rng, kind), rng.randint(1, 64)
+                expected = square_and_multiply_power(q, n)
+                assert all(map(_same_fraction, power(q, n).coeffs, expected.coeffs)), (kind, q, n)
+                if kind == "nilpotent" and n > 1:
+                    assert expected == ZERO
+                if kind == "idempotent":
+                    assert expected == q
+
+    @given(POWER_BASES, st.integers(min_value=1, max_value=64))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_power_matches_square_and_multiply_on_any_base(self, q, n):
+        expected = square_and_multiply_power(q, n)
+        assert all(map(_same_fraction, power(q, n).coeffs, expected.coeffs))
+
+    def test_non_lightlike_power_matches_the_matrix_power(self):
+        # phi(q^n) = phi(q)^n in the 2x2 model, which shares no code with the recurrence
+        rng = random.Random(169)
+        for _ in range(150):
+            q = _draw(rng)
+            if q.is_lightlike():
+                continue
+            n = rng.randint(1, 64)
+            assert all(map(_same_fraction, power(q, n).coeffs, _m2_power(q, n).coeffs)), (q, n)
+
+    def test_float_power_on_binary_draws_is_the_exact_power(self):
+        # numerators of at most 4 bits over 8, to the 8th power: every float operation is exact
+        rng = random.Random(170)
+        for _ in range(200):
+            q = SplitQuaternion(*(Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 3)) for _ in range(4)))
+            n = rng.randint(1, 8)
+            assert power(q.to_float(), n).coeffs == power(q, n).coeffs, (q, n)
+
+    def test_refusal_by_heights_never_refuses_a_printable_power(self):
+        # at the least n the height bound refuses, the power itself is past the limit
+        rng = random.Random(171)
+        bases = [parse_quat(text) for text in ("3+i", "1+j", "5/4+3/4j", "3/2+j+1/2k", "2/3+1/2i")]
+        bases += [_power_draw(rng, kind) for kind in POWER_KINDS for _ in range(4)]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            refused = 0
+            for q in bases:
+                nums, d = _ratio(q.coeffs)
+                if not _past_limit(nums, d, 2**30):
+                    continue  # no geometric growth: roots of unity, 0, or a double root +-1
+                lo, hi = 1, 2**30  # _past_limit is monotone in n: bisect for the least n it refuses
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if _past_limit(nums, d, mid) else (mid, hi)
+                assert not _printable(square_and_multiply_power(q, hi).coeffs), (q, hi)
+                with pytest.raises(SplitQuaternionError, match="exact value too long to print"):
+                    power(q, hi)
+                refused += 1
+            assert refused >= 9
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("text, n", [("2e2000", 3), ("3+i", 30_000_000)])
+    def test_power_past_the_limit_is_refused_at_once(self, text, n):
+        # 2e2000 cubed is computed and checked; (3+i)^30000000 is refused by heights first
+        q = parse_quat(text, backend="exact")
+        assert _past_limit(*_ratio(q.coeffs), n) is (n > 3)
+        start = time.perf_counter()
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SplitQuaternionError, match=f"exact value too long to print: over {limit} digits"):
+            power(q, n)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text, expected", [("1", "1"), ("i", "1"), ("1/2+1/2j", "1/2+1/2j"), ("i+j", "0")])
+    def test_bounded_powers_answer_at_any_exponent(self, text, expected):
+        start = time.perf_counter()
+        assert str(power(parse_quat(text), 10**9)) == expected
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_printable_power_of_an_unprintable_base_is_returned(self):
+        # the height of q^m = 2^(m-1)*q falls until m = 10001, so only the result is checked
+        x = Fraction(1, 2**20000)
+        q = SplitQuaternion(1, x, 1, x)
+        assert not _printable(q.coeffs)
+        assert power(q, 10001) == 2**10000 * q
+
+
+class TestProjectors:
+    @staticmethod
+    def _draws(rng: random.Random):
+        for _ in range(100):
+            yield rand_lightlike(rng)
+            yield _power_draw(rng, "nilpotent")
+            yield _power_draw(rng, "idempotent")
+            yield rand_conjugate(rng, rand_lightlike(rng))
+
+    def test_exact_projectors_match_the_quaternion_products(self):
+        for a in self._draws(random.Random(172)):
+            assert _same_quats(projectors(a), projector_pair(a)), a
+
+    @given(st.one_of(lightlike_quats(), POWER_BASES.filter(lambda q: q.is_lightlike() and q != ZERO)))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_projectors_match_the_quaternion_products_on_any_zero_divisor(self, a):
+        assert _same_quats(projectors(a), projector_pair(a))
+
+    def test_float_projectors_are_bit_identical(self):
+        for a in self._draws(random.Random(173)):
+            for x in (a.to_float(), -(a.to_float())):
+                assert list(map(_bits, (p.coeffs for p in projectors(x)))) == list(
+                    map(_bits, (p.coeffs for p in projector_pair(x)))
+                ), x
+
+
+class TestCanonicalForm:
+    @staticmethod
+    def _draws(rng: random.Random):
+        for _ in range(60):
+            yield rand_with_im_squared_plus(rng, Fraction(0))
+            yield rand_with_im_squared_plus(rng, abs(rand_fraction(rng, 1)))
+            yield rand_with_im_squared_minus(rng, rand_fraction(rng, 1))
+            yield rand_nonreal(rng)
+            yield rand_conjugate(rng, rand_nonreal(rng))
+
+    @staticmethod
+    def _check(a) -> bool:
+        """canonical_form(a) against the Fraction-built target: exact ones by reduced fraction, floats bit for bit."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExactnessWarning)
+            target, conjugated, exact = canonical_target(a)
+            form = canonical_form(a)
+        same = _same_quats([form.target], [target]) if exact else _bits(form.target.coeffs) == _bits(target.coeffs)
+        assert same and form.exact is exact, a
+        assert _bits(form.conjugator.coeffs) == _bits(_cyclic_witness(conjugated, target).coeffs), a
+        return exact
+
+    def test_exact_target_matches_the_fraction_body(self):
+        escalated = sum(not self._check(a) for a in self._draws(random.Random(174)))
+        assert 30 < escalated < 240
+
+    @given(nonreal_quats)
+    @settings(max_examples=100, deadline=None)
+    def test_exact_target_matches_the_fraction_body_on_any_nonreal(self, a):
+        self._check(a)
+
+    def test_float_target_is_bit_identical(self):
+        for a in self._draws(random.Random(175)):
+            for x in (a.to_float(), -(a.to_float())):
+                self._check(x)

@@ -18,11 +18,23 @@ from splitquat import (
     ZERO,
     parse_quat,
     solve_ax0,
+    solve_axb,
+    solve_axd,
+    solve_xa_bx,
     solve_xa_bxbar,
+    solve_xad,
 )
 from splitquat.scalars import DEFAULT_EPS
 
-from conftest import pairs_in_every_s_case
+from conftest import (
+    pairs_in_every_s_case,
+    rand_lightlike,
+    rand_nonreal,
+    rand_quat,
+    rand_rank3_pair,
+    rand_similar_pair,
+)
+from oracles import term_at
 
 EXACT = SplitQuaternion(Fraction(1, 2), -3, Fraction(5, 8), 0)
 Q = parse_quat("1+j")
@@ -121,3 +133,39 @@ def test_copies_of_a_float_family_keep_its_eps():
 def test_missing_attribute_of_a_family_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'SolutionFamily' object has no attribute 'rank'"):
         FAMILY.rank
+
+
+
+
+def _solver_families(rng: random.Random):
+    """Families of every solver, on exact inputs and on the same inputs as floats.
+
+    Solvable lightlike equations, x*a = b*x in its three cases and
+    x*a = b*conj(x) in every S-rank case.
+    """
+    cases = []
+    for _ in range(10):
+        a, b, x = rand_lightlike(rng), rand_lightlike(rng), rand_quat(rng)
+        cases += [(solve_axb, a, b, a * x * b), (solve_ax0, a), (solve_axd, a, a * x), (solve_xad, a, x * a)]
+        cases += [(solve_xa_bx, *rand_similar_pair(rng)), (solve_xa_bx, *rand_rank3_pair(rng))]
+        cases.append((solve_xa_bx, rand_nonreal(rng), rand_nonreal(rng)))
+    cases += [(solve_xa_bxbar, a, b) for a, b in pairs_in_every_s_case(rng, 3)]
+    for solver, *inputs in cases:
+        for values in (inputs, [q.to_float() for q in inputs]):
+            answer = solver(*values)
+            yield answer.family if isinstance(answer, SolveOutcome) else answer
+
+
+def test_copies_of_every_solver_family_give_its_values():
+    # the constant's numerators are kept on the family for at(y); copies must carry them
+    rng = random.Random(6)
+    for family in _solver_families(rng):
+        copies = (pickle.loads(pickle.dumps(family)), copy.copy(family), copy.deepcopy(family))
+        for y in (rand_quat(rng), ZERO, rand_quat(rng).to_float()):
+            value = family.at(y)
+            assert all(repr(c.at(y).coeffs) == repr(value.coeffs) for c in copies), (family, y)
+            expected = term_at(family.constant, family.terms, y)
+            if family.constant.is_exact and y.is_exact:
+                assert value == expected, (family, y)
+            else:
+                assert all(abs(u - v) <= 1e-9 * (1 + abs(v)) for u, v in zip(value.coeffs, expected.coeffs))
