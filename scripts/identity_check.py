@@ -16,7 +16,10 @@ For each seed it runs, in process and on the checkout it lives in:
   the float ``float-mixed`` pool, through perfbench's op table
   (``perfbench/ops.py``): the result down to the ``repr`` of each scalar
   (so floats compare bit for bit), or the type and message of the
-  exception it raised;
+  exception it raised; each ``family_*`` item also calls its solver
+  directly and prints the whole family (its ``constant``, ``terms`` and
+  ``linear_matrix``), so that a change to how a family is built shows
+  even where ``dimension``, ``basis()`` and ``at`` do not move it;
 * 5000 seeded strings of up to 12 characters over the literal alphabet,
   space, ``x``, ``\u0661`` and ``\u00b2``, and the long literals of
   ``tests/test_parsing.py`` (``parse``), through ``parse_quat`` on each
@@ -58,7 +61,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import inputs  # noqa: E402  (perfbench/inputs.py)
 import ops  # noqa: E402  (perfbench/ops.py)
 import splitquat.cli  # noqa: E402
-from splitquat import Mat4, parse_quat  # noqa: E402
+from splitquat import (  # noqa: E402
+    Mat4, SolutionFamily, parse_quat, solve_ax0, solve_axb, solve_xa_bx, solve_xa_bxbar,
+)
 from splitquat.core import Frozen  # noqa: E402
 
 MODES = (
@@ -71,6 +76,14 @@ PARSE_ALPHABET = "0123456789./eE+-ijk x\u0661\u00b2"
 #: A 5000-digit integer, alone, as a numerator and as a denominator: longer than int() reads.
 PARSE_LONG = ("1" * 5000, "1" * 5000 + "/3", "1-3/" + "1" * 5000)
 PARSE_BACKENDS = (None, "exact", "approx")
+
+#: The family of each family_* pool item, from its solver (None for an unsolvable a*x*b = d).
+FAMILIES = {
+    "family_axb": lambda a, b, d, y: solve_axb(a, b, d).family,
+    "family_ax0": lambda a, y: solve_ax0(a),
+    "family_xa_bx": lambda a, b, y: solve_xa_bx(a, b),
+    "family_xa_bxbar": lambda a, b, y: solve_xa_bxbar(a, b),
+}
 
 
 def _text(argv) -> list:
@@ -95,6 +108,8 @@ def _cli_line(argv) -> str:
 
 def _canon(x) -> str:
     """A result down to the repr of each scalar: Fractions exactly, floats bit for bit."""
+    if isinstance(x, SolutionFamily):  # the whole family: its fields and its linear matrix
+        return "SolutionFamily" + _canon((x.constant, x.terms, x.linear_matrix))
     if isinstance(x, Frozen):
         return type(x).__name__ + _canon(x._values())
     if isinstance(x, Mat4):
@@ -107,12 +122,19 @@ def _canon(x) -> str:
     return repr(x)
 
 
-def _item_line(kind, case, args, approx: bool) -> str:
+def _outcome(run, args, approx: bool) -> str:
+    """_canon of run(*args) on library values, or the type and message of the error it raised."""
     try:
-        result = _canon(ops.RUN[kind](*ops.to_library(args, approx)))
+        return _canon(run(*ops.to_library(args, approx)))
     except Exception as exc:  # a raised error is an output too
-        result = f"{type(exc).__name__}: {exc}"
-    return f"{kind} [{case}] {args!r} -> {result}"
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _item_line(kind, case, args, approx: bool) -> str:
+    line = f"{kind} [{case}] {args!r} -> {_outcome(ops.RUN[kind], args, approx)}"
+    if kind in FAMILIES:
+        line += f" family {_outcome(FAMILIES[kind], args, approx)}"
+    return line
 
 
 def _parse_texts(seed: int) -> list:

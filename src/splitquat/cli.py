@@ -101,7 +101,7 @@ def _roots(args, eps, q) -> Result:
 
     ws = nth_roots(q, args.n, eps)
     qf = q.to_float()
-    verified = all(power(w, args.n, eps).isclose(qf, 1e-6) for w in ws)
+    verified = all(power(w, args.n).isclose(qf, 1e-6) for w in ws)
     payload = {"roots": [str(w) for w in ws], "count": len(ws)}
     return payload, [str(w) for w in ws] if ws else ["no roots"], verified, 0
 
@@ -109,8 +109,8 @@ def _roots(args, eps, q) -> Result:
 def _power(args, eps, q) -> Result:
     from .roots import power
 
-    result = power(q, args.n, eps)
-    previous = power(q, args.n - 1, eps) * q if args.n > 1 else q
+    result = power(q, args.n)
+    previous = power(q, args.n - 1) * q if args.n > 1 else q
     verified = previous.isclose(result, eps)
     return {"power": str(result)}, [str(result)], verified, 0
 

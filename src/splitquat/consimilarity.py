@@ -23,11 +23,11 @@ family keeps.
 
 from __future__ import annotations
 
-from .core import I, J, K, ONE, SplitQuaternion, ZERO, _form, _from_ratio
+from .core import SplitQuaternion, _form, _from_ratio
 from .errors import RealInputError
 from .matrices import Mat4, _kernel, _mat, s_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero, scalars_close
-from .solvers import SolutionFamily, Verdict, _family
+from .solvers import _UNITS, SolutionFamily, Verdict, _family
 
 
 #: e^-1 * q on the coefficients of q, for the units e = 1, i, j, k.
@@ -37,9 +37,6 @@ _INVERSE_TIMES = (
     lambda q0, q1, q2, q3: (q2, -q3, q0, -q1),
     lambda q0, q1, q2, q3: (q3, q2, q1, q0),
 )
-
-#: 0 and the units 1, i, j, k on each backend, by the class of a denominator
-_UNITS = {int: (ZERO, (ONE, I, J, K)), float: (ZERO.to_float(), tuple(u.to_float() for u in (ONE, I, J, K)))}
 
 
 def solve_xa_bxbar(
@@ -60,7 +57,7 @@ def solve_xa_bxbar(
     columns n_t: the family keeps it, and the n_t as its basis.
     """
     kernel, d = _kernel(s_matrix(a, b), eps)
-    zero, units = _UNITS[d.__class__]
+    zero, _, units, _ = _UNITS[d.__class__]
     if not kernel:
         return _family(zero, (), eps, Mat4.zero(), ())
     # m_t = e_t^-1 n_t

@@ -44,6 +44,7 @@ from .scalars import (
     DEFAULT_EPS,
     Scalar,
     _all_zero,
+    _over,
     _quotient,
     _ratio,
     as_scalar,
@@ -355,6 +356,12 @@ def _inverse(n: tuple, d, form) -> SplitQuaternion:
     """conj(q)/I(q) = conj(n)*d / I(n) for q = n/d, with form = I(n) nonzero."""
     n0, n1, n2, n3 = n
     return _from_ratio((n0 * d, -n1 * d, -n2 * d, -n3 * d), form)
+
+
+def _lightlike_inverse(n: tuple) -> tuple:
+    """prime(n)/(4*(n0^2 + n1^2)), as _over gives it; d times it is a+ for nonzero lightlike a = n/d."""
+    n0, n1, n2, n3 = n
+    return _over((n0, -n1, n2, n3), 4 * (n0 * n0 + n1 * n1))
 
 
 def _quat_product(n: tuple) -> tuple:

@@ -9,8 +9,9 @@ a = c1 + c2*j it is
 which satisfies a*a+*a = a and a+*a*a+ = a+; the products a*a+ and a+*a
 are idempotent projectors.  |c1| = |c2| != 0 for nonzero zero divisors,
 so the division is always defined.  Both closed forms have one body,
-on the numerators of a over one denominator: ints on the exact
-backend, the floats themselves on the float one.
+on the numerators of a over one denominator (ints on the exact backend,
+the floats themselves on the float one); the zero-divisor form's,
+core._lightlike_inverse, is shared with projectors and the solvers.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import warnings
 from typing import Dict, Optional
 
-from .core import SplitQuaternion, ZERO, _form, _from_ratio, _inverse, _quat_product
+from .core import SplitQuaternion, ZERO, _form, _from_ratio, _inverse, _lightlike_inverse, _quat_product
 from .errors import IllConditionedWarning, NotLightlikeError, ZeroInputError
-from .matrices import Mat4, left_matrix, mat_mp_inverse, right_matrix
-from .scalars import DEFAULT_EPS, _all_zero, _over, _ratio, scalar_is_zero
+from .matrices import left_matrix, mat_mp_inverse, right_matrix
+from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
 
 
 def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
@@ -37,10 +38,10 @@ def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
     n, d = _ratio(a.coeffs)
     if _all_zero(n, eps):
         return ZERO
-    n0, n1, n2, n3 = n
     form = _form(n)
     if scalar_is_zero(form, eps):
-        return _from_ratio((n0 * d, -n1 * d, n2 * d, n3 * d), 4 * (n0 * n0 + n1 * n1))
+        p, s = _lightlike_inverse(n)
+        return _from_ratio(tuple(x * d for x in p), s)
     if scalar_is_zero(form, 100 * eps):
         warnings.warn(
             f"quadratic form {form!r} is within 100*eps of zero; "
@@ -63,8 +64,7 @@ def projectors(a: SplitQuaternion, eps: float = DEFAULT_EPS):
         raise ZeroInputError("projectors of 0 are not defined")
     if not scalar_is_zero(_form(n), eps):
         raise NotLightlikeError("projectors are only interesting for zero divisors; both equal 1 here")
-    n0, n1, n2, n3 = n
-    p, s = _over((n0, -n1, n2, n3), 4 * (n0 * n0 + n1 * n1))
+    p, s = _lightlike_inverse(n)
     return _from_ratio(_quat_product(n + p), s), _from_ratio(_quat_product(p + n), s)
 
 
@@ -82,26 +82,16 @@ def check_penrose_coherence(
         b = a
     p = mp_inverse(a, eps)
     pb = mp_inverse(b, eps)
-    la, lp = left_matrix(a), left_matrix(p)
-    ra, rp = right_matrix(a), right_matrix(p)
-
-    def close(x: Mat4, y: Mat4) -> bool:
-        return x.isclose(y, eps)
-
-    lalp, lpla = la @ lp, lp @ la
-    rarp, rpra = ra @ rp, rp @ ra
+    pairs = {"L": (left_matrix(a), left_matrix(p)), "R": (right_matrix(a), right_matrix(p))}
+    checks, inverses = {}, {}
+    for x, (m, mp) in pairs.items():
+        mmp, mpm = m @ mp, mp @ m
+        checks[f"{x}(a){x}(a+){x}(a) = {x}(a)"] = (mmp @ m).isclose(m, eps)
+        checks[f"{x}(a+){x}(a){x}(a+) = {x}(a+)"] = (mpm @ mp).isclose(mp, eps)
+        checks[f"{x}(a){x}(a+) symmetric"] = mmp.is_symmetric(eps)
+        checks[f"{x}(a+){x}(a) symmetric"] = mpm.is_symmetric(eps)
+        inverses[f"pinv({x}(a)) = {x}(a+)"] = mat_mp_inverse(m, eps).isclose(mp, eps)
+    la, lp = pairs["L"]
     lr = la @ right_matrix(b)
-    checks = {
-        "L(a)L(a+)L(a) = L(a)": close(lalp @ la, la),
-        "L(a+)L(a)L(a+) = L(a+)": close(lpla @ lp, lp),
-        "L(a)L(a+) symmetric": lalp.is_symmetric(eps),
-        "L(a+)L(a) symmetric": lpla.is_symmetric(eps),
-        "R(a)R(a+)R(a) = R(a)": close(rarp @ ra, ra),
-        "R(a+)R(a)R(a+) = R(a+)": close(rpra @ rp, rp),
-        "R(a)R(a+) symmetric": rarp.is_symmetric(eps),
-        "R(a+)R(a) symmetric": rpra.is_symmetric(eps),
-        "pinv(L(a)) = L(a+)": close(mat_mp_inverse(la, eps), lp),
-        "pinv(R(a)) = R(a+)": close(mat_mp_inverse(ra, eps), rp),
-        "pinv(L(a)R(b)) = L(a+)R(b+)": close(mat_mp_inverse(lr, eps), lp @ right_matrix(pb)),
-    }
-    return checks
+    inverses["pinv(L(a)R(b)) = L(a+)R(b+)"] = mat_mp_inverse(lr, eps).isclose(lp @ right_matrix(pb), eps)
+    return {**checks, **inverses}

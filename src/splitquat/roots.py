@@ -72,10 +72,10 @@ from .scalars import DEFAULT_EPS, _digit_limit, _printable, _ratio, _too_long, s
 _TWO_PI = 2.0 * math.pi
 
 
-def power(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> SplitQuaternion:
+def power(q: SplitQuaternion, n: int) -> SplitQuaternion:
     """q**n for n >= 1, by square-and-multiply on the pair (alpha, beta) of q**n = alpha + beta*q.
 
-    No branch tests a tolerance, so eps is not read.  An exact result
+    No branch tests a tolerance, so there is no eps.  An exact result
     too long to print raises SplitQuaternionError (see the module
     docstring); a float one that overflows raises NonFiniteError.
     """

@@ -82,7 +82,7 @@ def solve_xa_bx(
     _require_nonreal(b, eps, "b")
     n, e = _ratio(a.coeffs, b.coeffs)
     na, nb = n[:4], n[4:]
-    one, zero, unit = _UNITS[e.__class__]
+    zero, one, _, unit = _UNITS[e.__class__]
     # im(a) and im(b) over e; the form of an imaginary part is -im_squared
     ia, ib = (0 * na[0],) + na[1:], (0 * nb[0],) + nb[1:]
     same_re = scalars_close(na[0], nb[0], eps)

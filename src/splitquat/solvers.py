@@ -8,11 +8,12 @@ is the affine family
     x(y) = a+*d*b+  +  y - (a+*a)*y*(b*b+)        over all y.
 
 Each solver takes one _ratio of its operands, numerators n over e, and
-a+ is e*prime(n)/(4*(n0^2 + n1^2)).  The tests, the chain and every
-result are computed on numerators, each result built once, and the
-family gets the matrix of its terms from those numerators.  Floats are
-their own numerators over 1.0, multiplied in the order of the float
-products they replaced, so they keep their bits.
+a+ is e*prime(n)/(4*(n0^2 + n1^2)) by core._lightlike_inverse, the one
+body of a+.  The tests, the chain and every result are computed on
+numerators, each result built once, and the family gets the matrix of
+its terms from those numerators.  Floats are their own numerators over
+1.0, multiplied in the order of the float products they replaced, so
+they keep their bits.  solve_ax0 is the case d = 0 of solve_axd.
 
 Invertible coefficients are rejected on purpose: those equations are
 solved by plain division and mixing the two regimes in one return type
@@ -23,15 +24,19 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .core import ONE, Frozen, SplitQuaternion, ZERO, _form, _from_ratio, _mul
+from .core import I, J, K, ONE, Frozen, SplitQuaternion, ZERO, _form, _from_ratio, _lightlike_inverse, _mul
 from .errors import NotLightlikeError, ZeroCoefficientError
 from .matrices import _dot, _family_sum, _mat, family_matrix, image_basis
-from .scalars import DEFAULT_EPS, _all_zero, _common, _over, _ratio, scalar_is_zero
+from .scalars import DEFAULT_EPS, _all_zero, _common, _ratio, scalar_is_zero
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
-#: 1, 0 and the numerators of 1 on each backend, by the class of a denominator
-_UNITS = {int: (ONE, ZERO, (1, 0, 0, 0)), float: (ONE.to_float(), ZERO.to_float(), (1.0, 0.0, 0.0, 0.0))}
+#: 0, 1, the units (1, i, j, k) and the numerators of 1 on each backend, by the class of a denominator
+_UNITS = {
+    int: (ZERO, ONE, (ONE, I, J, K), (1, 0, 0, 0)),
+    float: (ZERO.to_float(), ONE.to_float(), (ONE.to_float(), I.to_float(), J.to_float(), K.to_float()),
+            (1.0, 0.0, 0.0, 0.0)),
+}
 
 
 class Verdict(Frozen):
@@ -104,10 +109,10 @@ def _fill(family: SolutionFamily, constant, terms, eps: float, matrix, basis) ->
         object.__setattr__(family, name, value)
 
 
-def _family(constant, terms, eps: float, matrix=None, basis=None) -> SolutionFamily:
-    """SolutionFamily(constant, terms) solved at eps; a linear matrix or basis given is kept."""
+def _family(constant, terms, eps: float, matrix, basis=None) -> SolutionFamily:
+    """SolutionFamily(constant, terms) solved at eps, keeping the matrix of its terms and any basis given."""
     family = object.__new__(SolutionFamily)
-    _fill(family, constant, terms, eps, family_matrix(terms) if matrix is None else matrix, basis)
+    _fill(family, constant, terms, eps, matrix, basis)
     return family
 
 
@@ -140,13 +145,12 @@ class SolveOutcome(Frozen):
 
 
 def _pinv(name: str, n: tuple, eps: float) -> tuple:
-    """n+ = prime(n)/(4*(n0^2 + n1^2)), as _over gives it, for nonzero lightlike numerators n at eps."""
+    """_lightlike_inverse(n) for numerators n of a coefficient that is nonzero and lightlike at eps."""
     if _all_zero(n, eps):
         raise ZeroCoefficientError(f"coefficient {name} must be nonzero")
     if not scalar_is_zero(_form(n), eps):
         raise NotLightlikeError(f"coefficient {name} is invertible; solve by direct division instead")
-    n0, n1, n2, n3 = n
-    return _over((n0, -n1, n2, n3), 4 * (n0 * n0 + n1 * n1))
+    return _lightlike_inverse(n)
 
 
 def solve_axb(
@@ -160,7 +164,7 @@ def solve_axb(
     residual = tuple(x - y * s for x, y in zip(_mul(na, pa, nd, pb, nb), nd))  # over e*s
     if not _all_zero(residual, eps):
         return SolveOutcome.unsolvable(_from_ratio(residual, e * s))
-    one, _, unit = _UNITS[e.__class__]
+    _, one, _, unit = _UNITS[e.__class__]
     left = tuple(-x for x in _mul(pa, na))  # -a+*a over sa
     right = _mul(nb, pb)  # b*b+ over sb
     matrix = _mat(_family_sum(tuple(x * y for y in (sa, sb) for x in unit) + left + right), s)
@@ -170,12 +174,13 @@ def solve_axb(
 
 
 def solve_ax0(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolutionFamily:
-    """Right kernel of a nonzero lightlike a: x(y) = (1 - a+*a)*y, dimension 2."""
-    n, e = _ratio(a.coeffs)
-    pa, sa = _pinv("a", n, eps)
-    one, zero, unit = _UNITS[e.__class__]
-    left = tuple(u * sa - x for u, x in zip(unit, _mul(pa, n)))  # 1 - a+*a over sa
-    return _family(zero, ((_from_ratio(left, sa), one),), eps, _mat(_family_sum(left + unit), sa))
+    """Right kernel of a nonzero lightlike a: x(y) = (1 - a+*a)*y, dimension 2.
+
+    solve_axd(a, 0).family, with the backend's 0 for a constant where a+*0 can carry -0.0.
+    """
+    zero = _UNITS[int if a.is_exact else float][0]
+    family = _solve_one_sided(a, zero, eps, lambda x: x).family
+    return _family(zero, family.terms, eps, family.linear_matrix)
 
 
 def solve_axd(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolveOutcome:
@@ -197,7 +202,7 @@ def _solve_one_sided(a, d, eps: float, order) -> SolveOutcome:
     residual = tuple(x - y * sa for x, y in zip(_mul(*order((na, pa, nd))), nd))  # over e*sa
     if not _all_zero(residual, eps):
         return SolveOutcome.unsolvable(_from_ratio(residual, e * sa))
-    one, _, unit = _UNITS[e.__class__]
+    _, one, _, unit = _UNITS[e.__class__]
     k = tuple(u * sa - x for u, x in zip(unit, _mul(*order((pa, na)))))  # 1 - a+*a over sa
     constant = _from_ratio(_mul(*order((pa, nd))), sa)  # a+*d
     matrix = _mat(_family_sum(sum(order((k, unit)), ())), sa)

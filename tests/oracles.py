@@ -483,6 +483,12 @@ class M2:
         a, b, c, d = self.entries
         return SplitQuaternion((a + d) / 2, (c - b) / 2, (a - d) / 2, (b + c) / 2)
 
+    def __add__(self, other: "M2") -> "M2":
+        return M2(*(x + y for x, y in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "M2") -> "M2":
+        return M2(*(x - y for x, y in zip(self.entries, other.entries)))
+
     def __matmul__(self, other: "M2") -> "M2":
         a, b, c, d = self.entries
         e, f, g, h = other.entries

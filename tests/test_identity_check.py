@@ -43,6 +43,11 @@ def test_dump_and_hash_of_a_small_slice():
     # cli-eps runs the same float lines with --eps 1e-3 added
     argvs = [line.split(" ", 3)[3].split(" -> ")[0] for line in dump[3:9]]
     assert [argv[:-1] + " --eps 1e-3'" for argv in argvs[:3]] == argvs[3:]
+    # a family_* item also prints its whole family: constant, terms and linear matrix, by scalar repr
+    families = [line.split(" ", 3)[3] for line in dump[9:12]]
+    assert all(line.startswith("family_") for line in families)
+    wholes = [line.split(" -> ", 1)[1].split(" family ", 1)[1] for line in families]
+    assert all(w.startswith("SolutionFamily(SplitQuaternion(Fraction(") and ", Mat4((" in w for w in wholes)
     # the hash of a mode is the SHA-256 of its dumped lines
     [summary] = _run("--modes", "cli-json")
     body = "\n".join(line.split(" ", 3)[3] for line in dump[:3])

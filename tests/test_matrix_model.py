@@ -2,17 +2,29 @@
 
 phi(q) = [[q0+q2, q3-q1], [q1+q3, q0-q2]] is an isomorphism from the
 split quaternions onto the 2x2 real matrices; under it the paper's
-generalized inverse must be Penrose's.  Exact draws only, lightlike
-ones included.
+generalized inverse must be Penrose's, and the solvers must follow
+Penrose's rule for AXB = C.  Exact draws only, lightlike ones included.
 """
 
 import random
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitquat import ZERO, is_similar, mp_inverse, power
+from splitquat import (
+    ONE,
+    ZERO,
+    SolveOutcome,
+    is_similar,
+    mp_inverse,
+    power,
+    solve_ax0,
+    solve_axb,
+    solve_axd,
+    solve_xad,
+)
 
-from conftest import lightlike_quats, rand_lightlike, rand_nonreal, rand_quat, rand_similar_pair
+from conftest import lightlike_quats, quats, rand_lightlike, rand_nonreal, rand_quat, rand_similar_pair
 from oracles import M2
 
 
@@ -111,3 +123,57 @@ class TestSimilarityCrossCheck:
                 w = M2.phi(verdict.witness)
                 assert w.det() != 0 and w @ pa == pb @ w
         assert len(seen) == 4
+
+
+_I2, _Z2 = M2.phi(ONE), M2.phi(ZERO)
+
+
+def _penrose_rule(outcome, a: M2, b: M2, c: M2, ys) -> bool:
+    """Check a solver's outcome of AXB = C against Penrose (1955); returns whether it was solvable.
+
+    AXB = C is solvable exactly when A A+ C B+ B = C, and then its
+    solutions are A+ C B+ + Y - A+ A Y B B+ over all Y.  An unsolvable
+    outcome's certificate is A A+ C B+ B - C.
+    """
+    ap, bp = a.mp_inverse(), b.mp_inverse()
+    projected = a @ ap @ c @ bp @ b
+    assert outcome.solvable == (projected == c)
+    if not outcome.solvable:
+        assert M2.phi(outcome.certificate) == projected - c
+        return False
+    for y in ys:
+        m = M2.phi(y)
+        assert M2.phi(outcome.family.at(y)) == ap @ c @ bp + m - ap @ a @ m @ b @ bp, y
+    return True
+
+
+def _equations(a, b, d):
+    """Each one-coefficient solver on (a, d), solve_axb on (a, b, d) and solve_ax0 on a, with its A, B and C."""
+    pa, pb, pd = M2.phi(a), M2.phi(b), M2.phi(d)
+    yield solve_axb(a, b, d), pa, pb, pd
+    yield solve_axd(a, d), pa, _I2, pd
+    yield solve_xad(a, d), _I2, pa, pd
+    yield SolveOutcome.solved(solve_ax0(a)), pa, _I2, _Z2
+
+
+class TestPenroseEquationRule:
+    """The solvers against Penrose's AXB = C rule, with A = phi(a), B = phi(b) and C = phi(d)."""
+
+    def test_seeded(self):
+        rng = random.Random(808)
+        verdicts = []
+        for idx in range(60):
+            a, b = rand_lightlike(rng), rand_lightlike(rng)
+            x = rand_quat(rng)
+            d = (a * x * b, a * x, x * a, rand_quat(rng), ZERO)[idx % 5]
+            ys = [ZERO, rand_quat(rng), rand_lightlike(rng)]
+            for outcome, pa, pb, pd in _equations(a, b, d):
+                verdicts.append(_penrose_rule(outcome, pa, pb, pd, ys))
+        assert set(verdicts) == {True, False}
+
+    @given(lightlike_quats(), lightlike_quats(), quats, quats, st.sampled_from(("axb", "ax", "xa", "free")))
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, a, b, x, y, kind):
+        d = {"axb": a * x * b, "ax": a * x, "xa": x * a, "free": x}[kind]
+        for outcome, pa, pb, pd in _equations(a, b, d):
+            _penrose_rule(outcome, pa, pb, pd, [y])

@@ -110,6 +110,21 @@ class TestProjectors:
 
 
 class TestMatrixCoherence:
+    def test_report_names_each_identity_in_order(self):
+        assert list(check_penrose_coherence(parse_quat("1+j"))) == [
+            "L(a)L(a+)L(a) = L(a)",
+            "L(a+)L(a)L(a+) = L(a+)",
+            "L(a)L(a+) symmetric",
+            "L(a+)L(a) symmetric",
+            "R(a)R(a+)R(a) = R(a)",
+            "R(a+)R(a)R(a+) = R(a+)",
+            "R(a)R(a+) symmetric",
+            "R(a+)R(a) symmetric",
+            "pinv(L(a)) = L(a+)",
+            "pinv(R(a)) = R(a+)",
+            "pinv(L(a)R(b)) = L(a+)R(b+)",
+        ]
+
     @pytest.mark.parametrize("text", ["1+j", "2", "1+3i+2j+k", "i+j", "1+2i+3j+4k"])
     def test_reports_all_pass(self, text):
         report = check_penrose_coherence(parse_quat(text))

@@ -1,4 +1,5 @@
 import decimal
+import inspect
 import math
 import random
 import warnings
@@ -69,6 +70,10 @@ class TestPower:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             power(ONE, 0)
+
+    def test_takes_no_tolerance(self):
+        # no branch of power tests a tolerance, so it has no eps to pass
+        assert list(inspect.signature(power).parameters) == ["q", "n"]
 
     @pytest.mark.parametrize("text", ["1+j", "1.5+j"])
     def test_float_overflow_is_a_typed_error(self, text):

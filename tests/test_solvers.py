@@ -24,7 +24,7 @@ from splitquat import (
     solve_xad,
 )
 
-from conftest import lightlike_quats, rand_lightlike, rand_quat
+from conftest import lightlike_quats, quats, rand_lightlike, rand_quat
 
 PROBES = (ZERO, ONE, I, J, K, ONE + I + J + K)
 
@@ -152,6 +152,40 @@ class TestAx0:
         c2 = SplitQuaternion(a.q2, a.q3, 0, 0)
         expected_left = (ONE - c2 * c1.inverse() * J) / 2
         assert family.terms[0][0] == ONE - pa * a == expected_left
+
+    @staticmethod
+    def _assert_axd_at_zero(a, y):
+        zero = ZERO if a.is_exact else ZERO.to_float()
+        kernel, family = solve_ax0(a), solve_axd(a, zero).family
+        parts = (
+            lambda f: [(left.coeffs, right.coeffs) for left, right in f.terms],
+            lambda f: f.linear_matrix.rows,
+            lambda f: [q.coeffs for q in f.basis()],
+            lambda f: f.at(y).coeffs,
+        )
+        for part in parts:
+            assert repr(part(kernel)) == repr(part(family)), (a, y)
+        # the constant is the backend's 0 itself, where a+*0 may round to -0.0 on floats
+        assert repr(kernel.constant.coeffs) == repr(zero.coeffs) and family.constant == zero, a
+
+    def test_is_axd_at_zero(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            a, y = rand_lightlike(rng), rand_quat(rng)
+            self._assert_axd_at_zero(a, y)
+            self._assert_axd_at_zero(a.to_float(), y.to_float())
+
+    @given(lightlike_quats(), quats)
+    @settings(max_examples=50)
+    def test_is_axd_at_zero_property(self, a, y):
+        self._assert_axd_at_zero(a, y)
+        self._assert_axd_at_zero(a.to_float(), y.to_float())
+
+    def test_float_constant_is_a_positive_zero(self):
+        # a+*0 is (-0.0, 0.0, -0.0, 0.0) here: every product in its first and third coefficients is -0.0
+        a = SplitQuaternion(-1.0, -1.0, -1.0, -1.0)
+        assert repr(solve_ax0(a).constant.coeffs) == repr((0.0,) * 4)
+        assert solve_axd(a, ZERO.to_float()).family.constant == ZERO
 
 
 class TestOneSided:
