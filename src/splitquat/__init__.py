@@ -25,7 +25,7 @@ _MODULES = {
         "ZeroCoefficientError ZeroInputError"
     ),
     "matrices": (
-        "F_MATRIX Mat4 left_matrix linear_system_consistent mat_mp_inverse nullspace_basis "
+        "Mat4 left_matrix linear_system_consistent mat_mp_inverse nullspace_basis "
         "right_matrix s_matrix t_matrix"
     ),
     "parsing": "parse_quat",

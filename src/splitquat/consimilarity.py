@@ -26,7 +26,7 @@ from __future__ import annotations
 from .core import SplitQuaternion, _form, _from_ratio
 from .errors import RealInputError
 from .matrices import Mat4, _kernel, _mat, s_matrix
-from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero, scalars_close
+from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
 from .solvers import _UNITS, SolutionFamily, Verdict, _family
 
 
@@ -92,7 +92,7 @@ def is_consimilar(
     na, nb = n[:4], n[4:]
     w = (na[0] + nb[0], nb[1] - na[1], nb[2] - na[2], nb[3] - na[3])  # conj(a) + b over d
     if not _all_zero(w, eps):
-        if scalars_close(_form(na), _form(nb), eps) and not scalar_is_zero(_form(w), eps):
+        if scalar_is_zero(_form(na) - _form(nb), eps) and not scalar_is_zero(_form(w), eps):
             return Verdict(True, _from_ratio(w, d))
         return Verdict(False, None)
     # the candidates on a's own numerators, so that an exact a keeps an exact witness

@@ -50,7 +50,6 @@ from .scalars import (
     as_scalar,
     format_scalar,
     scalar_is_zero,
-    scalars_close,
 )
 
 _UNITS = ("", "i", "j", "k")
@@ -179,7 +178,7 @@ class SplitQuaternion(Frozen):
             n, d = _ratio((self.q0, self.q1, self.q2, self.q3, other.q0, other.q1, other.q2, other.q3))
             return _from_ratio(_quat_product(n), d * d)
         try:
-            s = self._scalar(other)
+            s = as_scalar(other)
         except TypeError:
             return NotImplemented
         return _new(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
@@ -187,27 +186,17 @@ class SplitQuaternion(Frozen):
     def __rmul__(self, other):
         # scalars are central, so left and right scaling agree
         try:
-            s = self._scalar(other)
+            s = as_scalar(other)
         except TypeError:
             return NotImplemented
         return self * s
 
     def __truediv__(self, other):
         try:
-            s = self._scalar(other)
+            s = as_scalar(other)
         except TypeError:
             return NotImplemented
         return _new(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
-
-    def _scalar(self, x) -> Scalar:
-        """x as a scalar factor: an int stays float arithmetic on a float value.
-
-        A float times a Fraction n/1 already computes with float(n), so
-        this changes no bit, only skips building the Fraction.
-        """
-        if type(x) is int and isinstance(self.q0, float):
-            return float(x)
-        return as_scalar(x)
 
     # ------------------------------------------------------------------
     # involutions and parts
@@ -285,7 +274,7 @@ class SplitQuaternion(Frozen):
 
     def isclose(self, other: "SplitQuaternion", eps: float = DEFAULT_EPS) -> bool:
         """Coefficientwise equality; exact coefficients compare exactly."""
-        return all(scalars_close(a, b, eps) for a, b in zip(self.coeffs, other.coeffs))
+        return all(scalar_is_zero(a - b, eps) for a, b in zip(self.coeffs, other.coeffs))
 
     # ------------------------------------------------------------------
     # inversion and conversions
@@ -359,9 +348,17 @@ def _inverse(n: tuple, d, form) -> SplitQuaternion:
 
 
 def _lightlike_inverse(n: tuple) -> tuple:
-    """prime(n)/(4*(n0^2 + n1^2)), as _over gives it; d times it is a+ for nonzero lightlike a = n/d."""
+    """prime(n)/(4*(n0^2 + n1^2)), as _over gives it; d times it is a+ for nonzero lightlike a = n/d.
+
+    A nonzero exact zero divisor has n0^2 + n1^2 = n2^2 + n3^2 > 0; a
+    float one, lightlike only within eps, can have it 0 or underflowing
+    to 0, and raises NonFiniteError.
+    """
     n0, n1, n2, n3 = n
-    return _over((n0, -n1, n2, n3), 4 * (n0 * n0 + n1 * n1))
+    s = 4 * (n0 * n0 + n1 * n1)
+    if not s:
+        raise NonFiniteError("a+ is not finite on the float backend: 4*(q0^2 + q1^2) is 0")
+    return _over((n0, -n1, n2, n3), s)
 
 
 def _quat_product(n: tuple) -> tuple:
@@ -419,7 +416,7 @@ def _coerce(x):
     if isinstance(x, SplitQuaternion):
         return x
     try:
-        return SplitQuaternion.from_scalar(as_scalar(x))
+        return SplitQuaternion(x, 0, 0, 0)
     except TypeError:
         return None
 

@@ -11,7 +11,7 @@ numerators over a positive ``int`` reduced by their ``gcd`` on the
 exact backend, floats over ``1.0`` on the float one (see
 :func:`~.scalars._ratio`).  Sums, products, ``apply`` and the
 representations have one body on the numerators, and ``rows`` builds
-the entries on first read.  An exact matrix meeting a float one is
+the entries on each read.  An exact matrix meeting a float one is
 rounded to floats once (:func:`~.scalars._common`).  The sign patterns of
 L(q) and R(q) are written once (``_left``, ``_right``); ``t_matrix``
 and ``s_matrix`` are built from them in one step on the numerators of
@@ -56,8 +56,7 @@ class Mat4:
 
     # _e: the sixteen numerators, row-major: ints, or floats
     # _d: their denominator: a positive int, or 1.0 on the float backend
-    # _rows: the entries as Fractions or floats, built on first read
-    __slots__ = ("_e", "_d", "_rows")
+    __slots__ = ("_e", "_d")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -70,7 +69,6 @@ class Mat4:
                 raise NonFiniteError("matrix entry is not finite on the float backend")
         else:
             self._e, self._d = _ratio(flat)
-        self._rows = None
 
     @classmethod
     def identity(cls) -> "Mat4":
@@ -86,11 +84,9 @@ class Mat4:
 
     @property
     def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
-        if self._rows is None:
-            d = self._d
-            flat = [_quotient(x, d) for x in self._e]
-            self._rows = tuple(tuple(flat[i : i + 4]) for i in (0, 4, 8, 12))
-        return self._rows
+        d = self._d
+        flat = [_quotient(x, d) for x in self._e]
+        return tuple(tuple(flat[i : i + 4]) for i in (0, 4, 8, 12))
 
     @property
     def is_exact(self) -> bool:
@@ -163,10 +159,11 @@ class Mat4:
         return _quotient(det if len(pivots) == 4 else 0, self._d**4)
 
     def __str__(self) -> str:
-        widths = [max(len(format_scalar(self.rows[r][c])) for r in range(4)) for c in range(4)]
+        rows = self.rows
+        widths = [max(len(format_scalar(rows[r][c])) for r in range(4)) for c in range(4)]
         return "\n".join(
             "[ " + "  ".join(format_scalar(x).rjust(w) for x, w in zip(row, widths)) + " ]"
-            for row in self.rows
+            for row in rows
         )
 
 
@@ -177,7 +174,7 @@ def _mat(e: Tuple, d: Union[int, float]) -> Mat4:
         if g != 1:
             e, d = tuple(x // g for x in e), d // g
     m = object.__new__(Mat4)
-    m._e, m._d, m._rows = e, d, None
+    m._e, m._d = e, d
     return m
 
 
@@ -251,10 +248,8 @@ def right_matrix(q: SplitQuaternion) -> Mat4:
     return _mat(_right(*c), d)
 
 
-#: Conjugation sign matrix: conj(x).coeffs = F_MATRIX . x.coeffs.
-F_MATRIX = Mat4.diagonal((1, -1, -1, -1))
-
-#: Column signs of -F_MATRIX, entry by entry: -L(b) F_MATRIX is L(b) times these.
+#: Column signs of -F, entry by entry, for F = diag(1, -1, -1, -1), the matrix of conj:
+#: -L(b) F is L(b) times these.
 _MINUS_F = (-1, 1, 1, 1) * 4
 
 
@@ -291,10 +286,10 @@ def t_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
 
 
 def s_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
-    """Matrix whose kernel is the solution space of x*a = b*conj(x): R(a) - L(b) F_MATRIX.
+    """Matrix whose kernel is the solution space of x*a = b*conj(x): R(a) - L(b) F.
 
-    That is R(a) - L(b) with columns 1-3 of L(b) negated, built once
-    on the numerators of both.
+    F = diag(1, -1, -1, -1) is the matrix of conj, so that is R(a) - L(b)
+    with columns 1-3 of L(b) negated, built once on the numerators of both.
     """
     n, d = _ratio(a.coeffs, b.coeffs)
     return _mat(tuple(map(add, _right(*n[:4]), map(mul, _left(*n[4:]), _MINUS_F))), d)

@@ -67,7 +67,7 @@ from typing import List
 
 from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio
 from .errors import ExactnessWarning, NonFiniteError, NotLightlikeError, ZeroInputError
-from .scalars import DEFAULT_EPS, _digit_limit, _printable, _ratio, _too_long, scalar_is_zero, scalars_close
+from .scalars import DEFAULT_EPS, _digit_limit, _printable, _ratio, _too_long, scalar_is_zero
 
 _TWO_PI = 2.0 * math.pi
 
@@ -144,7 +144,7 @@ def is_idempotent(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> bool:
     """q*q = q: exactly 0, 1, and the zero divisors with real part 1/2."""
     if q.is_zero(eps) or q.isclose(ONE, eps):
         return True
-    return scalars_close(2 * q.q0, 1, eps) and q.is_lightlike(eps)
+    return scalar_is_zero(2 * q.q0 - 1, eps) and q.is_lightlike(eps)
 
 
 class LightlikePolar(Frozen):
@@ -205,7 +205,7 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
         )
         q = q.to_float()
     q0 = q.q0
-    if abs(q0) <= eps * math.hypot(q0, q.q1) or (q0 < 0 and n % 2 == 0):
+    if scalar_is_zero(q0, eps * math.hypot(q0, q.q1)) or (q0 < 0 and n % 2 == 0):
         return []
     try:
         root = abs(2.0 * q0) ** ((1 - n) / n) * q

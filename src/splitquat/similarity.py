@@ -45,7 +45,7 @@ import warnings
 from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul
 from .errors import ExactnessWarning, NotInvertibleError, RealInputError
 from .matrices import Mat4, _dot, _family_sum, _mat, t_matrix
-from .scalars import DEFAULT_EPS, _all_zero, _over, _ratio, scalar_is_zero, scalars_close
+from .scalars import DEFAULT_EPS, _over, _ratio, scalar_is_zero
 from .solvers import _UNITS, SolutionFamily, Verdict, _family
 
 
@@ -85,8 +85,8 @@ def solve_xa_bx(
     zero, one, _, unit = _UNITS[e.__class__]
     # im(a) and im(b) over e; the form of an imaginary part is -im_squared
     ia, ib = (0 * na[0],) + na[1:], (0 * nb[0],) + nb[1:]
-    same_re = scalars_close(na[0], nb[0], eps)
-    if same_re and scalars_close(_form(ia), _form(ib), eps):
+    same_re = scalar_is_zero(na[0] - nb[0], eps)
+    if same_re and scalar_is_zero(_form(ia) - _form(ib), eps):
         # with equal real parts x*a = b*x is x*im(a) = im(b)*x: A, B keep a large shared real
         # part from cancelling.  With 1/d = e^2/t the terms (1, 1), (-1/d, A*A'), (B/d, A'),
         # (B'/d, A), (-B'*B/d, 1) have their left sides over t and their right ones over e^2
@@ -159,7 +159,7 @@ def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS)
     if a_real or b_real:
         return Verdict(False, None)
     n, _ = _ratio(a.coeffs, b.coeffs)
-    if not (scalars_close(n[0], n[4], eps) and scalars_close(_im_squared(n[1:4]), _im_squared(n[5:]), eps)):
+    if not (scalar_is_zero(n[0] - n[4], eps) and scalar_is_zero(_im_squared(n[1:4]) - _im_squared(n[5:]), eps)):
         return Verdict(False, None)
     return Verdict(True, _cyclic_witness(a, b))
 
@@ -173,9 +173,8 @@ def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalFor
     When k is not a perfect rational square the computation escalates to
     floats and the result is flagged inexact.
     """
+    _require_nonreal(a, eps, "a")
     n, d = _ratio(a.coeffs)
-    if _all_zero(n[1:], eps):
-        raise RealInputError("a must have a nonzero imaginary part")
     k, z = _im_squared(n[1:]), 0 * d  # k over d^2, a square: its root is the root of k over d
     exact = d.__class__ is int
     if scalar_is_zero(k, eps):

@@ -34,12 +34,11 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from splitquat import SplitQuaternion, mp_inverse
+from splitquat import Mat4, SplitQuaternion, mp_inverse
 from splitquat.scalars import (
     DEFAULT_EPS,
     Scalar,
     scalar_is_zero,
-    scalars_close,
 )
 
 Complexish = Tuple[Scalar, Scalar]  # (real, imaginary) parts
@@ -136,7 +135,7 @@ def s_det(a: SplitQuaternion, b: SplitQuaternion) -> Scalar:
 
 def s_rank_case(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> SRankCase:
     w = a.conjugate() + b
-    forms_equal = scalars_close(a.quadratic_form, b.quadratic_form, eps)
+    forms_equal = scalar_is_zero(a.quadratic_form - b.quadratic_form, eps)
     w_lightlike = scalar_is_zero(w.quadratic_form, eps)
     if forms_equal:
         if w.is_zero(eps):
@@ -270,7 +269,7 @@ def consimilar_verdict(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFA
             SplitQuaternion(a.q1, a.q0, 0, 0),
         )
         return True, max(candidates, key=lambda x: abs(coeff_forms(x)[0]))
-    forms_equal = scalars_close(coeff_forms(a)[0], coeff_forms(b)[0], eps)
+    forms_equal = scalar_is_zero(coeff_forms(a)[0] - coeff_forms(b)[0], eps)
     if forms_equal and not scalar_is_zero(coeff_forms(w)[0], eps):
         return True, w
     return False, None
@@ -424,6 +423,9 @@ def fraction_consistent(rows, rhs) -> bool:
 # ----------------------------------------------------------------------
 
 _UNITS = tuple(SplitQuaternion(*(int(i == t) for i in range(4))) for t in range(4))
+
+#: Conjugation sign matrix: conj(x).coeffs = F_MATRIX . x.coeffs.
+F_MATRIX = Mat4.diagonal((1, -1, -1, -1))
 
 
 def left_rows(q: SplitQuaternion) -> Rows:

@@ -274,12 +274,19 @@ class TestGlobalFlags:
             ("power", "1+j", "-n", "5000", "--backend", "approx", "--json"),
             # lightlike within eps, with q0 so small that the root's scale overflows
             ("roots", "5e-324+0.00003j", "-n", "500", "--json"),
+            # lightlike within eps, with q0^2 + q1^2 zero or underflowing: a+ divides by 0
+            ("pinv", "1e-5j"),
+            ("pinv", "1e-170+1e-5j", "--json"),
+            ("solve-ax0", "1e-5j"),
+            ("solve-axd", "1e-5j", "1"),
+            ("solve-axb", "1e-5j", "1+j", "1", "--json"),
         ],
     )
     def test_overflowing_float_value_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not finite" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("fmt", [(), ("--json",)])
     @pytest.mark.parametrize("q, n", [("2e2000", "3"), ("3+i", "30000000")])

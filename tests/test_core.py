@@ -205,7 +205,15 @@ class TestValueSemantics:
         assert q / 2 == SplitQuaternion(Fraction(1, 2), 0, Fraction(1, 2), 0)
         assert 1 + q == q + 1 == parse_quat("2+j")
         assert 1 - q == -(q - 1)
-        for operation in (lambda: q + "x", lambda: "x" - q, lambda: q * "x", lambda: q / "x"):
+        operations = (
+            lambda: q + "x",
+            lambda: q - "x",
+            lambda: "x" - q,
+            lambda: q * "x",
+            lambda: "x" * q,
+            lambda: q / "x",
+        )
+        for operation in operations:
             with pytest.raises(TypeError):
                 operation()
 

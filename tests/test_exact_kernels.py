@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from splitquat import (
     ExactnessWarning,
-    F_MATRIX,
     Mat4,
     SolutionFamily,
     SplitQuaternion,
@@ -72,6 +71,7 @@ from conftest import (
     rationals,
 )
 from oracles import (
+    F_MATRIX,
     M2,
     SRankCase,
     _matmul,

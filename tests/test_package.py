@@ -1,5 +1,6 @@
 """The lazy package: one table of public names, resolved on access; what each CLI run loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -99,3 +100,23 @@ def test_consimilarity_loads_no_similarity(argv):
     loaded = _modules_after(argv)
     assert "splitquat.consimilarity" in loaded
     assert "splitquat.similarity" not in loaded
+
+
+def test_tolerance_comparisons_stay_in_scalars():
+    # every comparison of a value against eps goes through the zero tests of
+    # splitquat.scalars; only the CLI's check of the --eps input itself is exempt
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for path in sorted((SRC / "splitquat").glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        source = path.read_text()
+        for function in ast.walk(ast.parse(source)):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops):
+                    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    if "eps" in names:
+                        found.append((path.stem, function.name, ast.get_source_segment(source, node)))
+    assert found == [("cli", "tolerance", "eps >= 0")]

@@ -9,6 +9,7 @@ from splitquat import (
     IllConditionedWarning,
     J,
     K,
+    NonFiniteError,
     NotLightlikeError,
     ONE,
     SplitQuaternion,
@@ -20,6 +21,10 @@ from splitquat import (
     mp_inverse,
     parse_quat,
     projectors,
+    solve_ax0,
+    solve_axb,
+    solve_axd,
+    solve_xad,
 )
 from splitquat.roots import is_idempotent
 
@@ -76,6 +81,24 @@ class TestBranches:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mp_inverse(q.to_exact(), eps=1e-8)  # exact backend never warns
+
+    @pytest.mark.parametrize("q0", [0.0, 1e-170])
+    def test_float_a_plus_over_a_vanishing_q0_q1_pair_raises(self, q0):
+        # q0 + 1e-5j is lightlike at eps, but 4*(q0^2 + q1^2) is 0 or underflows to 0
+        a = SplitQuaternion(q0, 0.0, 1e-5, 0.0)
+        one, lightlike = ONE.to_float(), (ONE + J).to_float()
+        calls = (
+            lambda: mp_inverse(a),
+            lambda: projectors(a),
+            lambda: solve_ax0(a),
+            lambda: solve_axd(a, one),
+            lambda: solve_xad(a, one),
+            lambda: solve_axb(a, lightlike, one),
+            lambda: solve_axb(lightlike, a, one),
+        )
+        for call in calls:
+            with pytest.raises(NonFiniteError, match="not finite"):
+                call()
 
 
 class TestProjectors:
