@@ -20,6 +20,14 @@ For each seed it runs, in process and on the checkout it lives in:
   directly and prints the whole family (its ``constant``, ``terms`` and
   ``linear_matrix``), so that a change to how a family is built shows
   even where ``dimension``, ``basis()`` and ``at`` do not move it;
+* the ``Mat4`` queries on L(a), R(a), L(a)R(b), T(a, b) and S(a, b) for
+  the first two quaternions (a twice if it is the only one) of every item
+  of the ``algebra-exact``, ``families-exact`` and ``float-mixed`` pools
+  (``matrices``): ``rank``, ``det``, ``nullspace_basis``,
+  ``image_basis``, ``mat_mp_inverse`` and ``linear_system_consistent``
+  against each unit column, on the exact backend and on floats, so that
+  queries no pool op reaches, such as ``det`` and the image bases of T
+  and S, are fingerprinted too;
 * 5000 seeded strings of up to 12 characters over the literal alphabet,
   space, ``x``, ``\u0661`` and ``\u00b2``, and the long literals of
   ``tests/test_parsing.py`` (``parse``), through ``parse_quat`` on each
@@ -62,12 +70,15 @@ import inputs  # noqa: E402  (perfbench/inputs.py)
 import ops  # noqa: E402  (perfbench/ops.py)
 import splitquat.cli  # noqa: E402
 from splitquat import (  # noqa: E402
-    Mat4, SolutionFamily, parse_quat, solve_ax0, solve_axb, solve_xa_bx, solve_xa_bxbar,
+    Mat4, SolutionFamily, left_matrix, linear_system_consistent, mat_mp_inverse, nullspace_basis, parse_quat,
+    right_matrix, s_matrix, solve_ax0, solve_axb, solve_xa_bx, solve_xa_bxbar, t_matrix,
 )
 from splitquat.core import Frozen  # noqa: E402
+from splitquat.matrices import image_basis  # noqa: E402
 
 MODES = (
-    "cli-text", "cli-json", "cli-approx", "cli-eps", "algebra-exact", "families-exact", "float-mixed", "parse",
+    "cli-text", "cli-json", "cli-approx", "cli-eps", "algebra-exact", "families-exact", "float-mixed", "matrices",
+    "parse",
 )
 
 #: The characters of the parse mode's strings: the literal alphabet, then a
@@ -84,6 +95,29 @@ FAMILIES = {
     "family_xa_bx": lambda a, b, y: solve_xa_bx(a, b),
     "family_xa_bxbar": lambda a, b, y: solve_xa_bxbar(a, b),
 }
+
+
+#: The matrices of the matrices mode, from a pair (a, b).
+MATRICES = {
+    "L": lambda a, b: left_matrix(a),
+    "R": lambda a, b: right_matrix(a),
+    "LR": lambda a, b: left_matrix(a) @ right_matrix(b),
+    "T": t_matrix,
+    "S": s_matrix,
+}
+#: The queries of the matrices mode, each on one matrix.
+QUERIES = {
+    "rank": Mat4.rank,
+    "det": Mat4.det,
+    "nullspace_basis": nullspace_basis,
+    "image_basis": image_basis,
+    "mat_mp_inverse": mat_mp_inverse,
+    **{
+        f"consistent e{t + 1}": lambda m, t=t: linear_system_consistent(m, [int(i == t) for i in range(4)])
+        for t in range(4)
+    },
+}
+MATRIX_POOLS = ("algebra-exact", "families-exact", "float-mixed")
 
 
 def _text(argv) -> list:
@@ -137,6 +171,30 @@ def _item_line(kind, case, args, approx: bool) -> str:
     return line
 
 
+def _queries(m: Mat4) -> dict:
+    """Every query of the matrices mode on m: its result, or the type and message of its error."""
+    out = {}
+    for name, run in QUERIES.items():
+        try:
+            out[name] = run(m)
+        except Exception as exc:  # a raised error is an output too
+            out[name] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def _matrix_lines(seed: int, limit) -> list:
+    """The matrices mode: one line per pool pair and matrix, with every query on both backends."""
+    out = []
+    for workload in MATRIX_POOLS:
+        for i, (_, _, args, _) in enumerate(inputs.pool(workload, seed)[:limit]):
+            quats = [x for x in args if isinstance(x, tuple)]
+            pair = (quats[0], quats[1 % len(quats)])
+            for name, build in MATRICES.items():
+                exact, approx = (_outcome(lambda a, b: _queries(build(a, b)), pair, f) for f in (False, True))
+                out.append(f"{name} {workload}:{i} {pair!r} -> exact {exact} | float {approx}")
+    return out[:limit]
+
+
 def _parse_texts(seed: int) -> list:
     """The parse mode's literals of one seed: 5000 seeded strings, then the long ones."""
     rng = random.Random(f"parse/{seed}")
@@ -156,6 +214,8 @@ def lines(seed: int, mode: str, limit=None):
     """The output lines of one seed and mode, in pool order; the first ``limit`` only if given."""
     if mode == "parse":
         return [_parse_line(text, b) for text in _parse_texts(seed) for b in PARSE_BACKENDS][:limit]
+    if mode == "matrices":
+        return _matrix_lines(seed, limit)
     if mode.startswith("cli-"):
         argvs = inputs.cli_pool(seed)
         if mode == "cli-text":
@@ -172,11 +232,18 @@ def digest(output_lines) -> str:
     return hashlib.sha256("\n".join(output_lines).encode()).hexdigest()
 
 
-def _read_dump(path: str) -> dict:
-    """{(seed, mode, index): line} of a --dump file."""
+def _read_dump(path: str, keys=None) -> dict:
+    """{(seed, mode, index): line} of a --dump file: the lines of the given keys, or every line's SHA-1.
+
+    A dump of every mode over seeds 1-20 is about a gigabyte, so a diff
+    holds digests and reads back only the lines that moved.
+    """
     with open(path) as f:
         rows = (row.rstrip("\n").split(" ", 3) for row in f)
-        return {(int(seed), mode, int(i)): line for seed, mode, i, line in rows}
+        rows = (((int(seed), mode, int(i)), line) for seed, mode, i, line in rows)
+        if keys is None:
+            return {key: hashlib.sha1(line.encode()).digest() for key, line in rows}
+        return {key: line for key, line in rows if key in keys}
 
 
 def _kind(mode: str, line: str) -> str:
@@ -191,19 +258,21 @@ def _kind(mode: str, line: str) -> str:
 def diff(old_path: str, new_path: str) -> None:
     """Print the lines of two dumps that differ, grouped by mode and kind, with counts."""
     old, new = _read_dump(old_path), _read_dump(new_path)
+    keys = old.keys() | new.keys()
+    changed = {key for key in keys if old.get(key) != new.get(key)}
+    old, new = _read_dump(old_path, changed), _read_dump(new_path, changed)
     groups = {}
-    for key in sorted(old.keys() | new.keys(), key=lambda k: (k[1], k[0], k[2])):
+    for key in sorted(changed, key=lambda k: (k[1], k[0], k[2])):
         before, after = old.get(key, "(absent)"), new.get(key, "(absent)")
-        if before != after:
-            mode = key[1]
-            kind = _kind(mode, after if before == "(absent)" else before)
-            groups.setdefault((mode, kind), []).append((key, before, after))
+        mode = key[1]
+        kind = _kind(mode, after if before == "(absent)" else before)
+        groups.setdefault((mode, kind), []).append((key, before, after))
     for (mode, kind), moved in sorted(groups.items()):
         print(f"{mode} {kind}: {len(moved)} moved")
         for (seed, _, i), before, after in moved:
             print(f"  {seed} {mode} {i}\n  - {before}\n  + {after}")
     total = sum(map(len, groups.values()))
-    print(f"moved: {total} of {len(old.keys() | new.keys())} lines")
+    print(f"moved: {total} of {len(keys)} lines")
 
 
 def _seeds(text: str):

@@ -1,13 +1,15 @@
 """Gaussian elimination on row lists of any m x n shape: one kernel per backend.
 
-:func:`eliminate` is the exact kernel.  It runs fraction-free
-Gauss-Jordan elimination on integer rows (Bareiss 1968, *Sylvester's
-identity and multistep integer-preserving Gaussian elimination*,
-Math. Comp. 22), so exact matrices are eliminated on the integer
-numerators of their entries, with no rational arithmetic.
-:func:`rref` is the float kernel: Gauss-Jordan elimination with partial
-pivoting, where an entry within the absolute tolerance ``eps`` of zero
-counts as zero.  Both return the same (pivots, pivot scale, sign) triple.
+:func:`eliminate` is the exact kernel: fraction-free elimination on
+integer rows (Bareiss 1968, *Sylvester's identity and multistep
+integer-preserving Gaussian elimination*, Math. Comp. 22).  Rank,
+determinant, column basis, consistency and the first pass of the
+pseudoinverse stop it at echelon form; the nullspace and the block
+inverse reduce the rows above each pivot too.  :func:`rref` is the
+float kernel: Gauss-Jordan elimination with partial pivoting, where an
+entry within the absolute tolerance ``eps`` of zero counts as zero; it
+always reduces, as the float pseudoinverse's bits depend on its reduced
+rows.  Both return the same (pivots, pivot scale, sign) triple.
 """
 
 from __future__ import annotations
@@ -17,35 +19,45 @@ from typing import List, Tuple
 from .scalars import scalar_is_zero
 
 
-def eliminate(rows: List[List[int]]) -> Tuple[List[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]:
+    """Fraction-free elimination of integer rows, in place.
 
     Each step takes the first row with a nonzero entry p in the next
-    column and replaces every other row by (p*row - f*pivot_row) / prev,
-    with f the row's entry in that column and prev the previous pivot.
-    By Sylvester's identity the division is exact and every entry stays
-    a minor of the input (Bareiss 1968).  The first r rows end as the
-    reduced echelon rows times the last pivot.  Returns (pivot columns,
-    last pivot, sign of the row permutation): a nonsingular square
-    matrix has determinant sign * last pivot.
+    column and replaces each row below it (and above it with ``reduce``)
+    by (p*row - f*pivot_row) / prev, f the row's entry in that column and
+    prev the previous pivot, 1 at first.  By Sylvester's identity the
+    division is exact and every entry stays a minor of the input (Bareiss
+    1968).  Rows above a pivot never reach those below, so ``reduce``
+    moves no pivot.  The first r rows end as echelon rows, reduced and
+    times the last pivot with ``reduce``; the rest end zero.  Returns
+    (pivot columns, last pivot, sign of the row permutation): a
+    nonsingular square matrix has determinant sign * last pivot.
     """
     m, n = len(rows), len(rows[0])
     pivots: List[int] = []
     prev = sign = 1
     for c in range(n):
         r = len(pivots)
-        p = next((p for p in range(r, m) if rows[p][c]), None)
-        if p is None:
+        for p in range(r, m):
+            if rows[p][c]:
+                break
+        else:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
         top = rows[r]
         piv = top[c]
-        for i, row in enumerate(rows):
+        for i in range(0 if reduce else r + 1, m):
+            row = rows[i]
             f = row[c]
-            if i != r and (f or piv != prev):
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            if f and i != r:
+                if prev == 1:
+                    rows[i] = [piv * x - f * y for x, y in zip(row, top)]
+                else:
+                    rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            elif not f and piv != prev:
+                rows[i] = [piv * x // prev for x in row]
         pivots.append(c)
         prev = piv
         if r + 1 == m:

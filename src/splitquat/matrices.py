@@ -23,9 +23,11 @@ from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
 pivoting and the tolerance ``eps`` on floats, picked in one place,
 ``_eliminate``, which also returns the common denominator of the rows
-it leaves.  Elimination is the source of truth for every rank decision
-taken elsewhere in the library; the closed-form spectra and
-determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
+it leaves.  Queries that read only the pivots stop the exact kernel at
+echelon form, as does the pseudoinverse, whose E is those rows and
+whose products run on ``_product``.  Elimination is the source of truth
+for every rank decision taken elsewhere in the library; the closed-form
+spectra and determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class Mat4:
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Mat4":
+        if len(entries) != 4:
+            raise ValueError("Mat4.diagonal requires 4 entries")
         return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(4)) for i in range(4)))
 
     @property
@@ -155,7 +159,7 @@ class Mat4:
         return len(_pivots(self, eps))
 
     def det(self, eps: float = DEFAULT_EPS) -> Scalar:
-        pivots, det, _ = _eliminate(self._lists(), self._d, eps)
+        pivots, det, _ = _eliminate(self._lists(), self._d, eps, False)
         return _quotient(det if len(pivots) == 4 else 0, self._d**4)
 
     def __str__(self) -> str:
@@ -197,28 +201,24 @@ def _product(a: Sequence, b: Sequence) -> tuple:
     return tuple(out)
 
 
-def _matmul(a: List[list], b: List[list]) -> List[list]:
-    cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
-
-
-def _eliminate(rows: List[list], d, eps: float) -> Tuple[List[int], Scalar, Union[int, float]]:
+def _eliminate(rows: List[list], d, eps: float, reduce: bool) -> Tuple[List[int], Scalar, Union[int, float]]:
     """Eliminate the numerator rows of a matrix over d with its backend's kernel, in place.
 
     Returns (pivot columns, determinant of the rows if they are square
     and nonsingular, common denominator of the reduced rows left).  The
-    exact kernel ignores eps and leaves the echelon rows times the last
-    pivot; the float kernel leaves the echelon rows themselves, over 1.0.
+    exact kernel ignores eps and leaves echelon rows, reduced and times
+    the last pivot with ``reduce``; the float kernel ignores ``reduce``
+    and leaves the reduced echelon rows themselves, over 1.0.
     """
     if d.__class__ is float:
         pivots, product, sign = elimination.rref(rows, eps)
         return pivots, sign * product, 1.0
-    pivots, last, sign = elimination.eliminate(rows)
+    pivots, last, sign = elimination.eliminate(rows, reduce)
     return pivots, sign * last, last
 
 
 def _pivots(m: Mat4, eps: float) -> List[int]:
-    return _eliminate(m._lists(), m._d, eps)[0]
+    return _eliminate(m._lists(), m._d, eps, False)[0]
 
 
 # ----------------------------------------------------------------------
@@ -306,35 +306,38 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     B is the pivot columns of m and C the nonzero rows of its reduced
     echelon form, so the inverse is C^T (C C^T)^-1 (B^T B)^-1 B^T.  That
     equals E^T (B^T m E^T)^-1 B^T for any E whose rows span the row
-    space of m, and both backends take the echelon rows their
-    elimination left as E: one r x r inverse, by one more elimination
-    at eps 0.  A matrix of full rank is inverted directly, since the
-    Gram matrix squares its condition number.  The zero matrix maps to
-    itself.
+    space of m, and both backends take the echelon rows their elimination
+    left as E, unreduced on the exact one: one r x r inverse, by one more
+    elimination at eps 0.  The products run on :func:`_product`, padded
+    with int 0 so that a float zero sums to 0.0, never -0.0.  A matrix of
+    full rank is inverted directly, since the Gram matrix squares its
+    condition number.  The zero matrix maps to itself.
     """
-    a = m._lists()
+    e, d = m._e, m._d
     echelon = m._lists()
-    pivots = _eliminate(echelon, m._d, eps)[0]
+    pivots = _eliminate(echelon, d, eps, False)[0]
     r = len(pivots)
     if r == 0:
         return Mat4.zero()
+    pad, zero_rows = (0,) * (4 - r), [0] * (16 - 4 * r)
     if r == 4:
-        block = a
+        block = m._lists()
     else:
-        bt = [[row[p] for row in a] for p in pivots]
-        et = list(zip(*echelon[:r]))
-        block = _matmul(bt, _matmul(a, et))
+        bt = [x for p in pivots for x in e[p::4]] + zero_rows
+        et = [x for col in zip(*echelon[:r]) for x in (*col, *pad)]
+        block = _product(bt, _product(e, et))
+        block = [list(block[i : i + r]) for i in range(0, 4 * r, 4)]
     # with d I on the right, the inverse of block comes out times d, which cancels
     # the 1/d of m's numerators: x ends as scale * m+
-    d, zero = m._d, 0 * m._d
+    zero = 0 * d
     augmented = [row + [d if i == j else zero for j in range(r)] for i, row in enumerate(block)]
-    pivots, _, scale = _eliminate(augmented, d, 0.0)
+    pivots, _, scale = _eliminate(augmented, d, 0.0, True)
     if pivots != list(range(r)):
         raise NotInvertibleError("matrix is singular")
-    x = [row[r:] for row in augmented]
+    x = [v for row in augmented for v in (*row[r:], *pad)] + zero_rows
     if r < 4:
-        x = _matmul(_matmul(et, x), bt)
-    return _mat(tuple(v for row in x for v in row), scale)
+        x = _product(_product(et, x), bt)
+    return _mat(tuple(x), scale)
 
 
 def _kernel(m: Mat4, eps: float) -> Tuple[List[list], Union[int, float]]:
@@ -344,7 +347,7 @@ def _kernel(m: Mat4, eps: float) -> Tuple[List[list], Union[int, float]]:
     ints over the last pivot, or floats over 1.0.
     """
     reduced = m._lists()
-    pivots, _, d = _eliminate(reduced, m._d, eps)
+    pivots, _, d = _eliminate(reduced, m._d, eps, True)
     basis = []
     for f in range(4):
         if f in pivots:
@@ -380,4 +383,4 @@ def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAUL
     """
     (e, d), (rhs, _) = _common((m._e, m._d), _ratio([as_scalar(v) for v in rhs]))
     rows = [list(e[i : i + 4]) + [v] for i, v in zip((0, 4, 8, 12), rhs)]
-    return 4 not in _eliminate(rows, d, eps)[0]
+    return 4 not in _eliminate(rows, d, eps, False)[0]

@@ -5,8 +5,10 @@ The library decides ranks and determinants of ``t_matrix`` and
 derivations that the tests compare against it.  The library eliminates
 exact matrices fraction-free on integer numerators; the Gauss-Jordan
 elimination over Fractions below is the rational path it replaced, and
-the tests require bit-equal results from both.  Likewise the library
-multiplies exact quaternions on integer numerators over one
+the tests require bit-equal results from both;
+``rank_factor_mp_inverse`` is the matrix pseudoinverse on row lists,
+whose float bits the library's flat products must keep.  Likewise the
+library multiplies exact quaternions on integer numerators over one
 denominator; ``coeff_product``, run on the Fractions (or floats)
 themselves, is the body it replaced, and ``quat_mp_inverse`` is the
 same for the quaternion Moore-Penrose inverse, ``coeff_forms`` for the
@@ -34,7 +36,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from splitquat import Mat4, SplitQuaternion, mp_inverse
+from splitquat import Mat4, NotInvertibleError, SplitQuaternion, mp_inverse
+from splitquat.matrices import _eliminate, _mat
 from splitquat.scalars import (
     DEFAULT_EPS,
     Scalar,
@@ -397,6 +400,36 @@ def fraction_mp_inverse(rows) -> Rows:
     cct_inv = fraction_inverse(_matmul(c_block, ct))
     btb_inv = fraction_inverse(_matmul(bt, b_block))
     return _matmul(_matmul(ct, cct_inv), _matmul(btb_inv, bt))
+
+
+def rank_factor_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
+    """E^T (B^T m E^T)^-1 B^T on row lists by ``_matmul``, with E the reduced echelon rows of m.
+
+    The body of ``mat_mp_inverse`` before its products ran on padded flat
+    numerators: float and mixed results must equal it bit for bit, exact
+    ones by reduced numerators.
+    """
+    a = m._lists()
+    echelon = m._lists()
+    pivots = _eliminate(echelon, m._d, eps, True)[0]
+    r = len(pivots)
+    if r == 0:
+        return Mat4.zero()
+    if r == 4:
+        block = a
+    else:
+        bt = [[row[p] for row in a] for p in pivots]
+        et = list(zip(*echelon[:r]))
+        block = _matmul(bt, _matmul(a, et))
+    d, zero = m._d, 0 * m._d
+    augmented = [row + [d if i == j else zero for j in range(r)] for i, row in enumerate(block)]
+    pivots, _, scale = _eliminate(augmented, d, 0.0, True)
+    if pivots != list(range(r)):
+        raise NotInvertibleError("matrix is singular")
+    x = [row[r:] for row in augmented]
+    if r < 4:
+        x = _matmul(_matmul(et, x), bt)
+    return _mat(tuple(v for row in x for v in row), scale)
 
 
 def fraction_nullspace(rows) -> List[Tuple[Fraction, ...]]:

@@ -5,7 +5,8 @@ result must be bit-equal to Gauss-Jordan elimination over Fractions
 (``tests/oracles.py``): the same values, as reduced Fractions.  The
 matrices cover every rank from 0 to 4, plain and conjugated by a random
 rational matrix (tall denominators), plus the L, T and S matrices of
-the algebra.
+the algebra.  The kernel itself is also run on integer rows of every
+shape up to 4 x 8, at both of its stopping points.
 """
 
 import copy
@@ -15,7 +16,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitquat import elimination
 from splitquat import (
     Mat4,
     SplitQuaternion,
@@ -135,6 +139,85 @@ def test_consistency_against_fraction_elimination():
         for _ in range(3):
             rhs = [rand_fraction(rng, den=97) for _ in range(4)]
             assert linear_system_consistent(m, rhs) == fraction_consistent(rows, rhs)
+
+
+# ----------------------------------------------------------------------
+# the kernel on row lists of every shape, at both stopping points
+# ----------------------------------------------------------------------
+
+
+def _check_kernel(rows):
+    """Both stopping points of the exact kernel on copies of integer rows, against Fraction elimination."""
+    want, want_pivots = fraction_rref(rows)
+    r = len(want_pivots)
+    reduced, echelon = [list(row) for row in rows], [list(row) for row in rows]
+    pivots, last, sign = elimination.eliminate(reduced, True)
+    assert elimination.eliminate(echelon, False) == (pivots, last, sign), rows
+    assert pivots == want_pivots, rows
+    assert all(type(x) is int for row in reduced + echelon for x in row)
+    # reduced: the oracle's reduced echelon rows times the last pivot
+    assert reduced[:r] == [[x * last for x in row] for row in want[:r]], rows
+    # echelon: r independent rows in the oracle's row space, zero rows below
+    assert all(x == 0 for row in reduced[r:] + echelon[r:] for x in row), rows
+    if r:
+        assert len(fraction_rref(echelon[:r])[1]) == r, rows
+        for row in echelon[:r]:
+            assert [sum(row[p] * w[j] for p, w in zip(pivots, want)) for j in range(len(row))] == row, rows
+    if len(rows) == len(rows[0]) == r:
+        assert sign * last == fraction_det(rows), rows
+    return r
+
+
+def _int_rows(left, right, n: int, zero_rows, zero_cols):
+    """The m x n product of integer m x r and r x n factors, with the given rows and columns zeroed."""
+    return [
+        [0 if i in zero_rows or j in zero_cols else sum(x * y[j] for x, y in zip(row, right)) for j in range(n)]
+        for i, row in enumerate(left)
+    ]
+
+
+def test_kernel_on_every_shape_and_rank():
+    # m x n up to 4 x 8 covers the 4 x 4 matrices, the 4 x 5 rows of
+    # linear_system_consistent and the r x 2r blocks of mat_mp_inverse
+    rng = random.Random(2025)
+    seen = set()
+    for m in range(1, 5):
+        for n in range(1, 9):
+            for target in range(min(m, n) + 1):
+                for draw in range(6):
+                    size = (4, 10**12)[draw % 2]
+                    while True:
+                        left = [[rng.randint(-size, size) for _ in range(target)] for _ in range(m)]
+                        right = [[rng.randint(-size, size) for _ in range(n)] for _ in range(target)]
+                        zero_rows = {rng.randrange(m)} if draw >= 2 and target < m else set()
+                        zero_cols = {rng.randrange(n)} if draw >= 4 and target < n else set()
+                        rows = _int_rows(left, right, n, zero_rows, zero_cols)
+                        if len(fraction_rref(rows)[1]) == target:
+                            break
+                    seen.add((m, n, _check_kernel(rows), bool(zero_rows), bool(zero_cols)))
+    assert {(m, n, r) for m, n, r, _, _ in seen} == {
+        (m, n, r) for m in range(1, 5) for n in range(1, 9) for r in range(min(m, n) + 1)
+    }
+    assert any(zr and zc for _, _, _, zr, zc in seen)
+
+
+@st.composite
+def _int_row_lists(draw):
+    """Integer rows of up to 4 x 8, a product of factors of a drawn inner size, with some rows and columns zeroed."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    inner = draw(st.integers(0, min(m, n)))
+    entries = st.integers(-6, 6) | st.integers(-(10**15), 10**15)
+    left = [[draw(entries) for _ in range(inner)] for _ in range(m)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(inner)]
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return _int_rows(left, right, n, zero_rows, zero_cols)
+
+
+@given(_int_row_lists())
+@settings(max_examples=300, deadline=None)
+def test_kernel_property(rows):
+    _check_kernel(rows)
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,12 @@ def _script(*args) -> list:
 
 def test_dump_and_hash_of_a_small_slice():
     perfbench_files = sorted((ROOT / "perfbench").rglob("*"))
-    modes = ("cli-json", "cli-approx", "cli-eps", "families-exact", "parse")
+    modes = ("cli-json", "cli-approx", "cli-eps", "families-exact", "parse", "matrices")
     dump = _run("--modes", *modes, "--dump")
     assert [line.split(" ", 3)[:3] for line in dump] == [["1", mode, str(i)] for mode in modes for i in range(3)]
     assert all(" -> " in line for line in dump)
     # parse parses each string on the three backends in turn
-    parsed = [line.split(" ", 3)[3].split(" -> ")[0] for line in dump[12:]]
+    parsed = [line.split(" ", 3)[3].split(" -> ")[0] for line in dump[12:15]]
     assert [text.rsplit(" ", 1)[1] for text in parsed] == ["None", "exact", "approx"]
     assert len({text.rsplit(" ", 1)[0] for text in parsed}) == 1
     assert all("--json" in line for line in dump[:3])
@@ -48,6 +48,16 @@ def test_dump_and_hash_of_a_small_slice():
     assert all(line.startswith("family_") for line in families)
     wholes = [line.split(" -> ", 1)[1].split(" family ", 1)[1] for line in families]
     assert all(w.startswith("SolutionFamily(SplitQuaternion(Fraction(") and ", Mat4((" in w for w in wholes)
+    # matrices runs every Mat4 query on L(a), R(a), L(a)R(b), ... of one pool pair, on both backends
+    matrices = [line.split(" ", 3)[3] for line in dump[15:]]
+    assert [line.split(" ", 2)[:2] for line in matrices] == [[name, "algebra-exact:0"] for name in ("L", "R", "LR")]
+    assert len({line.split(" ", 2)[2].split(" -> ")[0] for line in matrices}) == 1
+    for line in matrices:
+        exact, approx = line.split(" -> ", 1)[1].split(" | ")
+        assert exact.startswith("exact {'rank': ") and approx.startswith("float {'rank': ")
+        for query in ("det", "nullspace_basis", "image_basis", "mat_mp_inverse", "consistent e1", "consistent e4"):
+            assert f"'{query}': " in exact and f"'{query}': " in approx
+        assert "Fraction(" in exact and "Fraction(" not in approx
     # the hash of a mode is the SHA-256 of its dumped lines
     [summary] = _run("--modes", "cli-json")
     body = "\n".join(line.split(" ", 3)[3] for line in dump[:3])

@@ -32,6 +32,8 @@ from splitquat.solvers import SolutionFamily
 from conftest import lightlike_quats, quats, rand_fraction, rand_quat
 from oracles import (
     SRankCase,
+    fraction_mp_inverse,
+    rank_factor_mp_inverse,
     rows_apply,
     s_det,
     s_eigenvalues,
@@ -376,6 +378,40 @@ class TestFloatKernel:
         with pytest.raises(ValueError, match="4 rows of 4 entries"):
             Mat4([[1.0, 0, 0, 0]] * 3)
 
+    @pytest.mark.parametrize("entries", [(1, 2, 3), (1, 2, 3, 4, 5), (1.0, 2.0, 3.0), ()])
+    def test_diagonal_requires_four_entries(self, entries):
+        with pytest.raises(ValueError, match="4 entries"):
+            Mat4.diagonal(entries)
+
+
+def _rank_pairs(num):
+    """Pairs (a, b) of coefficients num() whose L, R, L R, T and S take every rank from 0 to 4 between them."""
+    a, b = (SplitQuaternion(*(num() for _ in range(4))) for _ in range(2))
+    x, y, s, u = num(), num(), num(), num()
+    light = SplitQuaternion(x, y, x, -y)
+    yield ZERO, ZERO
+    yield a, b
+    yield light, b
+    yield light, SplitQuaternion(s, u, u, s)  # L R of rank 1
+    yield a, a  # T of rank 2
+    yield a, -a.conjugate()  # S of rank 1
+    yield ZERO, light  # S of rank 2
+    yield x + s * J, x + s - u + u * J  # T of rank 3: a0 + s = b0 + u
+    yield a, I * a * -I  # S of rank 3
+
+
+def _five(a, b):
+    return left_matrix(a), right_matrix(a), left_matrix(a) @ right_matrix(b), t_matrix(a, b), s_matrix(a, b)
+
+
+def _inverse_bits(inverse, m: Mat4):
+    """inverse(m) as reduced numerators if exact or the repr of each entry if float, or the error it raised."""
+    try:
+        x = inverse(m)
+    except NotInvertibleError:
+        return "NotInvertibleError"
+    return (x._e, x._d) if x.is_exact else [repr(v) for row in x.rows for v in row]
+
 
 class TestMatrixPseudoInverse:
     def test_identity_and_zero(self):
@@ -425,6 +461,37 @@ class TestMatrixPseudoInverse:
             approx = left_matrix(a.to_float()) @ right_matrix(b.to_float())
             worst = max(worst, _relative_gap(mat_mp_inverse(approx), mat_mp_inverse(exact)))
         assert 0 < worst <= FULL_RANK_BOUND
+
+    def test_float_inverse_keeps_the_row_list_bits(self):
+        # the products run on padded flat numerators: float and mixed results
+        # must equal the row-list body bit for bit, signs of zeros included
+        rng = random.Random(108)
+        ranks = set()
+        for _ in range(40):
+            for num in (lambda: _dyadic64(rng), lambda: rng.uniform(-2, 2)):
+                for a, b in _rank_pairs(num):
+                    a, b = a.to_float(), b.to_float()
+                    exact_a = a.to_exact()
+                    mixed = (left_matrix(exact_a) @ right_matrix(b), t_matrix(exact_a, b), s_matrix(b, exact_a))
+                    for m in _five(a, b) + mixed:
+                        assert not m.is_exact
+                        ranks.add(m.rank())
+                        assert _inverse_bits(mat_mp_inverse, m) == _inverse_bits(rank_factor_mp_inverse, m), (a, b)
+        assert ranks == {0, 1, 2, 3, 4}
+
+    def test_exact_inverse_against_both_oracles(self):
+        rng = random.Random(109)
+        ranks = set()
+        for _ in range(15):
+            for num in (lambda: _dyadic64(rng), lambda: rand_fraction(rng)):
+                for a, b in _rank_pairs(num):
+                    for m in _five(a, b):
+                        ranks.add(m.rank())
+                        want = _inverse_bits(rank_factor_mp_inverse, m)
+                        assert _inverse_bits(mat_mp_inverse, m) == want, (a, b)
+                        oracle = Mat4(fraction_mp_inverse(m.rows))
+                        assert (oracle._e, oracle._d) == want, (a, b)
+        assert ranks == {0, 1, 2, 3, 4}
 
     def test_numerically_singular_float_gram_block_is_a_typed_error(self):
         # float-mixed seed 7: the float Gram block of this rank-3 T matrix

@@ -3,7 +3,9 @@
 phi(q) = [[q0+q2, q3-q1], [q1+q3, q0-q2]] is an isomorphism from the
 split quaternions onto the 2x2 real matrices; under it the paper's
 generalized inverse must be Penrose's, and the solvers must follow
-Penrose's rule for AXB = C.  Exact draws only, lightlike ones included.
+Penrose's rule for AXB = C, and the eliminated bases of the one-sided
+families must span the closed-form solution spaces.  Exact draws only,
+lightlike ones included.
 """
 
 import random
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from splitquat import (
     ONE,
+    SplitQuaternion,
     ZERO,
     SolveOutcome,
     is_similar,
@@ -24,8 +27,16 @@ from splitquat import (
     solve_xad,
 )
 
-from conftest import lightlike_quats, quats, rand_lightlike, rand_nonreal, rand_quat, rand_similar_pair
-from oracles import M2
+from conftest import (
+    lightlike_quats,
+    quats,
+    rand_conjugate,
+    rand_lightlike,
+    rand_nonreal,
+    rand_quat,
+    rand_similar_pair,
+)
+from oracles import M2, fraction_rref
 
 
 def _draws(seed: int, count: int = 150):
@@ -177,3 +188,66 @@ class TestPenroseEquationRule:
         d = {"axb": a * x * b, "ax": a * x, "xa": x * a, "free": x}[kind]
         for outcome, pa, pb, pd in _equations(a, b, d):
             _penrose_rule(outcome, pa, pb, pd, [y])
+
+
+def _int_lightlike(p: int, q: int, r: int, s: int) -> SplitQuaternion:
+    """q0 + i q1 = (p + iq)(r + is) and q2 + i q3 = (p + iq)(r - is): equal moduli, so I(a) = 0."""
+    return SplitQuaternion(p * r - q * s, p * s + q * r, p * r + q * s, q * r - p * s)
+
+
+def _span_rank(qs) -> int:
+    return len(fraction_rref([q.coeffs for q in qs])[1]) if qs else 0
+
+
+def _same_span(got, want) -> bool:
+    return _span_rank(got) == _span_rank(want) == _span_rank(list(got) + list(want))
+
+
+def _check_one_sided_bases(a: SplitQuaternion, x: SplitQuaternion) -> None:
+    """The eliminated bases of a*x = 0, a*x = d and x*a = d, a lightlike, against the kernels of A and of A^T.
+
+    X with A X = 0 has each column in ker A, which the columns u of
+    P = I - A+ A span, so its space is spanned by phi^-1(u e1^T) and
+    phi^-1(u e2^T).  X with X A = 0 has each row in the left kernel,
+    spanned by the rows w of Q = I - A A+: phi^-1(e1 w) and phi^-1(e2 w).
+    """
+    pa = M2.phi(a)
+    pinv = pa.mp_inverse()
+    p, q = (_I2 - pinv @ pa).entries, (_I2 - pa @ pinv).entries
+    left = [M2(*u) for u in ((p[0], 0, p[2], 0), (0, p[0], 0, p[2]), (p[1], 0, p[3], 0), (0, p[1], 0, p[3]))]
+    right = [M2(*w) for w in ((q[0], q[1], 0, 0), (0, 0, q[0], q[1]), (q[2], q[3], 0, 0), (0, 0, q[2], q[3]))]
+    left, right = [m.phi_inverse() for m in left], [m.phi_inverse() for m in right]
+    axd, xad = solve_axd(a, a * x), solve_xad(a, x * a)
+    assert axd.solvable and xad.solvable
+    assert _same_span(solve_ax0(a).basis(), left), a
+    assert _same_span(axd.family.basis(), left), a
+    assert _same_span(xad.family.basis(), right), a
+    assert pa.rank() == 1 and _span_rank(left) == _span_rank(right) == 2, a
+
+
+class TestEliminatedBasesCrossCheck:
+    """solve_ax0, solve_axd and solve_xad bases, from elimination, against closed forms in the 2x2 model."""
+
+    def test_seeded(self):
+        rng = random.Random(809)
+        for _ in range(40):
+            draws = (
+                _int_lightlike(*(rng.randint(-5, 5) or 1 for _ in range(4))),
+                rand_lightlike(rng),
+                rand_conjugate(rng, rand_lightlike(rng)),
+                rand_conjugate(rng, _int_lightlike(*(rng.randint(1, 5) for _ in range(4)))),
+            )
+            for a in draws:
+                _check_one_sided_bases(a, rand_quat(rng))
+
+    @given(
+        st.one_of(
+            lightlike_quats(),
+            st.builds(_int_lightlike, *[st.integers(1, 6)] * 4),
+            st.builds(lambda a, c: c * a * c.inverse(), lightlike_quats(), quats.filter(lambda q: q.quadratic_form != 0)),
+        ),
+        quats,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, a, x):
+        _check_one_sided_bases(a, x)
