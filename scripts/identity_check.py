@@ -20,6 +20,11 @@ For each seed it runs, in process and on the checkout it lives in:
   directly and prints the whole family (its ``constant``, ``terms`` and
   ``linear_matrix``), so that a change to how a family is built shows
   even where ``dimension``, ``basis()`` and ``at`` do not move it;
+* every item of the ``algebra-exact`` and ``families-exact`` pools again
+  on the float backend (``float-rounded``), each rational rounded to the
+  nearest float, and fingerprinted as above: ``float-mixed`` inputs are
+  dyadic and ``cli-approx`` prints 12 digits, so this mode pins the
+  float bits on inputs that are not binary-exact;
 * the ``Mat4`` queries on L(a), R(a), L(a)R(b), T(a, b) and S(a, b) for
   the first two quaternions (a twice if it is the only one) of every item
   of the ``algebra-exact``, ``families-exact`` and ``float-mixed`` pools
@@ -77,8 +82,8 @@ from splitquat.core import Frozen  # noqa: E402
 from splitquat.matrices import image_basis  # noqa: E402
 
 MODES = (
-    "cli-text", "cli-json", "cli-approx", "cli-eps", "algebra-exact", "families-exact", "float-mixed", "matrices",
-    "parse",
+    "cli-text", "cli-json", "cli-approx", "cli-eps", "algebra-exact", "families-exact", "float-mixed",
+    "float-rounded", "matrices", "parse",
 )
 
 #: The characters of the parse mode's strings: the literal alphabet, then a
@@ -118,6 +123,8 @@ QUERIES = {
     },
 }
 MATRIX_POOLS = ("algebra-exact", "families-exact", "float-mixed")
+#: The exact pools that the float-rounded mode runs on floats.
+ROUNDED_POOLS = ("algebra-exact", "families-exact")
 
 
 def _text(argv) -> list:
@@ -211,7 +218,7 @@ def _parse_line(text: str, backend) -> str:
 
 
 def lines(seed: int, mode: str, limit=None):
-    """The output lines of one seed and mode, in pool order; the first ``limit`` only if given."""
+    """The output lines of one seed and mode, in pool order; the first ``limit`` of each pool only if given."""
     if mode == "parse":
         return [_parse_line(text, b) for text in _parse_texts(seed) for b in PARSE_BACKENDS][:limit]
     if mode == "matrices":
@@ -224,6 +231,9 @@ def lines(seed: int, mode: str, limit=None):
             tail = ["--eps", "1e-3"] if mode == "cli-eps" else []
             argvs = [v + tail for argv in map(_approx, argvs) for v in (_text(argv), argv)]
         return [_cli_line(argv) for argv in argvs[:limit]]
+    if mode == "float-rounded":
+        items = [item for pool in ROUNDED_POOLS for item in inputs.pool(pool, seed)[:limit]]
+        return [_item_line(kind, case, args, True) for kind, case, args, _ in items]
     approx = mode == "float-mixed"
     return [_item_line(kind, case, args, approx) for kind, case, args, _ in inputs.pool(mode, seed)[:limit]]
 

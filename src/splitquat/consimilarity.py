@@ -18,7 +18,7 @@ candidates are compared by the forms of a's own numerators, which
 scale every form by the same d^2 > 0 and so keep the argmax and its
 tie order, and only the winner is built.  The solution space is
 read off one elimination of s_matrix(a, b), whose kernel basis the
-family keeps.
+family keeps; its printed terms are built on their first read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .core import SplitQuaternion, _form, _from_ratio
 from .errors import RealInputError
 from .matrices import Mat4, _kernel, _mat, s_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
-from .solvers import _UNITS, SolutionFamily, Verdict, _family
+from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
 
 
 #: e^-1 * q on the coefficients of q, for the units e = 1, i, j, k.
@@ -52,26 +52,31 @@ def solve_xa_bxbar(
     + j z j + k z k)/4, that is at most four terms e y r_e, one per unit
     e, with r_e = sum_t e_t^-1 e^-1 n_t / 4; a zero r_e is no term.
 
-    S is eliminated once.  The r_e are summed on the kernel's
-    numerators, and since re(y e_t^-1) = y_t the linear matrix has the
-    columns n_t: the family keeps it, and the n_t as its basis.
+    S is eliminated once.  Since re(y e_t^-1) = y_t the linear matrix
+    has the columns n_t: the family keeps it, and the n_t as its basis.
+    The r_e are summed on the kernel's numerators when the family's
+    terms are first read.
     """
     kernel, d = _kernel(s_matrix(a, b), eps)
-    zero, _, units, _ = _UNITS[d.__class__]
+    zero = _ZEROS[d.__class__]
     if not kernel:
-        return _family(zero, (), eps, Mat4.zero(), ())
-    # m_t = e_t^-1 n_t
-    m = [_INVERSE_TIMES[t](*n) for t, n in enumerate(kernel)]
-    terms = []
-    for e, unit in enumerate(units):
-        # e_t^-1 e^-1 = -e^-1 e_t^-1 exactly when e and e_t are distinct imaginary units
-        signed = [v if e in (0, t) or t == 0 else [-x for x in v] for t, v in enumerate(m)]
-        right = _INVERSE_TIMES[e](*map(sum, zip(*signed)))
-        if not _all_zero(right, 0.0):
-            terms.append((unit, _from_ratio(right, 4 * d)))
+        return _family(*zero, (), eps, Mat4.zero(), ())
+
+    def terms():
+        # m_t = e_t^-1 n_t
+        m = [_INVERSE_TIMES[t](*n) for t, n in enumerate(kernel)]
+        out = []
+        for e, unit in enumerate(_UNITS[d.__class__][1]):
+            # e_t^-1 e^-1 = -e^-1 e_t^-1 exactly when e and e_t are distinct imaginary units
+            signed = [v if e in (0, t) or t == 0 else [-x for x in v] for t, v in enumerate(m)]
+            right = _INVERSE_TIMES[e](*map(sum, zip(*signed)))
+            if not _all_zero(right, 0.0):
+                out.append((unit, _from_ratio(right, 4 * d)))
+        return tuple(out)
+
     columns = kernel + [[0 * d] * 4] * (4 - len(kernel))
     matrix = _mat(tuple(c[i] for i in range(4) for c in columns), d)
-    return _family(zero, tuple(terms), eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
+    return _family(*zero, terms, eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
 
 
 def is_consimilar(

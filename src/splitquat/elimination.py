@@ -2,14 +2,13 @@
 
 :func:`eliminate` is the exact kernel: fraction-free elimination on
 integer rows (Bareiss 1968, *Sylvester's identity and multistep
-integer-preserving Gaussian elimination*, Math. Comp. 22).  Rank,
-determinant, column basis, consistency and the first pass of the
-pseudoinverse stop it at echelon form; the nullspace and the block
-inverse reduce the rows above each pivot too.  :func:`rref` is the
-float kernel: Gauss-Jordan elimination with partial pivoting, where an
-entry within the absolute tolerance ``eps`` of zero counts as zero; it
-always reduces, as the float pseudoinverse's bits depend on its reduced
-rows.  Both return the same (pivots, pivot scale, sign) triple.
+integer-preserving Gaussian elimination*, Math. Comp. 22); :func:`rref`
+is the float kernel: Gauss-Jordan elimination with partial pivoting,
+where an entry within the absolute tolerance ``eps`` of zero counts as
+zero.  Rank, determinant, column basis and consistency stop both at
+echelon form; the nullspace, the block inverse and the first pass of the
+float pseudoinverse, whose bits depend on its reduced rows, reduce the
+rows above each pivot too.  Both return the same (pivots, pivot scale, sign) triple.
 """
 
 from __future__ import annotations
@@ -65,12 +64,13 @@ def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]
     return pivots, prev, sign
 
 
-def rref(rows: List[List[float]], eps: float) -> Tuple[List[int], float, int]:
-    """Reduced row echelon form in place, pivoting on the largest |entry| (first row on ties).
+def rref(rows: List[List[float]], eps: float, reduce: bool) -> Tuple[List[int], float, int]:
+    """Row echelon form in place, pivoting on the largest |entry| (first row on ties).
 
-    The first r rows end as the reduced echelon rows.  Returns (pivot
-    columns, product of the pivots, sign of the row permutation), as
-    :func:`eliminate` does: a nonsingular matrix has determinant sign * product.
+    The first r rows end as the echelon rows with unit pivots, and reduced
+    with ``reduce``, which moves no pivot.  Returns (pivot columns, product
+    of the pivots, sign of the row permutation), as :func:`eliminate` does:
+    a nonsingular matrix has determinant sign * product.
     """
     m, n = len(rows), len(rows[0])
     pivots: List[int] = []
@@ -92,7 +92,7 @@ def rref(rows: List[List[float]], eps: float) -> Tuple[List[int], float, int]:
         piv = rows[r][c]
         product *= piv
         top = rows[r] = [x / piv for x in rows[r]]
-        for rr in range(m):
+        for rr in range(0 if reduce else r + 1, m):
             f = rows[rr][c]
             if rr != r and f != 0:
                 rows[rr] = [x - f * y for x, y in zip(rows[rr], top)]

@@ -23,9 +23,10 @@ from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
 pivoting and the tolerance ``eps`` on floats, picked in one place,
 ``_eliminate``, which also returns the common denominator of the rows
-it leaves.  Queries that read only the pivots stop the exact kernel at
-echelon form, as does the pseudoinverse, whose E is those rows and
-whose products run on ``_product``.  Elimination is the source of truth
+it leaves.  Queries that read only the pivots stop both kernels at
+echelon form.  The pseudoinverse takes the rows of its first pass as E,
+echelon rows on the exact kernel and reduced ones on the float kernel,
+and its products run on ``_product``.  Elimination is the source of truth
 for every rank decision taken elsewhere in the library; the closed-form
 spectra and determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
 """
@@ -142,6 +143,8 @@ class Mat4:
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
         """The column m . v: exact on int numerators, or in floats once any entry is a float."""
+        if len(v) != 4:
+            raise ValueError("Mat4.apply requires 4 entries")
         (e, d), (nums, dv) = _common((self._e, self._d), _ratio(v))
         return tuple(_quotient(_dot(e[i : i + 4], nums), d * dv) for i in (0, 4, 8, 12))
 
@@ -205,13 +208,13 @@ def _eliminate(rows: List[list], d, eps: float, reduce: bool) -> Tuple[List[int]
     """Eliminate the numerator rows of a matrix over d with its backend's kernel, in place.
 
     Returns (pivot columns, determinant of the rows if they are square
-    and nonsingular, common denominator of the reduced rows left).  The
-    exact kernel ignores eps and leaves echelon rows, reduced and times
-    the last pivot with ``reduce``; the float kernel ignores ``reduce``
-    and leaves the reduced echelon rows themselves, over 1.0.
+    and nonsingular, common denominator of the rows left).  Both kernels
+    leave echelon rows, reduced with ``reduce``: the exact kernel ignores
+    eps and leaves them times the last pivot, and the float kernel leaves
+    them with unit pivots, over 1.0.
     """
     if d.__class__ is float:
-        pivots, product, sign = elimination.rref(rows, eps)
+        pivots, product, sign = elimination.rref(rows, eps, reduce)
         return pivots, sign * product, 1.0
     pivots, last, sign = elimination.eliminate(rows, reduce)
     return pivots, sign * last, last
@@ -315,7 +318,7 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     """
     e, d = m._e, m._d
     echelon = m._lists()
-    pivots = _eliminate(echelon, d, eps, False)[0]
+    pivots = _eliminate(echelon, d, eps, d.__class__ is float)[0]
     r = len(pivots)
     if r == 0:
         return Mat4.zero()
@@ -381,6 +384,8 @@ def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAUL
     of m and of rhs.  A float in rhs makes the system a float one, on m's
     float entries, as in :meth:`Mat4.apply`.
     """
+    if len(rhs) != 4:
+        raise ValueError("linear_system_consistent requires 4 right-hand entries")
     (e, d), (rhs, _) = _common((m._e, m._d), _ratio([as_scalar(v) for v in rhs]))
     rows = [list(e[i : i + 4]) + [v] for i, v in zip((0, 4, 8, 12), rhs)]
     return 4 not in _eliminate(rows, d, eps, False)[0]

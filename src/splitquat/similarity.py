@@ -15,7 +15,7 @@ and builds that case's family in closed form:
 * otherwise t_matrix(a, b) is nonsingular and x = 0 is the only solution.
 
 solve_xa_bx takes one _ratio of a and b, decides on those numerators,
-builds each term once from them and hands over the matrix of its terms.
+and hands over the matrix of its terms and a recipe that builds them.
 
 Every non-real element is conjugate to one of three targets depending on
 the sign of its im_squared invariant k: a0 + sqrt(k)*j, a0 + sqrt(-k)*i,
@@ -46,7 +46,7 @@ from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared,
 from .errors import ExactnessWarning, NotInvertibleError, RealInputError
 from .matrices import Mat4, _dot, _family_sum, _mat, t_matrix
 from .scalars import DEFAULT_EPS, _over, _ratio, scalar_is_zero
-from .solvers import _UNITS, SolutionFamily, Verdict, _family
+from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
 
 
 class CanonicalForm(Frozen):
@@ -82,7 +82,7 @@ def solve_xa_bx(
     _require_nonreal(b, eps, "b")
     n, e = _ratio(a.coeffs, b.coeffs)
     na, nb = n[:4], n[4:]
-    zero, one, _, unit = _UNITS[e.__class__]
+    (one, _, unit), zero = _UNITS[e.__class__], _ZEROS[e.__class__]
     # im(a) and im(b) over e; the form of an imaginary part is -im_squared
     ia, ib = (0 * na[0],) + na[1:], (0 * nb[0],) + nb[1:]
     same_re = scalar_is_zero(na[0] - nb[0], eps)
@@ -97,10 +97,10 @@ def solve_xa_bx(
         lefts, t = _over((t, z, z, z, -e2, -z, -z, -z) + scaled[:8] + tuple(-x for x in _mul(bp, ib)), t)
         rights = (e2, z, z, z) + _mul(ia, ap) + scaled[8:] + (e2, z, z, z)
         sides = [(lefts[k : k + 4], rights[k : k + 4]) for k in range(0, 20, 4)]
-        terms = ((one, one),) + tuple((_from_ratio(l, t), _from_ratio(r, e2)) for l, r in sides[1:])
-        return _family(zero, terms, eps, _mat(_family_sum(sum(sum(sides, ()), ())), t * e2))
+        terms = lambda: ((one, one),) + tuple((_from_ratio(l, t), _from_ratio(r, e2)) for l, r in sides[1:])
+        return _family(*zero, terms, eps, _mat(_family_sum(sum(sum(sides, ()), ())), t * e2))
     if same_re or t_matrix(a, b).rank(eps) == 4:
-        return _family(zero, (), eps, Mat4.zero())
+        return _family(*zero, (), eps, Mat4.zero())
     # p over e^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
     # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
     c = 2 * (na[0] - nb[0])
@@ -113,8 +113,8 @@ def solve_xa_bx(
         raise NotInvertibleError("|p1|^2 is zero; the rank-3 element m is not defined")
     m, s = _over((s, 0, p3 * p1 - p2 * p0, -(p2 * p1 + p3 * p0)), s)
     ma, minus_conj_b = _mul(m, na), (-nb[0],) + nb[1:]  # m*a over s*e, -conj(b) over e
-    terms = ((one, _from_ratio(ma, s * e)), (_from_ratio(minus_conj_b, e), _from_ratio(m, s)))
-    return _family(zero, terms, eps, _mat(_family_sum(unit + ma + minus_conj_b + m), s * e))
+    terms = lambda: ((one, _from_ratio(ma, s * e)), (_from_ratio(minus_conj_b, e), _from_ratio(m, s)))
+    return _family(*zero, terms, eps, _mat(_family_sum(unit + ma + minus_conj_b + m), s * e))
 
 
 def _cyclic_basis(x: SplitQuaternion):

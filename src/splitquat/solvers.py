@@ -11,9 +11,10 @@ Each solver takes one _ratio of its operands, numerators n over e, and
 a+ is e*prime(n)/(4*(n0^2 + n1^2)) by core._lightlike_inverse, the one
 body of a+.  The tests, the chain and every result are computed on
 numerators, each result built once, and the family gets the matrix of
-its terms from those numerators.  Floats are their own numerators over
-1.0, multiplied in the order of the float products they replaced, so
-they keep their bits.  solve_ax0 is the case d = 0 of solve_axd.
+its terms from those numerators, and its constant as numerators and its
+terms as a recipe, built when first read.  Floats are their own numerators
+over 1.0, multiplied in the order of the float products they replaced,
+so they keep their bits.  solve_ax0 is the case d = 0 of solve_axd.
 
 Invertible coefficients are rejected on purpose: those equations are
 solved by plain division and mixing the two regimes in one return type
@@ -31,12 +32,13 @@ from .scalars import DEFAULT_EPS, _all_zero, _common, _ratio, scalar_is_zero
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
-#: 0, 1, the units (1, i, j, k) and the numerators of 1 on each backend, by the class of a denominator
+#: 1, the units (1, i, j, k) and the numerators of 1 on each backend, by the class of a denominator
 _UNITS = {
-    int: (ZERO, ONE, (ONE, I, J, K), (1, 0, 0, 0)),
-    float: (ZERO.to_float(), ONE.to_float(), (ONE.to_float(), I.to_float(), J.to_float(), K.to_float()),
-            (1.0, 0.0, 0.0, 0.0)),
+    int: (ONE, (ONE, I, J, K), (1, 0, 0, 0)),
+    float: (ONE.to_float(), (ONE.to_float(), I.to_float(), J.to_float(), K.to_float()), (1.0, 0.0, 0.0, 0.0)),
 }
+#: The numerators of 0 over their denominator, and 0, on each backend, by the class of a denominator
+_ZEROS = {int: (((0, 0, 0, 0), 1), ZERO), float: (((0.0, 0.0, 0.0, 0.0), 1.0), ZERO.to_float())}
 
 
 class Verdict(Frozen):
@@ -64,21 +66,40 @@ class SolutionFamily(Frozen):
     float one is eliminated again at each other ``basis(eps)``.  Every
     solver hands over the matrix it built from the numerators of its
     terms, and solve_xa_bxbar its basis too (see ``_family``); copies
-    keep both.  The constant's numerators over their denominator are
-    kept beside it, in ``_constant_ratio``, for ``at``.
+    keep both.  A solver hands over the constant's numerators, which ``at``
+    reads, and a recipe for the terms; the constant and terms are built on
+    their first read (printing, ``==``, ``hash``, ``repr``, pickling) and kept.
     """
 
-    __slots__ = ("constant", "terms", "linear_matrix", "_basis", "_eps", "_constant_ratio")
+    __slots__ = ("_constant_ratio", "_constant", "_terms", "_eps", "linear_matrix", "_basis")
     _fields = ("constant", "terms")
 
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
-        _fill(self, constant, terms, DEFAULT_EPS, family_matrix(terms), None)
+        _fill(self, _ratio(constant.coeffs), constant, terms, DEFAULT_EPS, family_matrix(terms), None)
 
     def __reduce__(self):
-        return (_family, (self.constant, self.terms, self._eps, self.linear_matrix, self._basis))
+        values = (self._constant_ratio, self.constant, self.terms, self._eps, self.linear_matrix, self._basis)
+        return (_family, values)
 
-    def at(self, y: SplitQuaternion) -> SplitQuaternion:
-        if not self.terms:
+    @property
+    def constant(self) -> SplitQuaternion:
+        if self._constant is None:
+            object.__setattr__(self, "_constant", _from_ratio(*self._constant_ratio))
+        return self._constant
+
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        terms = self._terms  # read once: another thread may build it meanwhile, to an equal value
+        if callable(terms):
+            terms = terms()
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
+    def at(self, y) -> SplitQuaternion:
+        """The solution at y: a SplitQuaternion, or an int, Fraction or float as a real one, as * takes it."""
+        if not isinstance(y, SplitQuaternion):
+            y = SplitQuaternion(y, 0, 0, 0)  # TypeError unless y is a real scalar
+        if not self._terms:  # a recipe is never empty
             return self.constant
         # constant + m . y.coeffs on numerators, over one denominator
         m = self.linear_matrix
@@ -103,16 +124,19 @@ class SolutionFamily(Frozen):
         return list(self._basis)
 
 
-def _fill(family: SolutionFamily, constant, terms, eps: float, matrix, basis) -> None:
-    values = (constant, terms, matrix, basis, eps, _ratio(constant.coeffs))
+def _fill(family: SolutionFamily, *values) -> None:
     for name, value in zip(SolutionFamily.__slots__, values):
         object.__setattr__(family, name, value)
 
 
-def _family(constant, terms, eps: float, matrix, basis=None) -> SolutionFamily:
-    """SolutionFamily(constant, terms) solved at eps, keeping the matrix of its terms and any basis given."""
+def _family(ratio, constant, terms, eps: float, matrix, basis=None) -> SolutionFamily:
+    """The family a solver found at eps, with the matrix of its terms and any basis found.
+
+    ratio is the constant's numerators over their denominator, constant the constant or None to build it
+    on first read, and terms the terms or a recipe that builds them (never for a family without terms).
+    """
     family = object.__new__(SolutionFamily)
-    _fill(family, constant, terms, eps, matrix, basis)
+    _fill(family, ratio, constant, terms, eps, matrix, basis)
     return family
 
 
@@ -164,13 +188,13 @@ def solve_axb(
     residual = tuple(x - y * s for x, y in zip(_mul(na, pa, nd, pb, nb), nd))  # over e*s
     if not _all_zero(residual, eps):
         return SolveOutcome.unsolvable(_from_ratio(residual, e * s))
-    _, one, _, unit = _UNITS[e.__class__]
+    one, _, unit = _UNITS[e.__class__]
     left = tuple(-x for x in _mul(pa, na))  # -a+*a over sa
     right = _mul(nb, pb)  # b*b+ over sb
     matrix = _mat(_family_sum(tuple(x * y for y in (sa, sb) for x in unit) + left + right), s)
-    constant = _from_ratio(tuple(x * e for x in _mul(pa, nd, pb)), s)  # a+*d*b+
-    terms = ((one, one), (_from_ratio(left, sa), _from_ratio(right, sb)))
-    return SolveOutcome.solved(_family(constant, terms, eps, matrix))
+    constant = tuple(x * e for x in _mul(pa, nd, pb)), s  # a+*d*b+
+    terms = lambda: ((one, one), (_from_ratio(left, sa), _from_ratio(right, sb)))
+    return SolveOutcome.solved(_family(constant, None, terms, eps, matrix))
 
 
 def solve_ax0(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolutionFamily:
@@ -178,9 +202,9 @@ def solve_ax0(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolutionFamily:
 
     solve_axd(a, 0).family, with the backend's 0 for a constant where a+*0 can carry -0.0.
     """
-    zero = _UNITS[int if a.is_exact else float][0]
-    family = _solve_one_sided(a, zero, eps, lambda x: x).family
-    return _family(zero, family.terms, eps, family.linear_matrix)
+    zero = _ZEROS[int if a.is_exact else float]
+    family = _solve_one_sided(a, zero[1], eps, lambda x: x).family
+    return _family(*zero, family._terms, eps, family.linear_matrix)
 
 
 def solve_axd(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolveOutcome:
@@ -202,8 +226,9 @@ def _solve_one_sided(a, d, eps: float, order) -> SolveOutcome:
     residual = tuple(x - y * sa for x, y in zip(_mul(*order((na, pa, nd))), nd))  # over e*sa
     if not _all_zero(residual, eps):
         return SolveOutcome.unsolvable(_from_ratio(residual, e * sa))
-    _, one, _, unit = _UNITS[e.__class__]
+    one, _, unit = _UNITS[e.__class__]
     k = tuple(u * sa - x for u, x in zip(unit, _mul(*order((pa, na)))))  # 1 - a+*a over sa
-    constant = _from_ratio(_mul(*order((pa, nd))), sa)  # a+*d
+    constant = _mul(*order((pa, nd))), sa  # a+*d
     matrix = _mat(_family_sum(sum(order((k, unit)), ())), sa)
-    return SolveOutcome.solved(_family(constant, (order((_from_ratio(k, sa), one)),), eps, matrix))
+    terms = lambda: (order((_from_ratio(k, sa), one)),)
+    return SolveOutcome.solved(_family(constant, None, terms, eps, matrix))

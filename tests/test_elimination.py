@@ -220,6 +220,33 @@ def test_kernel_property(rows):
     _check_kernel(rows)
 
 
+def test_float_kernel_at_both_stopping_points():
+    # without reduce the float kernel leaves the rows above each pivot as
+    # they are: the pivots, their product and the sign are those of the
+    # reduced run, and so are the last pivot row and the rows below it
+    rng = random.Random(2027)
+    seen = set()
+    for m in range(1, 5):
+        for n in range(1, 9):
+            for target in range(min(m, n) + 1):
+                for draw in range(4):
+                    left = [[rng.randint(-6, 6) for _ in range(target)] for _ in range(m)]
+                    right = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(target)]
+                    noise = (0.0, 1e-12, -3e-10)
+                    rows = [[x / 3 + rng.choice(noise) for x in row] for row in _int_rows(left, right, n, (), ())]
+                    reduced, echelon = [list(row) for row in rows], [list(row) for row in rows]
+                    pivots, product, sign = elimination.rref(reduced, 1e-9, True)
+                    assert repr(elimination.rref(echelon, 1e-9, False)) == repr((pivots, product, sign)), rows
+                    r = len(pivots)
+                    assert repr(echelon[max(r - 1, 0) :]) == repr(reduced[max(r - 1, 0) :]), rows
+                    for i, p in enumerate(pivots):
+                        assert echelon[i][p] == 1.0 == reduced[i][p], rows
+                        assert all(row[p] == 0 for row in echelon[i + 1 :]), rows
+                        assert all(row[p] == 0 for row in reduced[:i] + reduced[i + 1 :]), rows
+                    seen.add((m, n, r))
+    assert {(m, n, r) for m in range(1, 5) for n in range(1, 9) for r in range(min(m, n) + 1)} <= seen
+
+
 # ----------------------------------------------------------------------
 # the representation contract
 # ----------------------------------------------------------------------

@@ -4,8 +4,14 @@ Every exact draw is dyadic, so its float copy is binary-exact and the
 float family can be compared with the exact one on the same inputs.
 """
 
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
+
+import pytest
 
 from splitquat import (
     I,
@@ -25,7 +31,7 @@ from splitquat import (
     s_matrix,
     t_matrix,
 )
-from splitquat import elimination, solvers
+from splitquat import consimilarity, elimination, similarity, solvers
 from splitquat.scalars import DEFAULT_EPS
 
 from oracles import SRankCase, family_rows, s_rank_case, term_at
@@ -256,7 +262,7 @@ class TestOneElimination:
         monkeypatch.setattr(
             elimination,
             "rref",
-            lambda rows, eps: eliminated.append([list(row) for row in rows]) or kernel(rows, eps),
+            lambda rows, *args: eliminated.append([list(row) for row in rows]) or kernel(rows, *args),
         )
         seen = set()
         for a, b in pairs:
@@ -280,3 +286,130 @@ class TestOneElimination:
         for eps, dimension in ((1e-3, 2), (DEFAULT_EPS, 4), (1e-3, 2), (1e-1, 2), (1e-12, 4)):
             assert len(family.basis(eps)) == dimension, eps
         assert family.dimension == 2 == len(family.basis())
+
+
+def _counting_recipes(monkeypatch) -> list:
+    """Wrap each recipe a solver hands _family, once, so that every build of terms is counted."""
+    calls, counting = [], set()
+    build = solvers._family
+
+    def family(ratio, constant, terms, *rest):
+        if callable(terms) and terms not in counting:  # solve_ax0 passes a wrapped recipe on
+            recipe = terms
+            terms = lambda: calls.append(1) or recipe()
+            counting.add(terms)
+        return build(ratio, constant, terms, *rest)
+
+    for module in (solvers, similarity, consimilarity):
+        monkeypatch.setattr(module, "_family", family)
+    return calls
+
+
+def _scalars(family) -> list:
+    """The repr of every scalar of the constant and the terms, in order."""
+    quats = [family.constant] + [q for term in family.terms for q in term]
+    return [repr(c) for q in quats for c in q.coeffs]
+
+
+def _copies(inputs):
+    """The exact inputs, then their float copies."""
+    return (inputs, tuple(q.to_float() for q in inputs))
+
+
+class TestDeferredClosedForm:
+    """A family builds its constant and terms on their first read, and at, basis() and dimension read neither."""
+
+    def test_reading_a_family_builds_no_term(self, monkeypatch):
+        calls = _counting_recipes(monkeypatch)
+        rng = random.Random(17)
+        seen = set()
+        for name, solver, inputs in _draws(rng, 2):
+            for copy_ in _copies(inputs):
+                calls.clear()
+                family = _family(solver, copy_)
+                family.dimension, family.basis(), family.at(_quat(rng)), family.at(ZERO)
+                assert calls == [], (name, copy_)
+                # a+*d*b+ and a+*d are built on their first read; a zero constant is the backend's own 0
+                assert (family._constant is None) == (name in ("axb", "axd", "xad")), (name, copy_)
+                terms = family.terms
+                assert family.terms is terms and family.constant is family.constant
+                built = len(calls)
+                assert built == (1 if terms else 0), (name, copy_)
+                family.terms, repr(family), family.at(ONE)
+                assert len(calls) == built, (name, copy_)
+            seen.add(name)
+        assert {"axb", "ax0", "axd", "xad", "xa_bx rank 2", "xa_bx rank 3", "xa_bx nonsingular"} <= seen
+        assert {f"xa_bxbar {case.value}" for case in SRankCase} <= seen
+
+    def test_terms_read_late_equal_terms_read_first(self):
+        rng = random.Random(18)
+        for name, solver, inputs in _draws(rng, 3):
+            for copy_ in _copies(inputs):
+                first = _family(solver, copy_)
+                expected = _scalars(first)
+                late = _family(solver, copy_)
+                ys = (ZERO, ONE, _quat(rng))
+                late.dimension, late.basis(), [late.at(y) for y in ys]
+                assert _scalars(late) == expected, (name, copy_)
+                assert [repr(late.at(y).coeffs) for y in ys] == [repr(first.at(y).coeffs) for y in ys], name
+
+    def test_equality_hash_repr_pickle_and_copies_build_the_terms(self):
+        rng = random.Random(19)
+        for name, solver, inputs in _draws(rng, 2):
+            for copy_ in _copies(inputs):
+                read = _family(solver, copy_)
+                read.terms, read.constant
+                fresh = lambda: _family(solver, copy_)
+                assert fresh() == read and read == fresh(), (name, copy_)
+                assert hash(fresh()) == hash(read), (name, copy_)
+                assert repr(fresh()) == repr(read), (name, copy_)
+                assert pickle.dumps(fresh()) == pickle.dumps(read), (name, copy_)
+                for clone in (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh()), copy.copy(fresh())):
+                    assert clone == read and repr(clone) == repr(read), (name, copy_)
+                    assert _scalars(clone) == _scalars(read), (name, copy_)
+
+    def test_threads_reading_one_family_see_one_value(self):
+        # two threads may both build the terms; each read still returns equal terms and raises nothing
+        rng = random.Random(20)
+        draws = [(solver, copy_) for _, solver, inputs in _draws(rng, 2) for copy_ in _copies(inputs)]
+        expected = [_scalars(_family(solver, copy_)) for solver, copy_ in draws]
+        errors, wrong = [], []
+
+        def read(families):
+            try:
+                wrong.extend(i for i, family in enumerate(families) if _scalars(family) != expected[i])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                families = [_family(solver, copy_) for solver, copy_ in draws]
+                threads = [threading.Thread(target=read, args=(families,)) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
+
+class TestAtCoercion:
+    """SolutionFamily.at takes what * takes: a SplitQuaternion, or an int, Fraction or float as a real one."""
+
+    def test_reals_are_real_quaternions(self):
+        exact = solve_ax0(parse_quat("1+j"))
+        approx = solve_ax0(parse_quat("1.0+j"))
+        empty = solve_xa_bx(parse_quat("1+2i+3j+4k"), parse_quat("5+i"))
+        for family in (exact, approx, empty):
+            for y in (1, Fraction(-3, 4), 0.5, -2.0):
+                x = family.at(y)
+                assert repr(x.coeffs) == repr(family.at(SplitQuaternion(y, 0, 0, 0)).coeffs), (family, y)
+            for bad in ("x", None, True, 1j, (1, 0, 0, 0)):
+                with pytest.raises(TypeError):
+                    family.at(bad)
+        assert exact.at(1) == exact.at(ONE) == (ONE - J) / 2
+        assert all(type(c) is float for c in approx.at(Fraction(1, 3)).coeffs)
+        assert empty.at(7) is empty.constant

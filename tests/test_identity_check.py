@@ -82,3 +82,19 @@ def test_diff_groups_the_moved_lines_by_mode_and_kind(tmp_path):
     expected = [f"{mode} {kind}: {n} moved" for (mode, kind), n in sorted(groups.items())]
     assert headers == expected + ["moved: 4 of 9 lines"]
     assert f"  + {dump[3].split(' ', 3)[3]} moved" in out and "  + (absent)" in out
+
+
+def test_float_rounded_runs_both_exact_pools_on_floats():
+    dump = _run("--modes", "float-rounded", "algebra-exact", "families-exact", "--dump")
+    rounded, exact = dump[:6], dump[6:]
+    # the first items of each exact pool, in turn, with the same kind, case and arguments
+    assert [line.split(" ", 3)[:3] for line in rounded] == [["1", "float-rounded", str(i)] for i in range(6)]
+    heads = [line.split(" ", 3)[3].split(" -> ", 1)[0] for line in dump]
+    assert heads[:6] == heads[6:]
+    results = [line.split(" -> ", 1)[1] for line in rounded]
+    assert all("Fraction(" not in result.split(" family ", 1)[0] for result in results)
+    assert any("Fraction(" in line.split(" -> ", 1)[1] for line in exact)
+    # a family_* item prints its whole family: its constant and terms on floats
+    families = [result.split(" family ", 1)[1] for head, result in zip(heads, results) if head.startswith("family_")]
+    assert families and all(family.startswith("SolutionFamily(SplitQuaternion(") for family in families)
+    assert all("Fraction(" not in family.split(", Mat4(", 1)[0] for family in families)

@@ -242,6 +242,14 @@ class TestApply:
         assert m.apply((1, 2, 3, 4)) == rows_apply(m.rows, (1, 2, 3, 4)) == (5, 0, 6, 20)
         assert _bits(m.apply((1.5, 0, 0, 0.25))) == _bits(rows_apply(m.rows, (1.5, 0, 0, 0.25)))
 
+    @pytest.mark.parametrize("v", [(), (1, 2, 3), (1, 2, 3, 4, 5), (1.0, 2.0, 3.0)])
+    def test_vectors_of_other_lengths_are_rejected(self, v):
+        for m in (Mat4.identity(), Mat4.zero(), Mat4.diagonal((1.0, 2.0, 3.0, 4.0))):
+            with pytest.raises(ValueError, match="4 entries"):
+                m.apply(v)
+            with pytest.raises(ValueError, match="4 right-hand entries"):
+                linear_system_consistent(m, v)
+
 
 class TestElimination:
     @given(quats, quats)
