@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .core import SplitQuaternion, _form, _from_ratio
 from .errors import RealInputError
-from .matrices import Mat4, _kernel, _mat, s_matrix
+from .matrices import _kernel, _mat, _zero, s_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
 from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
 
@@ -60,7 +60,7 @@ def solve_xa_bxbar(
     kernel, d = _kernel(s_matrix(a, b), eps)
     zero = _ZEROS[d.__class__]
     if not kernel:
-        return _family(*zero, (), eps, Mat4.zero(), ())
+        return _family(*zero, (), eps, _zero(d), ())
 
     def terms():
         # m_t = e_t^-1 n_t

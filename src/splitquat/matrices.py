@@ -26,7 +26,10 @@ pivoting and the tolerance ``eps`` on floats, picked in one place,
 it leaves.  Queries that read only the pivots stop both kernels at
 echelon form.  The pseudoinverse takes the rows of its first pass as E,
 echelon rows on the exact kernel and reduced ones on the float kernel,
-and its products run on ``_product``.  Elimination is the source of truth
+and its products run on ``_product``.  Its exact r x r inverse is an
+adjugate (:func:`~.elimination.adjugate`), so an exact matrix of full
+rank is inverted with no elimination; the float one stays Gauss-Jordan
+elimination.  Elimination is the source of truth
 for every rank decision taken elsewhere in the library; the closed-form
 spectra and determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
 """
@@ -79,7 +82,7 @@ class Mat4:
 
     @classmethod
     def zero(cls) -> "Mat4":
-        return _mat((0,) * 16, 1)
+        return _zero(1)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Mat4":
@@ -220,6 +223,11 @@ def _eliminate(rows: List[list], d, eps: float, reduce: bool) -> Tuple[List[int]
     return pivots, sign * last, last
 
 
+def _zero(d) -> Mat4:
+    """The zero matrix of the backend of a denominator d."""
+    return _mat((0 * d,) * 16, d)
+
+
 def _pivots(m: Mat4, eps: float) -> List[int]:
     return _eliminate(m._lists(), m._d, eps, False)[0]
 
@@ -310,34 +318,49 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     echelon form, so the inverse is C^T (C C^T)^-1 (B^T B)^-1 B^T.  That
     equals E^T (B^T m E^T)^-1 B^T for any E whose rows span the row
     space of m, and both backends take the echelon rows their elimination
-    left as E, unreduced on the exact one: one r x r inverse, by one more
-    elimination at eps 0.  The products run on :func:`_product`, padded
-    with int 0 so that a float zero sums to 0.0, never -0.0.  A matrix of
-    full rank is inverted directly, since the Gram matrix squares its
-    condition number.  The zero matrix maps to itself.
+    left as E, unreduced on the exact one.  The r x r inverse is the
+    adjugate over the determinant on the exact backend
+    (:func:`~.elimination.adjugate`), and one more elimination, of
+    [block | d I] at eps 0, on the float one: Cramer-type formulas are
+    not backward stable in floating point (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 14).  A matrix of full rank
+    is inverted directly, since the Gram matrix squares its condition
+    number; an exact one whose determinant is not 0 takes no elimination
+    at all.  The products run on :func:`_product`, padded with int 0 so
+    that a float zero sums to 0.0, never -0.0.  The zero matrix maps to
+    the zero matrix of its backend.
     """
     e, d = m._e, m._d
+    exact = d.__class__ is not float
+    if exact:
+        adj, det = elimination.adjugate(e)
+        if det:
+            return _mat(adj if d == 1 else tuple(x * d for x in adj), det)
     echelon = m._lists()
-    pivots = _eliminate(echelon, d, eps, d.__class__ is float)[0]
+    pivots = _eliminate(echelon, d, eps, not exact)[0]
     r = len(pivots)
     if r == 0:
-        return Mat4.zero()
+        return _zero(d)
     pad, zero_rows = (0,) * (4 - r), [0] * (16 - 4 * r)
-    if r == 4:
-        block = m._lists()
+    if r == 4:  # floats only: an exact matrix of full rank was inverted above
+        block = e
     else:
         bt = [x for p in pivots for x in e[p::4]] + zero_rows
         et = [x for col in zip(*echelon[:r]) for x in (*col, *pad)]
         block = _product(bt, _product(e, et))
-        block = [list(block[i : i + r]) for i in range(0, 4 * r, 4)]
-    # with d I on the right, the inverse of block comes out times d, which cancels
-    # the 1/d of m's numerators: x ends as scale * m+
-    zero = 0 * d
-    augmented = [row + [d if i == j else zero for j in range(r)] for i, row in enumerate(block)]
-    pivots, _, scale = _eliminate(augmented, d, 0.0, True)
-    if pivots != list(range(r)):
-        raise NotInvertibleError("matrix is singular")
-    x = [v for row in augmented for v in (*row[r:], *pad)] + zero_rows
+    # x / scale is d times the inverse of the block: the d cancels the 1/d of m's numerators
+    if exact:
+        # B^T B and C C^T are Gram matrices of independent vectors, so the block is invertible
+        x, scale = elimination.adjugate(block, r)
+        if d != 1:
+            x = [v * d for v in x]
+    else:
+        rows = [list(block[i : i + r]) for i in range(0, 4 * r, 4)]
+        augmented = [row + [d if i == j else 0.0 for j in range(r)] for i, row in enumerate(rows)]
+        pivots, _, scale = _eliminate(augmented, d, 0.0, True)
+        if pivots != list(range(r)):
+            raise NotInvertibleError("matrix is singular")
+        x = [v for row in augmented for v in (*row[r:], *pad)] + zero_rows
     if r < 4:
         x = _product(_product(et, x), bt)
     return _mat(tuple(x), scale)

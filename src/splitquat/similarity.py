@@ -34,7 +34,9 @@ under which the quadratic form is the determinant and 2*q0 the trace.
 For X = phi(x) and a vector v that is no eigenvector of X, the basis
 P_X = [v, X*v] takes X to its companion matrix, which trace and
 determinant fix; similar a and b share both, so q = phi^-1(P_B * P_A^-1)
-satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).
+satisfies q*a = b*q (Hoffman-Kunze, Linear Algebra, ch. 7).  The basis
+is built on phi(im x) = X - x0*I, which has the eigenvectors of X and
+stays well apart from 0 in floats however large x0 is.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import warnings
 
 from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul
 from .errors import ExactnessWarning, NotInvertibleError, RealInputError
-from .matrices import Mat4, _dot, _family_sum, _mat, t_matrix
+from .matrices import _dot, _family_sum, _mat, _zero, t_matrix
 from .scalars import DEFAULT_EPS, _over, _ratio, scalar_is_zero
 from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
 
@@ -100,7 +102,7 @@ def solve_xa_bx(
         terms = lambda: ((one, one),) + tuple((_from_ratio(l, t), _from_ratio(r, e2)) for l, r in sides[1:])
         return _family(*zero, terms, eps, _mat(_family_sum(sum(sum(sides, ()), ())), t * e2))
     if same_re or t_matrix(a, b).rank(eps) == 4:
-        return _family(*zero, (), eps, Mat4.zero())
+        return _family(*zero, (), eps, _zero(e))
     # p over e^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
     # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
     c = 2 * (na[0] - nb[0])
@@ -118,12 +120,16 @@ def solve_xa_bx(
 
 
 def _cyclic_basis(x: SplitQuaternion):
-    """Rows of P = [v, phi(x)*v], with v among e1, e2, e1 + e2 giving the largest |det P|.
+    """Rows of P = [v, phi(im x)*v], with v among e1, e2, e1 + e2 giving the largest |det P|.
 
-    phi(x) of a non-real x is not scalar, so it has at most two
+    phi(im x) of a non-real x is not 0, so it has at most two
     eigenvector directions, and one of the three v is no eigenvector.
+    phi(x) = phi(im x) + x0*I would give P*[[1, x0], [0, 1]], of the same
+    det, and so the same witness for a pair with equal real parts; but in
+    floats a real part that dwarfs im(x) rounds phi(x) to x0*I, and every
+    det P to 0.
     """
-    m00, m01, m10, m11 = x.q0 + x.q2, x.q3 - x.q1, x.q1 + x.q3, x.q0 - x.q2
+    m00, m01, m10, m11 = x.q2, x.q3 - x.q1, x.q1 + x.q3, -x.q2
     columns = (((1, 0), (m00, m10)), ((0, 1), (m01, m11)), ((1, 1), (m00 + m01, m10 + m11)))
     (v0, v1), (w0, w1) = max(columns, key=lambda c: abs(c[0][0] * c[1][1] - c[1][0] * c[0][1]))
     return (v0, w0), (v1, w1)

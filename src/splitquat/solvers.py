@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from .core import I, J, K, ONE, Frozen, SplitQuaternion, ZERO, _form, _from_ratio, _lightlike_inverse, _mul
 from .errors import NotLightlikeError, ZeroCoefficientError
-from .matrices import _dot, _family_sum, _mat, family_matrix, image_basis
+from .matrices import _dot, _family_sum, _mat, _zero, family_matrix, image_basis
 from .scalars import DEFAULT_EPS, _all_zero, _common, _ratio, scalar_is_zero
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
@@ -75,7 +75,9 @@ class SolutionFamily(Frozen):
     _fields = ("constant", "terms")
 
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
-        _fill(self, _ratio(constant.coeffs), constant, terms, DEFAULT_EPS, family_matrix(terms), None)
+        ratio = _ratio(constant.coeffs)
+        matrix = family_matrix(terms) if terms else _zero(ratio[1])  # the zero of the constant's backend
+        _fill(self, ratio, constant, terms, DEFAULT_EPS, matrix, None)
 
     def __reduce__(self):
         values = (self._constant_ratio, self.constant, self.terms, self._eps, self.linear_matrix, self._basis)

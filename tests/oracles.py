@@ -414,7 +414,7 @@ def rank_factor_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     pivots = _eliminate(echelon, m._d, eps, True)[0]
     r = len(pivots)
     if r == 0:
-        return Mat4.zero()
+        return _mat((0 * m._d,) * 16, m._d)
     if r == 4:
         block = a
     else:
@@ -596,14 +596,22 @@ def xa_bx_rank3_image(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion
     return M2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1]).phi_inverse()
 
 
-def cyclic_basis(x: SplitQuaternion) -> M2:
-    """[v, phi(x) v] for the first v among e1, e2, e1+e2 with the largest |det|."""
-    m = M2.phi(x)
+def cyclic_basis(x: SplitQuaternion, whole: bool = False) -> M2:
+    """[v, phi(im x) v] for the first v among e1, e2, e1+e2 with the largest |det|.
+
+    With ``whole`` the basis is [v, phi(x) v] = [v, phi(im x) v] [[1, x0], [0, 1]]:
+    the same det for each v, so the same v.
+    """
+    m = M2.phi(x) if whole else M2(x.q2, x.q3 - x.q1, x.q1 + x.q3, -x.q2)
     bases = [M2.columns(v, m.apply(v)) for v in ((1, 0), (0, 1), (1, 1))]
     return max(bases, key=lambda p: abs(p.det()))
 
 
-def cyclic_witness(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
-    """phi^-1(P_B P_A^-1): conjugates a to b when both are non-real and similar."""
-    p_a, p_b = cyclic_basis(a), cyclic_basis(b)
+def cyclic_witness(a: SplitQuaternion, b: SplitQuaternion, whole: bool = False) -> SplitQuaternion:
+    """phi^-1(P_B P_A^-1): conjugates a to b when both are non-real and similar.
+
+    With equal real parts the factor [[1, x0], [0, 1]] of ``whole`` bases
+    cancels in P_B P_A^-1, so exact witnesses do not depend on ``whole``.
+    """
+    p_a, p_b = cyclic_basis(a, whole), cyclic_basis(b, whole)
     return (p_b @ p_a.adj()).divide(p_a.det()).phi_inverse()

@@ -124,6 +124,9 @@ class TestKernelFamily:
             family = solve_xa_bxbar(a, b)
             basis = family.basis()
             assert family.linear_matrix == family_matrix(family.terms), (a, b)
+            # a trivial kernel too holds the zero matrix of its backend
+            assert family.linear_matrix.is_exact
+            assert not solve_xa_bxbar(a.to_float(), b.to_float()).linear_matrix.is_exact, (a, b)
             assert basis == image_basis(family.linear_matrix), (a, b)
             assert [v.coeffs for v in basis] == list(zip(*family.linear_matrix.rows))[: len(basis)]
             kernel = nullspace_basis(s_matrix(a, b))

@@ -75,6 +75,34 @@ def _conjugated(rng: random.Random, rows):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*p_inv)] for row in prod]
 
 
+def _singular_with_independent_top_rows(rng: random.Random, r: int, size: int):
+    """Integer rows of rank r in 2..3 whose rows 0-1 and rows 2-3 are independent pairs.
+
+    The last 4 - r rows combine the first r.  Some 2 x 2 minor of rows 0-1
+    and some of rows 2-3 are then nonzero, while the determinant, the
+    signed sum of their products, is 0.
+    """
+    while True:
+        rows = [[rng.randint(-size, size) for _ in range(4)] for _ in range(r)]
+        weights = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(4 - r)]
+        rows += [[sum(w * row[j] for w, row in zip(ws, rows)) for j in range(4)] for ws in weights]
+        top, bottom = (fraction_rref(rows[i : i + 2])[1] for i in (0, 2))
+        if len(fraction_rref(rows)[1]) == r and len(top) == len(bottom) == 2:
+            return rows
+
+
+def _tall(rng: random.Random, r: int, digits: int):
+    """Rational rows of rank r with numerators of about 2 * digits digits over a digits-digit denominator."""
+    size = 10**digits
+    while True:
+        left = [[rng.randint(-size, size) for _ in range(r)] for _ in range(4)]
+        right = [[rng.randint(-size, size) for _ in range(4)] for _ in range(r)]
+        den = rng.randint(size, 2 * size)
+        rows = [[Fraction(sum(x * y[j] for x, y in zip(row, right)), den) for j in range(4)] for row in left]
+        if len(fraction_rref(rows)[1]) == r:
+            return rows
+
+
 def _matrices():
     rng = random.Random(2024)
     out = []
@@ -92,6 +120,13 @@ def _matrices():
         out.append(s_matrix(a, b))  # rank 3
         out.append(left_matrix(rand_lightlike(rng)))  # rank 2
         out.append(left_matrix(rand_quat(rng)) @ right_matrix(rand_quat(rng)))
+    # the exact inverse is an adjugate: det 0 decided on nonzero minors, and tall entries
+    for r in (2, 3):
+        for size in (9, 10**12, 10**300):
+            out.append(Mat4(_singular_with_independent_top_rows(rng, r, size)))
+    for digits in (6, 150):
+        for r in range(1, 5):
+            out.append(Mat4(_tall(rng, r, digits)))
     return out
 
 
@@ -108,6 +143,7 @@ def test_every_rank_is_covered():
     ranks = {m.rank() for m in MATRICES}
     assert ranks == {0, 1, 2, 3, 4}
     assert max(x.denominator for m in MATRICES for row in m.rows for x in row) > 10**6
+    assert max(abs(x.numerator) for m in MATRICES for row in m.rows for x in row) > 10**299
 
 
 def test_kernel_against_fraction_elimination():
@@ -165,7 +201,26 @@ def _check_kernel(rows):
             assert [sum(row[p] * w[j] for p, w in zip(pivots, want)) for j in range(len(row))] == row, rows
     if len(rows) == len(rows[0]) == r:
         assert sign * last == fraction_det(rows), rows
+    if len(rows) == len(rows[0]):
+        _check_adjugate(rows)
     return r
+
+
+def _check_adjugate(rows):
+    """The adjugate of square integer rows, as the leading block of a flat 4 x 4 matrix, against Fractions.
+
+    The entries around the block are nonzero, and the kernel must not read them.
+    """
+    n = len(rows)
+    flat = [rows[i][j] if i < n and j < n else 3 + i - j for i in range(4) for j in range(4)]
+    adj, det = elimination.adjugate(flat, n)
+    assert type(det) is int and det == fraction_det(rows), rows
+    if not det:
+        assert adj is None, rows
+        return
+    inverse = fraction_inverse(rows)
+    want = [inverse[i][j] * det if i < n and j < n else 0 for i in range(4) for j in range(4)]
+    assert all(type(x) is int for x in adj) and list(adj) == want, rows
 
 
 def _int_rows(left, right, n: int, zero_rows, zero_cols):

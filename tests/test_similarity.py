@@ -259,9 +259,14 @@ class TestFamilyImagesInTheMatrixModel:
 
 class TestDispatch:
     def test_nonsingular_gives_zero_family(self):
-        family = solve_xa_bx(I, J)
-        assert family.dimension == 0
-        assert family.at(parse_quat("1+2i+3j+4k")) == ZERO
+        # the zero matrix of the family's backend
+        for a, b in ((I, J), (I.to_float(), J.to_float())):
+            family = solve_xa_bx(a, b)
+            assert family.dimension == 0
+            assert family.at(parse_quat("1+2i+3j+4k")) == ZERO
+            assert family.linear_matrix == Mat4.zero()
+            assert family.linear_matrix.is_exact == a.is_exact
+            assert SolutionFamily(family.constant, ()).linear_matrix.is_exact == a.is_exact
 
     def test_dispatch_matches_nullspace(self):
         rng = random.Random(33)
@@ -277,6 +282,8 @@ class TestDispatch:
             for v in nullspace_basis(t):
                 x = SplitQuaternion(*v)
                 assert x * a == b * x
+            assert family.linear_matrix.is_exact
+            assert not solve_xa_bx(a.to_float(), b.to_float()).linear_matrix.is_exact, (a, b)
 
     def test_real_inputs_rejected(self):
         with pytest.raises(RealInputError):
@@ -363,9 +370,11 @@ class TestIsSimilar:
                 k = a.im_squared
                 counts["zero" if k == 0 else "plus" if k > 0 else "minus"] += 1
                 for x, y in ((a, b), (a.to_float(), b.to_float())):
-                    assert is_similar(x, y).witness == cyclic_witness(x, y)
+                    assert repr(is_similar(x, y).witness.coeffs) == repr(cyclic_witness(x, y).coeffs)
                 w = is_similar(a, b).witness
                 assert w * a == b * w and w.quadratic_form != 0
+                # on exact input the basis on phi(a) gives the same witness as that on phi(im a)
+                assert w == cyclic_witness(a, b, whole=True)
         assert min(counts.values()) > 0
 
     def test_witness_is_scale_invariant(self):
@@ -454,7 +463,9 @@ class TestCanonicalForm:
                 warnings.simplefilter("ignore")
                 form = canonical_form(a)
             base = a if form.exact else a.to_float()
-            assert form.conjugator == cyclic_witness(base, form.target)
+            assert repr(form.conjugator.coeffs) == repr(cyclic_witness(base, form.target).coeffs)
+            if form.exact:
+                assert form.conjugator == cyclic_witness(base, form.target, whole=True)
 
     def test_random_lightlike_invariant(self):
         rng = random.Random(51)
