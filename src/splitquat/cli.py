@@ -52,9 +52,9 @@ def tolerance(text: str) -> float:
 
 
 def _family(family, residual, eps: float, solvable: bool = False) -> Result:
-    """A family, with dimension and basis from one elimination at eps, checked at the probes."""
+    """A family, with dimension and basis from one elimination at its eps, checked at the probes."""
     verified = all(residual(family.at(y)).is_zero(eps) for y in _SOLVE_PROBES)
-    basis = family.basis(eps)
+    basis = family.basis()
     payload = {
         "dimension": len(basis),
         "constant": str(family.constant),

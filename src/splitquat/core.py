@@ -14,7 +14,10 @@ the zero divisors, and they are what most of this library is about.
 Coefficients are either all :class:`~fractions.Fraction` (exact backend)
 or all :class:`float` (approximate backend with absolute tolerance
 ``eps``); mixing converts the whole value to floats, and an ``int``
-factor or divisor of a float value is taken as a float.  The product,
+factor or divisor of a float value is taken as a float.  Such rounding
+runs through :func:`~.scalars._floats`, which raises
+:class:`~.errors.NonFiniteError` for an exact value past the float
+range.  The product,
 the three quadratic forms, ``classify``, ``is_lightlike`` and
 ``inverse`` have one body each, on the numerators of their operands
 over a common denominator (see
@@ -44,6 +47,7 @@ from .scalars import (
     DEFAULT_EPS,
     Scalar,
     _all_zero,
+    _floats,
     _over,
     _quotient,
     _ratio,
@@ -115,7 +119,7 @@ class SplitQuaternion(Frozen):
     def __init__(self, q0: Scalar, q1: Scalar, q2: Scalar, q3: Scalar):
         coeffs = tuple(as_scalar(c) for c in (q0, q1, q2, q3))
         if any(isinstance(c, float) for c in coeffs):
-            coeffs = tuple(float(c) for c in coeffs)
+            coeffs = _floats(coeffs)
             if not all(map(isfinite, coeffs)):
                 raise NonFiniteError("coefficient is not finite on the float backend")
         for name, value in zip(self._fields, coeffs):  # _assign, inlined on the hot path
@@ -151,6 +155,8 @@ class SplitQuaternion(Frozen):
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if other.q0.__class__ is not self.q0.__class__:
+            self, other = self.to_float(), other.to_float()
         return _new(self.q0 + other.q0, self.q1 + other.q1, self.q2 + other.q2, self.q3 + other.q3)
 
     __radd__ = __add__
@@ -159,6 +165,8 @@ class SplitQuaternion(Frozen):
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if other.q0.__class__ is not self.q0.__class__:
+            self, other = self.to_float(), other.to_float()
         return _new(self.q0 - other.q0, self.q1 - other.q1, self.q2 - other.q2, self.q3 - other.q3)
 
     def __rsub__(self, other):
@@ -172,15 +180,16 @@ class SplitQuaternion(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, SplitQuaternion):
-            # both factors as one operand: if it starts with a float, an exact
-            # factor's Fractions stay, and since each coefficient product pairs
-            # one value of each factor, they round there as rounding first would
+            if other.q0.__class__ is not self.q0.__class__:
+                self, other = self.to_float(), other.to_float()
             n, d = _ratio((self.q0, self.q1, self.q2, self.q3, other.q0, other.q1, other.q2, other.q3))
             return _from_ratio(_quat_product(n), d * d)
         try:
             s = as_scalar(other)
         except TypeError:
             return NotImplemented
+        if s.__class__ is not self.q0.__class__:
+            self, (s,) = self.to_float(), _floats((s,))
         return _new(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
 
     def __rmul__(self, other):
@@ -196,6 +205,8 @@ class SplitQuaternion(Frozen):
             s = as_scalar(other)
         except TypeError:
             return NotImplemented
+        if s.__class__ is not self.q0.__class__:
+            self, (s,) = self.to_float(), _floats((s,))
         return _new(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
 
     # ------------------------------------------------------------------
@@ -292,7 +303,7 @@ class SplitQuaternion(Frozen):
         return _inverse(n, d, form)
 
     def to_float(self) -> "SplitQuaternion":
-        return SplitQuaternion(*(float(c) for c in self.coeffs))
+        return _new(*_floats(self.coeffs))
 
     def to_exact(self) -> "SplitQuaternion":
         """Exact view of the float coefficients (binary expansion, no rounding)."""

@@ -56,10 +56,7 @@ def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]
             row = rows[i]
             f = row[c]
             if f and i != r:
-                if prev == 1:
-                    rows[i] = [piv * x - f * y for x, y in zip(row, top)]
-                else:
-                    rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
             elif not f and piv != prev:
                 rows[i] = [piv * x // prev for x in row]
         pivots.append(c)

@@ -34,7 +34,7 @@ class RealInputError(SplitQuaternionError):
 
 
 class NonFiniteError(SplitQuaternionError):
-    """A float-backend value, or its quadratic form, overflowed to inf or nan."""
+    """A float-backend value, or its quadratic form, is not finite, or an exact value leaves the float range."""
 
 
 class IllConditionedWarning(UserWarning):

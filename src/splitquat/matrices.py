@@ -48,6 +48,7 @@ from .scalars import (
     Scalar,
     _all_zero,
     _common,
+    _floats,
     _quotient,
     _ratio,
     as_scalar,
@@ -70,7 +71,7 @@ class Mat4:
             raise ValueError("Mat4 requires 4 rows of 4 entries")
         flat = [x for row in rows for x in row]
         if any(isinstance(x, float) for x in flat):
-            self._e, self._d = tuple(map(float, flat)), 1.0
+            self._e, self._d = _floats(flat), 1.0
             if not all(map(isfinite, self._e)):
                 raise NonFiniteError("matrix entry is not finite on the float backend")
         else:
@@ -123,8 +124,6 @@ class Mat4:
 
     def _entrywise(self, other: "Mat4", op) -> "Mat4":
         (a, d), (b, e) = _common((self._e, self._d), (other._e, other._d))
-        if d == e:
-            return _mat(tuple(map(op, a, b)), d)
         return _mat(tuple(op(x * e, y * d) for x, y in zip(a, b)), d * e)
 
     def __add__(self, other: "Mat4") -> "Mat4":
@@ -142,7 +141,8 @@ class Mat4:
 
     def __truediv__(self, s) -> "Mat4":
         s = as_scalar(s)
-        return Mat4(tuple(tuple(a / s for a in row) for row in self.rows))
+        rows = [_floats(row) for row in self.rows] if s.__class__ is float else self.rows
+        return Mat4(tuple(tuple(a / s for a in row) for row in rows))
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
         """The column m . v: exact on int numerators, or in floats once any entry is a float."""
@@ -335,7 +335,7 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     if exact:
         adj, det = elimination.adjugate(e)
         if det:
-            return _mat(adj if d == 1 else tuple(x * d for x in adj), det)
+            return _mat(tuple(x * d for x in adj), det)
     echelon = m._lists()
     pivots = _eliminate(echelon, d, eps, not exact)[0]
     r = len(pivots)
@@ -352,8 +352,7 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     if exact:
         # B^T B and C C^T are Gram matrices of independent vectors, so the block is invertible
         x, scale = elimination.adjugate(block, r)
-        if d != 1:
-            x = [v * d for v in x]
+        x = [v * d for v in x]
     else:
         rows = [list(block[i : i + r]) for i in range(0, 4 * r, 4)]
         augmented = [row + [d if i == j else 0.0 for j in range(r)] for i, row in enumerate(rows)]

@@ -67,7 +67,7 @@ from typing import List
 
 from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio
 from .errors import ExactnessWarning, NonFiniteError, NotLightlikeError, ZeroInputError
-from .scalars import DEFAULT_EPS, _digit_limit, _printable, _ratio, _too_long, scalar_is_zero
+from .scalars import DEFAULT_EPS, _digit_limit, _floats, _printable, _ratio, _too_long, scalar_is_zero
 
 _TWO_PI = 2.0 * math.pi
 
@@ -165,7 +165,7 @@ def to_polar(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> LightlikePolar:
         raise ZeroInputError("the zero quaternion has no polar form")
     if not q.is_lightlike(eps):
         raise NotLightlikeError("polar form requires a zero divisor")
-    q0, q1, q2, q3 = (float(c) for c in q.coeffs)
+    q0, q1, q2, q3 = _floats(q.coeffs)
     r = math.hypot(q0, q1)
     alpha = math.atan2(q1, q0) % _TWO_PI
     beta = math.atan2(q3, q2) % _TWO_PI

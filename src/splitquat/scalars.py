@@ -34,7 +34,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
-from .errors import SplitQuaternionError
+from .errors import NonFiniteError, SplitQuaternionError
 
 Scalar = Union[Fraction, float]
 
@@ -73,13 +73,13 @@ def _ratio(values: Sequence[Scalar], *more: Sequence[Scalar]) -> Tuple[Sequence,
         operands = (values, *more)
         values = sum(operands, ())
         if values[0].__class__ is float and any(x[0].__class__ is not float for x in operands):
-            return tuple(map(float, values)), 1.0
+            return _floats(values), 1.0
     if values[0].__class__ is float:
         return values, 1.0
     try:
         d = math.lcm(*(x.denominator for x in values))
     except AttributeError:  # a float among exact values
-        return tuple(map(float, values)), 1.0
+        return _floats(values), 1.0
     return tuple(x.numerator * (d // x.denominator) for x in values), d
 
 
@@ -103,7 +103,18 @@ def _common(x: tuple, y: tuple) -> Tuple[tuple, tuple]:
     """
     if x[1].__class__ is y[1].__class__:
         return x, y
-    return (tuple(n / x[1] for n in x[0]), 1.0), (tuple(n / y[1] for n in y[0]), 1.0)
+    return (_floats(n / x[1] for n in x[0]), 1.0), (_floats(n / y[1] for n in y[0]), 1.0)
+
+
+def _floats(values) -> tuple:
+    """The values rounded to floats as float() rounds them: every exact value meeting a float one is rounded here.
+
+    One past the float range raises NonFiniteError.
+    """
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise NonFiniteError("exact value too large for the float backend") from None
 
 
 def scalar_is_zero(x: Scalar, eps: float = DEFAULT_EPS) -> bool:

@@ -45,9 +45,9 @@ import math
 import warnings
 
 from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul
-from .errors import ExactnessWarning, NotInvertibleError, RealInputError
+from .errors import ExactnessWarning, NonFiniteError, NotInvertibleError, RealInputError
 from .matrices import _dot, _family_sum, _mat, _zero, t_matrix
-from .scalars import DEFAULT_EPS, _over, _ratio, scalar_is_zero
+from .scalars import DEFAULT_EPS, _floats, _over, _ratio, scalar_is_zero
 from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
 
 
@@ -95,6 +95,8 @@ def solve_xa_bx(
         ap, bp = (ia[0], -ia[1]) + ia[2:], (ib[0], -ib[1]) + ib[2:]
         e2, z = e * e, 0 * e
         t = 2 * (_dot(ia, ia) + _dot(ib, ib))
+        if not t:  # a float sum of squares that underflows; exact non-real A and B give t > 0
+            raise NonFiniteError("the rank-2 family is not finite on the float backend: |A|^2 + |B|^2 is 0")
         scaled = tuple(x * e for x in ib + bp + ap + ia)  # B, B', A', A over e^2
         lefts, t = _over((t, z, z, z, -e2, -z, -z, -z) + scaled[:8] + tuple(-x for x in _mul(bp, ib)), t)
         rights = (e2, z, z, z) + _mul(ia, ap) + scaled[8:] + (e2, z, z, z)
@@ -177,14 +179,16 @@ def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalFor
     and k = 0 to a0 + i + j.  The conjugator is the closed-form witness
     phi^-1(P_target * P_a^-1) of the module docstring on every branch.
     When k is not a perfect rational square the computation escalates to
-    floats and the result is flagged inexact.
+    floats and the result is flagged inexact: the target is built from a0
+    and k, each rounded once from its exact value, so conjugates share it
+    bit for bit, and the conjugator from a rounded to floats.
     """
     _require_nonreal(a, eps, "a")
     n, d = _ratio(a.coeffs)
-    k, z = _im_squared(n[1:]), 0 * d  # k over d^2, a square: its root is the root of k over d
+    a0, k, z = n[0], _im_squared(n[1:]), 0 * d  # k over d^2, a square: its root is the root of k over d
     exact = d.__class__ is int
     if scalar_is_zero(k, eps):
-        target = (n[0], d, d, z)
+        target = (a0, d, d, z)
     else:
         if exact and math.isqrt(abs(k)) ** 2 != abs(k):
             warnings.warn(
@@ -192,10 +196,12 @@ def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalFor
                 ExactnessWarning,
                 stacklevel=2,
             )
-            a = a.to_float()
-            n, d = _ratio(a.coeffs)
-            k, z, exact = _im_squared(n[1:]), 0.0, False
+            # the target from a0 and k, each rounded once from its exact value: it depends on the class only
+            (a0, k), d, z, exact = _floats(x / y for x, y in ((a0, d), (k, d * d))), 1.0, 0.0, False
+            if not k:
+                raise NonFiniteError("exact value too small for the float backend: im_squared rounds to 0")
+            a = a.to_float()  # for the conjugator
         root = math.isqrt(abs(k)) if exact else math.sqrt(abs(k))
-        target = (n[0], z, root, z) if k > 0 else (n[0], root, z, z)
+        target = (a0, z, root, z) if k > 0 else (a0, root, z, z)
     target = _from_ratio(target, d)
     return CanonicalForm(target, _cyclic_witness(a, target), exact)

@@ -61,9 +61,8 @@ class SolutionFamily(Frozen):
     once here; ``at`` applies it to y.coeffs, and its image is the set
     of directions, so ``basis()`` eliminates it and ``dimension`` counts
     that basis.  A family records the ``eps`` its solver ran at, and
-    ``dimension`` and a bare ``basis()`` read it.  The basis at that
-    ``eps`` is found once and kept (an exact matrix ignores ``eps``); a
-    float one is eliminated again at each other ``basis(eps)``.  Every
+    ``basis()`` eliminates at it, once, and keeps the result (an exact
+    matrix ignores ``eps``), so ``dimension == len(basis())``.  Every
     solver hands over the matrix it built from the numerators of its
     terms, and solve_xa_bxbar its basis too (see ``_family``); copies
     keep both.  A solver hands over the constant's numerators, which ``at``
@@ -116,13 +115,10 @@ class SolutionFamily(Frozen):
     def dimension(self) -> int:
         return len(self.basis())
 
-    def basis(self, eps: Optional[float] = None) -> List[SplitQuaternion]:
-        """A basis of the linear part's image: the directions of the solution set."""
-        m = self.linear_matrix
-        if eps is not None and eps != self._eps and not m.is_exact:
-            return image_basis(m, eps)
+    def basis(self) -> List[SplitQuaternion]:
+        """A basis of the linear part's image at the family's eps: the directions of the solution set."""
         if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(image_basis(m, self._eps)))
+            object.__setattr__(self, "_basis", tuple(image_basis(self.linear_matrix, self._eps)))
         return list(self._basis)
 
 
@@ -200,13 +196,8 @@ def solve_axb(
 
 
 def solve_ax0(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolutionFamily:
-    """Right kernel of a nonzero lightlike a: x(y) = (1 - a+*a)*y, dimension 2.
-
-    solve_axd(a, 0).family, with the backend's 0 for a constant where a+*0 can carry -0.0.
-    """
-    zero = _ZEROS[int if a.is_exact else float]
-    family = _solve_one_sided(a, zero[1], eps, lambda x: x).family
-    return _family(*zero, family._terms, eps, family.linear_matrix)
+    """Right kernel of a nonzero lightlike a: x(y) = (1 - a+*a)*y, dimension 2; solve_axd(a, 0).family."""
+    return _solve_one_sided(a, ZERO, eps, lambda x: x).family
 
 
 def solve_axd(a: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolveOutcome:
@@ -230,7 +221,7 @@ def _solve_one_sided(a, d, eps: float, order) -> SolveOutcome:
         return SolveOutcome.unsolvable(_from_ratio(residual, e * sa))
     one, _, unit = _UNITS[e.__class__]
     k = tuple(u * sa - x for u, x in zip(unit, _mul(*order((pa, na)))))  # 1 - a+*a over sa
-    constant = _mul(*order((pa, nd))), sa  # a+*d
+    constant = tuple(x + 0 * sa for x in _mul(*order((pa, nd)))), sa  # a+*d, a float -0.0 made 0.0
     matrix = _mat(_family_sum(sum(order((k, unit)), ())), sa)
     terms = lambda: (order((_from_ratio(k, sa), one)),)
     return SolveOutcome.solved(_family(constant, None, terms, eps, matrix))

@@ -312,9 +312,7 @@ def canonical_target(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> tuple:
     if scalar_is_zero(k, eps):
         return SplitQuaternion(a.q0, 1, 1, 0), a, exact
     if exact and exact_sqrt(abs(k)) is None:
-        a = a.to_float()
-        k = a.im_squared
-        exact = False
+        a, k, exact = a.to_float(), float(k), False  # a0 and k rounded once from their exact values
     root = scalar_sqrt(abs(k))
     if k > 0:
         return SplitQuaternion(a.q0, 0, root, 0), a, exact

@@ -242,6 +242,13 @@ class TestSolveCommands:
         assert code == 0
         assert doc["result"]["family"]["dimension"] == 2
 
+    def test_underflowing_rank3_element_is_an_error(self, capsys):
+        # (2+i+k)/2^300 against (1+k)/2^300: |p1|^2 underflows to 0.0 on floats
+        a = "9.818186930595453e-91+4.909093465297727e-91i+4.909093465297727e-91k"
+        code, out, err = run(capsys, "sim-solve", a, "4.909093465297727e-91+4.909093465297727e-91k", "--eps", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: |p1|^2 is zero; the rank-3 element m is not defined\n"
+
     def test_solve_xad_homogeneous(self, capsys):
         code, doc, _ = run_json(capsys, "solve-xad", "1+j", "0")
         assert code == 0

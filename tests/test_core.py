@@ -10,6 +10,7 @@ from splitquat import (
     I,
     J,
     K,
+    Mat4,
     NonFiniteError,
     NotInvertibleError,
     ONE,
@@ -19,6 +20,8 @@ from splitquat import (
     is_consimilar,
     mp_inverse,
     parse_quat,
+    solve_ax0,
+    to_polar,
 )
 
 from conftest import lightlike_quats, quats, rand_quat
@@ -219,12 +222,17 @@ class TestValueSemantics:
 
     def test_int_factors_of_float_values_are_float_literals(self):
         # q*n, n*q and q/n on a float q compute with float(n), as q*float(n)
-        # and q*Fraction(n) do: same bits, signed zeros, or the same error
+        # and q*Fraction(n) do: same bits, signed zeros, or the same error,
+        # typed as NonFiniteError where float() raises OverflowError
         def outcome(compute):
             try:
                 return tuple(map(repr, compute().coeffs))
             except Exception as exc:
                 return type(exc)
+
+        def reference(compute):
+            result = outcome(compute)
+            return NonFiniteError if result is OverflowError else result
 
         rng = random.Random(31)
         sizes = (0.0, -0.0, 1.0, 1e3, 1e300)
@@ -232,8 +240,8 @@ class TestValueSemantics:
             q = SplitQuaternion(*(rng.uniform(-1, 1) * rng.choice(sizes) for _ in range(4)))
             for n in (0, 1, -1, 4, 2**60 + 1, 10**400):
                 for scalar in (float, Fraction):
-                    times = outcome(lambda: SplitQuaternion(*(c * scalar(n) for c in q.coeffs)))
-                    over = outcome(lambda: SplitQuaternion(*(c / scalar(n) for c in q.coeffs)))
+                    times = reference(lambda: SplitQuaternion(*(c * scalar(n) for c in q.coeffs)))
+                    over = reference(lambda: SplitQuaternion(*(c / scalar(n) for c in q.coeffs)))
                     assert outcome(lambda: q * n) == outcome(lambda: n * q) == times, (q, n)
                     assert outcome(lambda: q / n) == over, (q, n)
         assert all(type(c) is Fraction for c in (parse_quat("1/3+j") * 4 / 3).coeffs)
@@ -257,6 +265,34 @@ class TestValueSemantics:
             is_consimilar(parse_quat("1e200+i+j+k"), parse_quat("1e200+2i+2j+2k"))
         huge = SplitQuaternion(10**400, 0, 10**400, 0)
         assert huge.quadratic_form == 0 and (huge * huge).is_exact
+
+    def test_exact_values_past_the_float_range_are_typed_errors(self):
+        # an exact value rounded to a float where it meets one: to_float, the
+        # ring operations, Mat4 and a float family's at, each past 1.8e308
+        huge, x = SplitQuaternion(10**400, 0, 1, 0), SplitQuaternion(1.0, 2.0, 0.0, 0.0)
+        float_matrix, huge_matrix = Mat4.diagonal((1.0,) * 4), Mat4.diagonal((10**400,) * 4)
+        family = solve_ax0(SplitQuaternion(1.0, 0.0, 1.0, 0.0))
+        cases = {
+            "to_float": huge.to_float,
+            "float * exact": lambda: x * huge,
+            "exact * float": lambda: huge * x,
+            "float + exact": lambda: x + huge,
+            "exact - float": lambda: huge - x,
+            "float * int": lambda: x * 10**400,
+            "float / int": lambda: x / 10**400,
+            "mixed literal": lambda: SplitQuaternion(1.0, 10**400, 0, 0),
+            "Mat4 of mixed rows": lambda: Mat4([[1.0, 10**400, 0, 0]] + [[0] * 4] * 3),
+            "Mat4 @": lambda: float_matrix @ huge_matrix,
+            "Mat4 +": lambda: huge_matrix + float_matrix,
+            "Mat4.apply": lambda: float_matrix.apply((10**400, 0, 0, 0)),
+            "Mat4 / float": lambda: huge_matrix / 2.0,
+            "at": lambda: family.at(huge),
+            "at of an int": lambda: family.at(10**400),
+            "to_polar": lambda: to_polar(SplitQuaternion(10**400, 0, 10**400, 0)),
+        }
+        for compute in cases.values():
+            with pytest.raises(NonFiniteError, match="exact value too large for the float backend"):
+                compute()
 
     def test_ring_operations_that_overflow_raise(self):
         big = SplitQuaternion(1e200, 0, 0, 0)

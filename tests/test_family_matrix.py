@@ -32,7 +32,6 @@ from splitquat import (
     t_matrix,
 )
 from splitquat import consimilarity, elimination, similarity, solvers
-from splitquat.scalars import DEFAULT_EPS
 
 from oracles import SRankCase, family_rows, s_rank_case, term_at
 
@@ -278,26 +277,24 @@ class TestOneElimination:
         assert seen == set(SRankCase)
 
     def test_float_family_honours_each_eps(self):
-        # twin of the CLI's --eps test: the family is built at 1e-3, each
-        # basis(eps) call eliminates again at its own eps, and dimension and
-        # a bare basis() read the 1e-3 the family was solved at
-        family = solve_ax0(parse_quat("1+1.0001j"), 1e-3)
-        assert not family.linear_matrix.is_exact
-        for eps, dimension in ((1e-3, 2), (DEFAULT_EPS, 4), (1e-3, 2), (1e-1, 2), (1e-12, 4)):
-            assert len(family.basis(eps)) == dimension, eps
-        assert family.dimension == 2 == len(family.basis())
+        # twin of the CLI's --eps test: a family solved at each eps eliminates
+        # at that eps, and its dimension counts the basis it found there
+        # (1+1.0001j is lightlike from eps 2e-4 on, and at 0.9 no pivot survives)
+        for eps, dimension in ((3e-4, 2), (1e-3, 2), (1e-1, 2), (0.9, 0)):
+            family = solve_ax0(parse_quat("1+1.0001j"), eps)
+            assert not family.linear_matrix.is_exact
+            assert family.dimension == dimension == len(family.basis()), eps
 
 
 def _counting_recipes(monkeypatch) -> list:
-    """Wrap each recipe a solver hands _family, once, so that every build of terms is counted."""
-    calls, counting = [], set()
+    """Wrap each recipe a solver hands _family, so that every build of terms is counted."""
+    calls = []
     build = solvers._family
 
     def family(ratio, constant, terms, *rest):
-        if callable(terms) and terms not in counting:  # solve_ax0 passes a wrapped recipe on
+        if callable(terms):
             recipe = terms
             terms = lambda: calls.append(1) or recipe()
-            counting.add(terms)
         return build(ratio, constant, terms, *rest)
 
     for module in (solvers, similarity, consimilarity):
@@ -330,7 +327,7 @@ class TestDeferredClosedForm:
                 family.dimension, family.basis(), family.at(_quat(rng)), family.at(ZERO)
                 assert calls == [], (name, copy_)
                 # a+*d*b+ and a+*d are built on their first read; a zero constant is the backend's own 0
-                assert (family._constant is None) == (name in ("axb", "axd", "xad")), (name, copy_)
+                assert (family._constant is None) == (name in ("axb", "ax0", "axd", "xad")), (name, copy_)
                 terms = family.terms
                 assert family.terms is terms and family.constant is family.constant
                 built = len(calls)

@@ -251,3 +251,34 @@ class TestEliminatedBasesCrossCheck:
     @settings(max_examples=100, deadline=None)
     def test_property(self, a, x):
         _check_one_sided_bases(a, x)
+
+
+def _check_axb_image(a: SplitQuaternion, b: SplitQuaternion, x: SplitQuaternion) -> None:
+    """The eliminated basis of a*x*b = d against the hyperplane P X Q = 0 of the 2x2 model.
+
+    The directions y - a+ a y b b+ satisfy P X Q = 0 with P = A+ A and
+    Q = B B+, rank-one idempotents, so they span that 3-dimensional space.
+    """
+    pa, pb = M2.phi(a), M2.phi(b)
+    p, q = pa.mp_inverse() @ pa, pb @ pb.mp_inverse()
+    outcome = solve_axb(a, b, a * x * b)
+    assert outcome.solvable
+    basis = outcome.family.basis()
+    assert all(p @ M2.phi(v) @ q == _Z2 for v in basis), (a, b)
+    assert len(basis) == _span_rank(basis) == 3, (a, b)
+
+
+class TestAxbImageCrossCheck:
+    """solve_axb's eliminated basis against the kernel of X -> P X Q in the 2x2 model, with no Mat4."""
+
+    def test_seeded(self):
+        rng = random.Random(810)
+        for _ in range(60):
+            a, b = rand_lightlike(rng), rand_conjugate(rng, rand_lightlike(rng))
+            _check_axb_image(a, b, rand_quat(rng))
+            _check_axb_image(_int_lightlike(*(rng.randint(1, 5) for _ in range(4))), a, rand_quat(rng))
+
+    @given(lightlike_quats(), lightlike_quats(), quats)
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, a, b, x):
+        _check_axb_image(a, b, x)

@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from splitquat import similarity
 from splitquat import (
@@ -11,6 +12,8 @@ from splitquat import (
     J,
     K,
     Mat4,
+    NonFiniteError,
+    NotInvertibleError,
     ONE,
     RealInputError,
     SplitQuaternion,
@@ -26,6 +29,8 @@ from splitquat import (
     t_matrix,
 )
 from conftest import (
+    nonreal_quats,
+    quats,
     rand_conjugate,
     rand_invertible,
     rand_nonreal,
@@ -38,6 +43,7 @@ from splitquat.solvers import SolutionFamily
 from oracles import (
     M2,
     cyclic_witness,
+    exact_sqrt,
     family_rows,
     fraction_rref,
     xa_bx_rank2_image,
@@ -141,6 +147,13 @@ class TestRankTwoSolver:
             assert (x * a - b * x).is_zero()
         assert all(abs(c) < 100 for term in family.terms for q in term for c in q.coeffs)
 
+    def test_underflowing_denominator_is_a_typed_error(self):
+        # 2*(|A|^2 + |B|^2) underflows to 0.0 when the imaginary parts are near 1e-306
+        a, b = parse_quat("6.1e-306+6.1e-306k"), parse_quat("6.1e-306-6.1e-306k")
+        with pytest.raises(NonFiniteError, match=r"\|A\|\^2 \+ \|B\|\^2 is 0"):
+            solve_xa_bx(a, b, eps=0.0)
+        assert solve_xa_bx(a.to_exact(), b.to_exact()).dimension == 2
+
     def test_imaginary_part_terms_give_the_same_matrix(self):
         # the closed form on a and b themselves, as an oracle
         rng = random.Random(24)
@@ -223,6 +236,18 @@ class TestRankThreeSolver:
         assert exact.dimension == 1
         for y in PROBES:
             assert family.at(y) == exact.at(y)
+
+    def test_underflowing_p1_is_refused(self):
+        # |p1|^2 has degree 2: on floats it underflows to 0.0 for this rank-3 pair
+        # at every scale from 2^-280 down, and the guard refuses exactly that 0.0;
+        # one binade normalization of the pair (ROADMAP item 4) would give the family
+        a, b = parse_quat("2+i+k"), parse_quat("1+k")
+        assert solve_xa_bx(a, b).dimension == 1
+        for e in range(280, 1074):
+            s = 2.0**-e
+            with pytest.raises(NotInvertibleError, match=r"\|p1\|\^2 is zero"):
+                solve_xa_bx(a.to_float() * s, b.to_float() * s, eps=0.0)
+            assert solve_xa_bx(a * Fraction(s), b * Fraction(s), eps=0.0).dimension == 1
 
 
 def _rank(quats) -> int:
@@ -476,3 +501,36 @@ class TestCanonicalForm:
             assert form.target == SplitQuaternion(a.q0, 1, 1, 0)
             assert form.conjugator * a == form.target * form.conjugator
             assert form.conjugator.quadratic_form != 0
+
+    def test_escalation_below_the_float_range_is_a_typed_error(self):
+        # k = 3e-400 and 3e-800 are no squares, and round to 0.0; the second a rounds to 0.0 too
+        for text in ("1e-200i+2e-200j", "1e-400i+2e-400j"):
+            a = parse_quat(text, backend="exact")
+            with pytest.warns(ExactnessWarning), pytest.raises(NonFiniteError, match="im_squared rounds to 0"):
+                canonical_form(a)
+
+    @staticmethod
+    def _target_bits(a) -> str:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExactnessWarning)
+            return repr(canonical_form(a).target.coeffs)
+
+    def test_escalated_target_depends_on_the_class_only(self):
+        # a0 and k are rounded once from their exact values, so conjugates share the float target
+        rng = random.Random(53)
+        escalated = 0
+        for _ in range(300):
+            a = rand_nonreal(rng)
+            if exact_sqrt(abs(a.im_squared)) is not None:
+                continue
+            escalated += 1
+            for _ in range(2):
+                b = rand_conjugate(rng, a)
+                assert self._target_bits(b) == self._target_bits(a), (a, b)
+        assert escalated > 100
+
+    @given(nonreal_quats, quats.filter(lambda p: p.quadratic_form != 0))
+    @settings(max_examples=100, deadline=None)
+    def test_escalated_target_depends_on_the_class_only_on_any_pair(self, a, p):
+        assume(exact_sqrt(abs(a.im_squared)) is None)
+        assert self._target_bits(p * a * p.inverse()) == self._target_bits(a)

@@ -158,6 +158,7 @@ class TestAx0:
         zero = ZERO if a.is_exact else ZERO.to_float()
         kernel, family = solve_ax0(a), solve_axd(a, zero).family
         parts = (
+            lambda f: f.constant.coeffs,
             lambda f: [(left.coeffs, right.coeffs) for left, right in f.terms],
             lambda f: f.linear_matrix.rows,
             lambda f: [q.coeffs for q in f.basis()],
@@ -165,8 +166,8 @@ class TestAx0:
         )
         for part in parts:
             assert repr(part(kernel)) == repr(part(family)), (a, y)
-        # the constant is the backend's 0 itself, where a+*0 may round to -0.0 on floats
-        assert repr(kernel.constant.coeffs) == repr(zero.coeffs) and family.constant == zero, a
+        # the constant is the backend's 0 itself, with no -0.0 from a+*0 on floats
+        assert repr(kernel.constant.coeffs) == repr(zero.coeffs), a
 
     def test_is_axd_at_zero(self):
         rng = random.Random(11)
@@ -185,7 +186,8 @@ class TestAx0:
         # a+*0 is (-0.0, 0.0, -0.0, 0.0) here: every product in its first and third coefficients is -0.0
         a = SplitQuaternion(-1.0, -1.0, -1.0, -1.0)
         assert repr(solve_ax0(a).constant.coeffs) == repr((0.0,) * 4)
-        assert solve_axd(a, ZERO.to_float()).family.constant == ZERO
+        for solver in (solve_axd, solve_xad):
+            assert repr(solver(a, ZERO.to_float()).family.constant.coeffs) == repr((0.0,) * 4), solver
 
 
 class TestOneSided:
