@@ -21,8 +21,7 @@ _MODULES = {
     "core": "CausalClass I J K ONE SplitQuaternion ZERO",
     "errors": (
         "ExactnessWarning IllConditionedWarning NonFiniteError NotInvertibleError "
-        "NotLightlikeError ParseError RealInputError SplitQuaternionError "
-        "ZeroCoefficientError ZeroInputError"
+        "NotLightlikeError ParseError RealInputError SplitQuaternionError ZeroInputError"
     ),
     "matrices": (
         "Mat4 left_matrix linear_system_consistent mat_mp_inverse nullspace_basis "

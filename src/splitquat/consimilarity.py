@@ -18,25 +18,21 @@ candidates are compared by the forms of a's own numerators, which
 scale every form by the same d^2 > 0 and so keep the argmax and its
 tie order, and only the winner is built.  The solution space is
 read off one elimination of s_matrix(a, b), whose kernel basis the
-family keeps; its printed terms are built on their first read.
+family keeps; its printed terms are built on their first read, as
+products of units and kernel vectors (core._mul).
 """
 
 from __future__ import annotations
 
-from .core import SplitQuaternion, _form, _from_ratio
+from .core import SplitQuaternion, _form, _from_ratio, _mul
 from .errors import RealInputError
 from .matrices import _kernel, _mat, _zero, s_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
 from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
 
 
-#: e^-1 * q on the coefficients of q, for the units e = 1, i, j, k.
-_INVERSE_TIMES = (
-    lambda q0, q1, q2, q3: (q0, q1, q2, q3),
-    lambda q0, q1, q2, q3: (q1, -q0, q3, -q2),
-    lambda q0, q1, q2, q3: (q2, -q3, q0, -q1),
-    lambda q0, q1, q2, q3: (q3, q2, q1, q0),
-)
+#: The inverses of the units 1, i, j, k: 1, -i, j, k.
+_INVERSE_UNITS = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def solve_xa_bxbar(
@@ -55,28 +51,25 @@ def solve_xa_bxbar(
     S is eliminated once.  Since re(y e_t^-1) = y_t the linear matrix
     has the columns n_t: the family keeps it, and the n_t as its basis.
     The r_e are summed on the kernel's numerators when the family's
-    terms are first read.
+    terms are first read; a float sum that is zero is +0.0.
     """
     kernel, d = _kernel(s_matrix(a, b), eps)
     zero = _ZEROS[d.__class__]
     if not kernel:
-        return _family(*zero, (), eps, _zero(d), ())
+        return _family(zero, (), eps, _zero(d), ())
 
     def terms():
-        # m_t = e_t^-1 n_t
-        m = [_INVERSE_TIMES[t](*n) for t, n in enumerate(kernel)]
         out = []
         for e, unit in enumerate(_UNITS[d.__class__][1]):
-            # e_t^-1 e^-1 = -e^-1 e_t^-1 exactly when e and e_t are distinct imaginary units
-            signed = [v if e in (0, t) or t == 0 else [-x for x in v] for t, v in enumerate(m)]
-            right = _INVERSE_TIMES[e](*map(sum, zip(*signed)))
+            products = (_mul(_INVERSE_UNITS[t], _INVERSE_UNITS[e], tuple(n)) for t, n in enumerate(kernel))
+            right = tuple(map(sum, zip(*products)))  # 4 * r_e over d
             if not _all_zero(right, 0.0):
                 out.append((unit, _from_ratio(right, 4 * d)))
         return tuple(out)
 
     columns = kernel + [[0 * d] * 4] * (4 - len(kernel))
     matrix = _mat(tuple(c[i] for i in range(4) for c in columns), d)
-    return _family(*zero, terms, eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
+    return _family(zero, terms, eps, matrix, tuple(_from_ratio(n, d) for n in kernel))
 
 
 def is_consimilar(

@@ -25,10 +25,6 @@ class NotInvertibleError(SplitQuaternionError):
     """Ordinary inverse requested for a zero divisor."""
 
 
-class ZeroCoefficientError(SplitQuaternionError):
-    """Equation coefficient must be nonzero."""
-
-
 class RealInputError(SplitQuaternionError):
     """Operation is only defined for non-real quaternions."""
 

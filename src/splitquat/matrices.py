@@ -12,26 +12,27 @@ exact backend, floats over ``1.0`` on the float one (see
 :func:`~.scalars._ratio`).  Sums, products, ``apply`` and the
 representations have one body on the numerators, and ``rows`` builds
 the entries on each read.  An exact matrix meeting a float one is
-rounded to floats once (:func:`~.scalars._common`).  The sign patterns of
-L(q) and R(q) are written once (``_left``, ``_right``); ``t_matrix``
+rounded to floats once (:func:`~.scalars._common`).  The sign patterns
+of L(q) and R(q) are written once (``_left``, ``_right``); ``t_matrix``
 and ``s_matrix`` are built from them in one step on the numerators of
 both quaternions, with no intermediate matrix, and ``family_matrix``
 from quaternion products on the numerators of all its terms
-(``_family_sum``, which solvers call on the numerators they hold).  Rank,
-determinant, nullspace, column basis and Moore-Penrose inverse come
-from the elimination kernel of the matrix's backend (see
-:mod:`.elimination`): fraction-free on the numerators, or with partial
-pivoting and the tolerance ``eps`` on floats, picked in one place,
-``_eliminate``, which also returns the common denominator of the rows
-it leaves.  Queries that read only the pivots stop both kernels at
-echelon form.  The pseudoinverse takes the rows of its first pass as E,
-echelon rows on the exact kernel and reduced ones on the float kernel,
-and its products run on ``_product``.  Its exact r x r inverse is an
-adjugate (:func:`~.elimination.adjugate`), so an exact matrix of full
-rank is inverted with no elimination; the float one stays Gauss-Jordan
-elimination.  Elimination is the source of truth
-for every rank decision taken elsewhere in the library; the closed-form
-spectra and determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
+(``_family_sum``, which solvers call on the numerators they hold): the
+columns of L(l) times r.  Rank, determinant, nullspace, column basis
+and Moore-Penrose inverse come from the elimination kernel of the
+matrix's backend (see :mod:`.elimination`): fraction-free on the
+numerators, or with partial pivoting and the tolerance ``eps`` on
+floats, picked in one place, ``_eliminate``, which also returns the
+common denominator of the rows it leaves.  Queries that read only the
+pivots stop both kernels at echelon form.  The pseudoinverse takes the
+rows of its first pass as E, echelon rows on the exact kernel and
+reduced ones on the float kernel, and its products run on ``_product``.
+Its exact r x r inverse is an adjugate
+(:func:`~.elimination.adjugate`), so an exact matrix of full rank is
+inverted with no elimination; the float one stays Gauss-Jordan
+elimination.  Elimination is the source of truth for every rank
+decision taken elsewhere in the library; the closed-form spectra and
+determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
 """
 
 from __future__ import annotations
@@ -276,17 +277,15 @@ def _family_sum(n: Sequence) -> tuple:
     """The sixteen numerators of sum_k L(l_k) R(r_k), from l_k's and r_k's numerators in turn.
 
     Column c of L(l) R(r) is (l * e_c * r).coeffs, with e_c the units
-    1, i, j, k: four quaternion products on signed permutations of l's
-    numerators.  The sum is over the product of the denominators of l_k
+    1, i, j, k: four quaternion products, each of l * e_c, column c of
+    L(l), by r.  The sum is over the product of the denominators of l_k
     and r_k, which must be one product for every k.
     """
     total = (0,) * 16
     for k in range(0, len(n), 8):
-        l0, l1, l2, l3 = n[k : k + 4]
-        r = n[k + 4 : k + 8]
-        units = ((l0, l1, l2, l3), (-l1, l0, l3, -l2), (l2, l3, l0, l1), (l3, -l2, -l1, l0))
-        cols = [_quat_product(u + r) for u in units]
-        total = tuple(map(add, total, (col[i] for i in range(4) for col in cols)))
+        left, r = _left(*n[k : k + 4]), n[k + 4 : k + 8]
+        cols = map(_quat_product, (left[0::4] + r, left[1::4] + r, left[2::4] + r, left[3::4] + r))
+        total = tuple(map(add, total, sum(zip(*cols), ())))  # row-major: zip(*cols) gives the rows
     return total
 
 

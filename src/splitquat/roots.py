@@ -62,14 +62,18 @@ parity of n.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 from typing import List
 
-from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio
+from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio, _new
 from .errors import ExactnessWarning, NonFiniteError, NotLightlikeError, ZeroInputError
 from .scalars import DEFAULT_EPS, _digit_limit, _floats, _printable, _ratio, _too_long, scalar_is_zero
 
 _TWO_PI = 2.0 * math.pi
+#: nth_roots scales an exact q with a nonzero coefficient outside [2^-1000, 2^1000] before rounding it
+_TINY, _HUGE = 2.0**-1000, 2.0**1000
 
 
 def power(q: SplitQuaternion, n: int) -> SplitQuaternion:
@@ -167,6 +171,8 @@ def to_polar(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> LightlikePolar:
         raise NotLightlikeError("polar form requires a zero divisor")
     q0, q1, q2, q3 = _floats(q.coeffs)
     r = math.hypot(q0, q1)
+    if not r:  # an exact q below the float range
+        raise NonFiniteError("polar radius underflows to 0 on the float backend")
     alpha = math.atan2(q1, q0) % _TWO_PI
     beta = math.atan2(q3, q2) % _TWO_PI
     return LightlikePolar(r, alpha, beta)
@@ -189,7 +195,12 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
     when n is even; q0 = 0 gives none.  q0 counts as zero when
     |q0| <= eps * hypot(q0, q1), which is |cos(alpha)| <= eps in polar
     form.  Exact inputs are converted to floats since c is generally
-    irrational.
+    irrational.  The roots of 2^(n*m)*q are 2^m times those of q, so an
+    exact q with a nonzero coefficient outside [2^-1000, 2^1000] once
+    rounded is scaled by the 2^(n*m) that brings its largest coefficient
+    near 1 before it is rounded, and its roots are scaled back; m = 0
+    otherwise, so that 2*q0 cannot overflow.  A root outside the float
+    range raises NonFiniteError.
     """
     if n < 2:
         raise ValueError("root degree must be at least 2")
@@ -197,18 +208,31 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
         raise ZeroInputError("roots of 0 are not covered by the polar construction")
     if not q.is_lightlike(eps):
         raise NotLightlikeError("nth_roots requires a zero divisor")
+    m = 0
     if q.is_exact:
         warnings.warn(
             "nth roots are generally irrational; computing in floats",
             ExactnessWarning,
             stacklevel=2,
         )
-        q = q.to_float()
+        try:
+            floats = _floats(q.coeffs)
+        except NonFiniteError:  # past the float range: scaled below
+            floats = None
+        if floats is None or any(not _TINY <= abs(y) <= _HUGE and x for x, y in zip(q.coeffs, floats)):
+            sizes = [x.numerator.bit_length() - x.denominator.bit_length() for x in q.coeffs if x]  # log2 |x|, +-1
+            m = -max(sizes) // n
+            floats = _floats((q * Fraction(2) ** (n * m)).coeffs)
+        q = _new(*floats)
     q0 = q.q0
     if scalar_is_zero(q0, eps * math.hypot(q0, q.q1)) or (q0 < 0 and n % 2 == 0):
         return []
     try:
         root = abs(2.0 * q0) ** ((1 - n) / n) * q
-    except OverflowError:  # q0 is tiny next to the eps that let q count as lightlike
+        if m:
+            root = SplitQuaternion(*(math.ldexp(x, -m) for x in root.coeffs))
+    except OverflowError:  # q0 is tiny next to the eps that let q count as lightlike, or the root is too large
         raise NonFiniteError("coefficient is not finite on the float backend") from None
+    if m and max(map(abs, root.coeffs)) < sys.float_info.min:  # scaled back below the normal range
+        raise NonFiniteError("root underflows on the float backend")
     return [root, -root] if n % 2 == 0 else [root]

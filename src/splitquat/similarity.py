@@ -102,9 +102,9 @@ def solve_xa_bx(
         rights = (e2, z, z, z) + _mul(ia, ap) + scaled[8:] + (e2, z, z, z)
         sides = [(lefts[k : k + 4], rights[k : k + 4]) for k in range(0, 20, 4)]
         terms = lambda: ((one, one),) + tuple((_from_ratio(l, t), _from_ratio(r, e2)) for l, r in sides[1:])
-        return _family(*zero, terms, eps, _mat(_family_sum(sum(sum(sides, ()), ())), t * e2))
+        return _family(zero, terms, eps, _mat(_family_sum(sum(sum(sides, ()), ())), t * e2))
     if same_re or t_matrix(a, b).rank(eps) == 4:
-        return _family(*zero, (), eps, _zero(e))
+        return _family(zero, (), eps, _zero(e))
     # p over e^2, and m = (S, 0, -x, -y)/S with S = |p1|^2 and
     # x + y*i = p2*p1 (p2/conj(p1) scaled by S): the denominator of p cancels in m
     c = 2 * (na[0] - nb[0])
@@ -118,7 +118,7 @@ def solve_xa_bx(
     m, s = _over((s, 0, p3 * p1 - p2 * p0, -(p2 * p1 + p3 * p0)), s)
     ma, minus_conj_b = _mul(m, na), (-nb[0],) + nb[1:]  # m*a over s*e, -conj(b) over e
     terms = lambda: ((one, _from_ratio(ma, s * e)), (_from_ratio(minus_conj_b, e), _from_ratio(m, s)))
-    return _family(*zero, terms, eps, _mat(_family_sum(unit + ma + minus_conj_b + m), s * e))
+    return _family(zero, terms, eps, _mat(_family_sum(unit + ma + minus_conj_b + m), s * e))
 
 
 def _cyclic_basis(x: SplitQuaternion):

@@ -11,10 +11,10 @@ Each solver takes one _ratio of its operands, numerators n over e, and
 a+ is e*prime(n)/(4*(n0^2 + n1^2)) by core._lightlike_inverse, the one
 body of a+.  The tests, the chain and every result are computed on
 numerators, each result built once, and the family gets the matrix of
-its terms from those numerators, and its constant as numerators and its
-terms as a recipe, built when first read.  Floats are their own numerators
-over 1.0, multiplied in the order of the float products they replaced,
-so they keep their bits.  solve_ax0 is the case d = 0 of solve_axd.
+its terms from those numerators, its constant as numerators, built on
+each read, and its terms as a recipe, built when first read.  Floats
+are their own numerators over 1.0, multiplied in the order of the float
+products they replaced, so they keep their bits.  solve_ax0 is the case d = 0 of solve_axd.
 
 Invertible coefficients are rejected on purpose: those equations are
 solved by plain division and mixing the two regimes in one return type
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .core import I, J, K, ONE, Frozen, SplitQuaternion, ZERO, _form, _from_ratio, _lightlike_inverse, _mul
-from .errors import NotLightlikeError, ZeroCoefficientError
+from .errors import NotLightlikeError, ZeroInputError
 from .matrices import _dot, _family_sum, _mat, _zero, family_matrix, image_basis
 from .scalars import DEFAULT_EPS, _all_zero, _common, _ratio, scalar_is_zero
 
@@ -37,8 +37,8 @@ _UNITS = {
     int: (ONE, (ONE, I, J, K), (1, 0, 0, 0)),
     float: (ONE.to_float(), (ONE.to_float(), I.to_float(), J.to_float(), K.to_float()), (1.0, 0.0, 0.0, 0.0)),
 }
-#: The numerators of 0 over their denominator, and 0, on each backend, by the class of a denominator
-_ZEROS = {int: (((0, 0, 0, 0), 1), ZERO), float: (((0.0, 0.0, 0.0, 0.0), 1.0), ZERO.to_float())}
+#: The numerators of 0 over their denominator on each backend, by the class of a denominator
+_ZEROS = {int: ((0, 0, 0, 0), 1), float: ((0.0, 0.0, 0.0, 0.0), 1.0)}
 
 
 class Verdict(Frozen):
@@ -66,27 +66,25 @@ class SolutionFamily(Frozen):
     solver hands over the matrix it built from the numerators of its
     terms, and solve_xa_bxbar its basis too (see ``_family``); copies
     keep both.  A solver hands over the constant's numerators, which ``at``
-    reads, and a recipe for the terms; the constant and terms are built on
-    their first read (printing, ``==``, ``hash``, ``repr``, pickling) and kept.
+    reads and ``constant`` builds on each read, and a recipe for the terms,
+    which are built on their first read (printing, ``==``, ``hash``,
+    ``repr``, pickling) and kept.
     """
 
-    __slots__ = ("_constant_ratio", "_constant", "_terms", "_eps", "linear_matrix", "_basis")
+    __slots__ = ("_constant_ratio", "_terms", "_eps", "linear_matrix", "_basis")
     _fields = ("constant", "terms")
 
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
         ratio = _ratio(constant.coeffs)
         matrix = family_matrix(terms) if terms else _zero(ratio[1])  # the zero of the constant's backend
-        _fill(self, ratio, constant, terms, DEFAULT_EPS, matrix, None)
+        _fill(self, ratio, terms, DEFAULT_EPS, matrix, None)
 
     def __reduce__(self):
-        values = (self._constant_ratio, self.constant, self.terms, self._eps, self.linear_matrix, self._basis)
-        return (_family, values)
+        return (_family, (self._constant_ratio, self.terms, self._eps, self.linear_matrix, self._basis))
 
     @property
     def constant(self) -> SplitQuaternion:
-        if self._constant is None:
-            object.__setattr__(self, "_constant", _from_ratio(*self._constant_ratio))
-        return self._constant
+        return _from_ratio(*self._constant_ratio)
 
     @property
     def terms(self) -> Tuple[Term, ...]:
@@ -100,8 +98,6 @@ class SolutionFamily(Frozen):
         """The solution at y: a SplitQuaternion, or an int, Fraction or float as a real one, as * takes it."""
         if not isinstance(y, SplitQuaternion):
             y = SplitQuaternion(y, 0, 0, 0)  # TypeError unless y is a real scalar
-        if not self._terms:  # a recipe is never empty
-            return self.constant
         # constant + m . y.coeffs on numerators, over one denominator
         m = self.linear_matrix
         (e, d), (ny, dy) = _common((m._e, m._d), _ratio(y.coeffs))
@@ -127,14 +123,14 @@ def _fill(family: SolutionFamily, *values) -> None:
         object.__setattr__(family, name, value)
 
 
-def _family(ratio, constant, terms, eps: float, matrix, basis=None) -> SolutionFamily:
+def _family(ratio, terms, eps: float, matrix, basis=None) -> SolutionFamily:
     """The family a solver found at eps, with the matrix of its terms and any basis found.
 
-    ratio is the constant's numerators over their denominator, constant the constant or None to build it
-    on first read, and terms the terms or a recipe that builds them (never for a family without terms).
+    ratio is the constant's numerators over their denominator, and terms the terms or a recipe that
+    builds them on first read.
     """
     family = object.__new__(SolutionFamily)
-    _fill(family, ratio, constant, terms, eps, matrix, basis)
+    _fill(family, ratio, terms, eps, matrix, basis)
     return family
 
 
@@ -169,7 +165,7 @@ class SolveOutcome(Frozen):
 def _pinv(name: str, n: tuple, eps: float) -> tuple:
     """_lightlike_inverse(n) for numerators n of a coefficient that is nonzero and lightlike at eps."""
     if _all_zero(n, eps):
-        raise ZeroCoefficientError(f"coefficient {name} must be nonzero")
+        raise ZeroInputError(f"coefficient {name} must be nonzero")
     if not scalar_is_zero(_form(n), eps):
         raise NotLightlikeError(f"coefficient {name} is invertible; solve by direct division instead")
     return _lightlike_inverse(n)
@@ -192,7 +188,7 @@ def solve_axb(
     matrix = _mat(_family_sum(tuple(x * y for y in (sa, sb) for x in unit) + left + right), s)
     constant = tuple(x * e for x in _mul(pa, nd, pb)), s  # a+*d*b+
     terms = lambda: ((one, one), (_from_ratio(left, sa), _from_ratio(right, sb)))
-    return SolveOutcome.solved(_family(constant, None, terms, eps, matrix))
+    return SolveOutcome.solved(_family(constant, terms, eps, matrix))
 
 
 def solve_ax0(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SolutionFamily:
@@ -224,4 +220,4 @@ def _solve_one_sided(a, d, eps: float, order) -> SolveOutcome:
     constant = tuple(x + 0 * sa for x in _mul(*order((pa, nd)))), sa  # a+*d, a float -0.0 made 0.0
     matrix = _mat(_family_sum(sum(order((k, unit)), ())), sa)
     terms = lambda: (order((_from_ratio(k, sa), one)),)
-    return SolveOutcome.solved(_family(constant, None, terms, eps, matrix))
+    return SolveOutcome.solved(_family(constant, terms, eps, matrix))

@@ -112,6 +112,13 @@ class TestAnalysisCommands:
         code, doc, _ = run_json(capsys, "roots", "i+j", "-n", "2")
         assert code == 0 and doc["result"]["count"] == 0
 
+    def test_roots_of_an_exact_zero_divisor_below_the_float_range(self, capsys):
+        # q rounds to 0.0, and its one cube root, about 2.9e-134 * (1 + j), is a normal float
+        code, out, _ = run(capsys, "roots", "1e-400+1e-400j", "-n", "3", "--backend", "exact")
+        assert code == 0
+        (line,) = out.splitlines()
+        assert line != "no roots" and parse_quat(line, "exact").q0 > 0
+
     def test_sim_solve_reference_line(self, capsys):
         code, doc, _ = run_json(capsys, "sim-solve", "1+5i+5j+2k", "2+i+j+3k")
         assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -144,6 +145,14 @@ class TestKernelFamily:
         family = solve_xa_bxbar(ZERO, ZERO)
         assert family.dimension == 4
         assert family.terms == ((ONE, ONE),)
+
+    def test_float_terms_carry_no_negative_zero(self):
+        # each r_e is summed last, from int 0, so a zero coefficient is +0.0
+        a, b = parse_quat("-12+8i-48j+12k").to_float(), parse_quat("28+8i-48j+28k").to_float()
+        family = solve_xa_bxbar(a, b)
+        assert family.dimension == 1 and len(family.terms) == 4
+        zeros = [x for term in family.terms for q in term for x in q.coeffs if x == 0]
+        assert zeros and all(math.copysign(1.0, x) == 1.0 for x in zeros), family.terms
 
 
 class TestConjugateSumSolution:

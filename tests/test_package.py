@@ -120,3 +120,12 @@ def test_tolerance_comparisons_stay_in_scalars():
                     if "eps" in names:
                         found.append((path.stem, function.name, ast.get_source_segment(source, node)))
     assert found == [("cli", "tolerance", "eps >= 0")]
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject's floor is 3.10; the interpreter here may be newer, so parse as 3.10 would
+    root = SRC.parent
+    paths = [path for top in ("src", "tests", "scripts") for path in sorted((root / top).rglob("*.py"))]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -148,6 +148,11 @@ class TestPolar:
         with pytest.raises(NotLightlikeError):
             to_polar(ONE)
 
+    def test_exact_radius_below_the_float_range_is_a_typed_error(self):
+        # 1e-400 rounds to 0.0, which gave r = 0
+        with pytest.raises(NonFiniteError, match="polar radius"):
+            to_polar(parse_quat("1e-400+1e-400j", "exact"))
+
     def test_from_polar_is_lightlike(self):
         rng = random.Random(73)
         for _ in range(30):
@@ -224,6 +229,35 @@ class TestNthRoots:
         assert len(roots) == 2 - n % 2
         assert_close(roots[0], 2.0 ** ((1 - n) / n) * q, 1e-15)
         assert_close(power(roots[0], n), q, 1e-9)
+
+    @pytest.mark.parametrize(
+        "text, n, count",
+        [
+            ("1e-400+1e-400j", 3, 1),
+            ("1e-400+1e-400j", 2, 2),
+            ("1e400+1e400j", 2, 2),
+            ("-1e400+1e400j", 3, 1),
+            ("1.5e308+1.5e308j", 2, 2),
+        ],
+    )
+    def test_exact_zero_divisors_outside_the_float_range(self, text, n, count):
+        # q rounds to 0 or overflows, or 2*q0 does, but its roots, of size |q|^(1/n), are normal floats
+        q = parse_quat(text, "exact")
+        with pytest.warns(ExactnessWarning):
+            roots = nth_roots(q, n)
+        assert len(roots) == count
+        top = max(map(abs, q.coeffs))
+        for w in roots:
+            residual = power(w.to_exact(), n) - q
+            assert max(map(abs, residual.coeffs)) <= Fraction(5, 10**16) * top, (text, n, w)
+
+    def test_exact_roots_outside_the_float_range_are_a_typed_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NonFiniteError):
+                nth_roots(parse_quat("1e4000+1e4000j", "exact"), 2)
+            with pytest.raises(NonFiniteError):
+                nth_roots(parse_quat("1e-4000+1e-4000j", "exact"), 2)
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from splitquat import (
     ONE,
     SplitQuaternion,
     ZERO,
-    ZeroCoefficientError,
+    ZeroInputError,
     left_matrix,
     linear_system_consistent,
     mp_inverse,
@@ -40,9 +40,9 @@ def assert_family_solves(family, residual, rng=None, extra_probes=20):
 
 class TestPreconditions:
     def test_zero_coefficient(self):
-        with pytest.raises(ZeroCoefficientError):
+        with pytest.raises(ZeroInputError):
             solve_ax0(ZERO)
-        with pytest.raises(ZeroCoefficientError):
+        with pytest.raises(ZeroInputError):
             solve_axb(ZERO, ONE + J, ONE)
 
     def test_invertible_coefficient_rejected(self):
