@@ -69,16 +69,21 @@ def _family(family, residual, eps: float, solvable: bool = False) -> Result:
     return {"family": payload}, lines, verified, 0
 
 
-def _witness(name: str, verdict, residual, eps: float) -> Result:
-    """A similar/consimilar verdict; its witness must be invertible with zero residual.
+def _invertible_solution(x, residual, eps: float) -> bool:
+    """Whether residual(x) is zero at eps and x is invertible.
 
     Invertibility is an exact test of the quadratic form, with no eps:
     the form has degree 2, so a tolerance would refuse small witnesses.
     """
+    return residual(x).is_zero(eps) and x.to_exact().quadratic_form != 0
+
+
+def _witness(name: str, verdict, residual, eps: float) -> Result:
+    """A similar/consimilar verdict; its witness must be an invertible solution."""
     if not verdict:
         return {name: False}, [f"not {name}"], True, 1
     w = verdict.witness
-    verified = residual(w).is_zero(eps) and w.to_exact().quadratic_form != 0
+    verified = _invertible_solution(w, residual, eps)
     return {name: True, "witness": str(w)}, [name, f"witness: {w}"], verified, 0
 
 
@@ -120,7 +125,7 @@ def _canonical(args, eps, a) -> Result:
 
     form = canonical_form(a, eps)
     p, target = form.conjugator, form.target
-    verified = (p * a).isclose(target * p, eps) and p.to_exact().quadratic_form != 0
+    verified = _invertible_solution(p, lambda x: _T(x, a, target), eps)
     payload = {"target": str(target), "conjugator": str(p), "exact": form.exact}
     return payload, [f"target: {target}", f"conjugator: {p}", f"exact: {form.exact}"], verified, 0
 

@@ -24,8 +24,7 @@ products of units and kernel vectors (core._mul).
 
 from __future__ import annotations
 
-from .core import SplitQuaternion, _form, _from_ratio, _mul
-from .errors import RealInputError
+from .core import SplitQuaternion, _form, _from_ratio, _mul, _require_nonreal
 from .matrices import _kernel, _mat, _zero, s_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
 from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
@@ -84,8 +83,8 @@ def is_consimilar(
     a: it is a1^2 + a0^2 for the last, and a3^2 or a2^2 for the first
     two when a1 = 0.
     """
-    if a.is_real(eps) or b.is_real(eps):
-        raise RealInputError("consimilarity is only defined here for non-real elements")
+    _require_nonreal(a, eps, "a")
+    _require_nonreal(b, eps, "b")
     n, d = _ratio(a.coeffs, b.coeffs)
     na, nb = n[:4], n[4:]
     w = (na[0] + nb[0], nb[1] - na[1], nb[2] - na[2], nb[3] - na[3])  # conj(a) + b over d

@@ -42,7 +42,7 @@ from functools import reduce
 from math import isfinite
 from typing import Tuple
 
-from .errors import NonFiniteError, NotInvertibleError
+from .errors import NonFiniteError, NotInvertibleError, NotLightlikeError, RealInputError, ZeroInputError
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
@@ -370,6 +370,21 @@ def _lightlike_inverse(n: tuple) -> tuple:
     if not s:
         raise NonFiniteError("a+ is not finite on the float backend: 4*(q0^2 + q1^2) is 0")
     return _over((n0, -n1, n2, n3), s)
+
+
+def _zero_divisor(n: tuple, eps: float, name: str) -> tuple:
+    """n, the numerators of the operand called name, once checked to be a nonzero zero divisor at eps."""
+    if _all_zero(n, eps):
+        raise ZeroInputError(f"{name} must be nonzero")
+    if not scalar_is_zero(_form(n), eps):
+        raise NotLightlikeError(f"{name} is invertible, not a zero divisor")
+    return n
+
+
+def _require_nonreal(q: SplitQuaternion, eps: float, name: str) -> None:
+    """Raise RealInputError unless q, the operand called name, has a nonzero imaginary part at eps."""
+    if q.is_real(eps):
+        raise RealInputError(f"{name} must have a nonzero imaginary part")
 
 
 def _quat_product(n: tuple) -> tuple:

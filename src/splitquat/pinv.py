@@ -19,8 +19,8 @@ from __future__ import annotations
 import warnings
 from typing import Dict, Optional
 
-from .core import SplitQuaternion, ZERO, _form, _from_ratio, _inverse, _lightlike_inverse, _quat_product
-from .errors import IllConditionedWarning, NotLightlikeError, ZeroInputError
+from .core import SplitQuaternion, ZERO, _form, _from_ratio, _inverse, _lightlike_inverse, _mul, _zero_divisor
+from .errors import IllConditionedWarning
 from .matrices import left_matrix, mat_mp_inverse, right_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
 
@@ -53,19 +53,15 @@ def mp_inverse(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> SplitQuaternion:
 
 
 def projectors(a: SplitQuaternion, eps: float = DEFAULT_EPS):
-    """The idempotent pair (a*a+, a+*a) of a nonzero zero divisor.
+    """The idempotent pair (a*a+, a+*a) of a nonzero zero divisor, as core._zero_divisor requires.
 
     With a = n/d, a+ = prime(n)*d/s for s = 4*(n0^2 + n1^2), so both
     products are numerator products over s alone; on floats a+ is
     divided first, as mp_inverse builds it.
     """
-    n, d = _ratio(a.coeffs)
-    if _all_zero(n, eps):
-        raise ZeroInputError("projectors of 0 are not defined")
-    if not scalar_is_zero(_form(n), eps):
-        raise NotLightlikeError("projectors are only interesting for zero divisors; both equal 1 here")
+    n = _zero_divisor(_ratio(a.coeffs)[0], eps, "a")
     p, s = _lightlike_inverse(n)
-    return _from_ratio(_quat_product(n + p), s), _from_ratio(_quat_product(p + n), s)
+    return _from_ratio(_mul(n, p), s), _from_ratio(_mul(p, n), s)
 
 
 def check_penrose_coherence(

@@ -67,8 +67,8 @@ import warnings
 from fractions import Fraction
 from typing import List
 
-from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio, _new
-from .errors import ExactnessWarning, NonFiniteError, NotLightlikeError, ZeroInputError
+from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio, _new, _zero_divisor
+from .errors import ExactnessWarning, NonFiniteError
 from .scalars import DEFAULT_EPS, _digit_limit, _floats, _printable, _ratio, _too_long, scalar_is_zero
 
 _TWO_PI = 2.0 * math.pi
@@ -164,11 +164,8 @@ class LightlikePolar(Frozen):
 
 
 def to_polar(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> LightlikePolar:
-    """Polar form of a nonzero zero divisor; angles normalized to [0, 2*pi)."""
-    if q.is_zero(eps):
-        raise ZeroInputError("the zero quaternion has no polar form")
-    if not q.is_lightlike(eps):
-        raise NotLightlikeError("polar form requires a zero divisor")
+    """Polar form of a nonzero zero divisor (core._zero_divisor); angles normalized to [0, 2*pi)."""
+    _zero_divisor(_ratio(q.coeffs)[0], eps, "q")
     q0, q1, q2, q3 = _floats(q.coeffs)
     r = math.hypot(q0, q1)
     if not r:  # an exact q below the float range
@@ -186,7 +183,7 @@ def from_polar(r: float, alpha: float, beta: float) -> SplitQuaternion:
 
 
 def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
-    """All solutions of w**n = q for a nonzero zero divisor q and n >= 2.
+    """All solutions of w**n = q for n >= 2 and a nonzero zero divisor q (core._zero_divisor).
 
     A root w of a zero divisor is a zero divisor, so w**n =
     (2*w0)**(n-1) * w, and every root is c*q with c**n * (2*q0)**(n-1) = 1.
@@ -204,10 +201,7 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
     """
     if n < 2:
         raise ValueError("root degree must be at least 2")
-    if q.is_zero(eps):
-        raise ZeroInputError("roots of 0 are not covered by the polar construction")
-    if not q.is_lightlike(eps):
-        raise NotLightlikeError("nth_roots requires a zero divisor")
+    _zero_divisor(_ratio(q.coeffs)[0], eps, "q")
     m = 0
     if q.is_exact:
         warnings.warn(

@@ -44,8 +44,8 @@ from __future__ import annotations
 import math
 import warnings
 
-from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul
-from .errors import ExactnessWarning, NonFiniteError, NotInvertibleError, RealInputError
+from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul, _require_nonreal
+from .errors import ExactnessWarning, NonFiniteError, NotInvertibleError
 from .matrices import _dot, _family_sum, _mat, _zero, t_matrix
 from .scalars import DEFAULT_EPS, _floats, _over, _ratio, scalar_is_zero
 from .solvers import _UNITS, _ZEROS, SolutionFamily, Verdict, _family
@@ -65,15 +65,10 @@ class CanonicalForm(Frozen):
         self._assign(target, conjugator, exact)
 
 
-def _require_nonreal(q: SplitQuaternion, eps: float, name: str = "input") -> None:
-    if q.is_real(eps):
-        raise RealInputError(f"{name} must have a nonzero imaginary part")
-
-
 def solve_xa_bx(
     a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS
 ) -> SolutionFamily:
-    """Full solution set of x*a = b*x for non-real a and b, in the case that holds.
+    """Full solution set of x*a = b*x for non-real a and b (core._require_nonreal), in the case that holds.
 
     The rank-2 family has dimension 2.  The rank-3 family is
     x(y) = y*m*a - conj(b)*y*m with m = 1 - (p2/conj(p1))*j, where
@@ -173,7 +168,7 @@ def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS)
 
 
 def canonical_form(a: SplitQuaternion, eps: float = DEFAULT_EPS) -> CanonicalForm:
-    """Conjugacy normal form of a non-real element with an explicit conjugator.
+    """Conjugacy normal form of a non-real element (core._require_nonreal), with an explicit conjugator.
 
     k = im_squared(a) > 0 maps to a0 + sqrt(k)*j, k < 0 to a0 + sqrt(-k)*i,
     and k = 0 to a0 + i + j.  The conjugator is the closed-form witness

@@ -16,19 +16,18 @@ each read, and its terms as a recipe, built when first read.  Floats
 are their own numerators over 1.0, multiplied in the order of the float
 products they replaced, so they keep their bits.  solve_ax0 is the case d = 0 of solve_axd.
 
-Invertible coefficients are rejected on purpose: those equations are
-solved by plain division and mixing the two regimes in one return type
-would hide the structure.
+core._zero_divisor refuses a zero or invertible coefficient on those
+numerators.  Invertible ones are refused on purpose: plain division solves
+them, and one return type for both regimes would hide the structure.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .core import I, J, K, ONE, Frozen, SplitQuaternion, ZERO, _form, _from_ratio, _lightlike_inverse, _mul
-from .errors import NotLightlikeError, ZeroInputError
+from .core import I, J, K, ONE, Frozen, SplitQuaternion, ZERO, _from_ratio, _lightlike_inverse, _mul, _zero_divisor
 from .matrices import _dot, _family_sum, _mat, _zero, family_matrix, image_basis
-from .scalars import DEFAULT_EPS, _all_zero, _common, _ratio, scalar_is_zero
+from .scalars import DEFAULT_EPS, _all_zero, _common, _ratio
 
 Term = Tuple[SplitQuaternion, SplitQuaternion]
 
@@ -162,22 +161,14 @@ class SolveOutcome(Frozen):
         return cls(None, certificate)
 
 
-def _pinv(name: str, n: tuple, eps: float) -> tuple:
-    """_lightlike_inverse(n) for numerators n of a coefficient that is nonzero and lightlike at eps."""
-    if _all_zero(n, eps):
-        raise ZeroInputError(f"coefficient {name} must be nonzero")
-    if not scalar_is_zero(_form(n), eps):
-        raise NotLightlikeError(f"coefficient {name} is invertible; solve by direct division instead")
-    return _lightlike_inverse(n)
-
-
 def solve_axb(
     a: SplitQuaternion, b: SplitQuaternion, d: SplitQuaternion, eps: float = DEFAULT_EPS
 ) -> SolveOutcome:
     """General solution of a*x*b = d for nonzero lightlike a and b."""
     n, e = _ratio(a.coeffs, b.coeffs, d.coeffs)
     na, nb, nd = n[:4], n[4:8], n[8:]
-    (pa, sa), (pb, sb) = _pinv("a", na, eps), _pinv("b", nb, eps)
+    pa, sa = _lightlike_inverse(_zero_divisor(na, eps, "coefficient a"))
+    pb, sb = _lightlike_inverse(_zero_divisor(nb, eps, "coefficient b"))
     s = sa * sb
     residual = tuple(x - y * s for x, y in zip(_mul(na, pa, nd, pb, nb), nd))  # over e*s
     if not _all_zero(residual, eps):
@@ -211,7 +202,7 @@ def _solve_one_sided(a, d, eps: float, order) -> SolveOutcome:
     x*a = d, which is a*x = d in the opposite algebra (product q*p)."""
     n, e = _ratio(a.coeffs, d.coeffs)
     na, nd = n[:4], n[4:]
-    pa, sa = _pinv("a", na, eps)
+    pa, sa = _lightlike_inverse(_zero_divisor(na, eps, "coefficient a"))
     residual = tuple(x - y * sa for x, y in zip(_mul(*order((na, pa, nd))), nd))  # over e*sa
     if not _all_zero(residual, eps):
         return SolveOutcome.unsolvable(_from_ratio(residual, e * sa))

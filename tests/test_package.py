@@ -122,6 +122,27 @@ def test_tolerance_comparisons_stay_in_scalars():
     assert found == [("cli", "tolerance", "eps >= 0")]
 
 
+def test_precondition_errors_are_raised_only_by_the_core_helpers():
+    # each precondition is refused in one place: 0 and an invertible element by
+    # core._zero_divisor, a real element by core._require_nonreal
+    refusals = {"ZeroInputError", "NotLightlikeError", "RealInputError"}
+    found = []
+    for path in sorted((SRC / "splitquat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        owner = {id(node): f.name for f in functions for node in ast.walk(f)}  # innermost wins: walked last
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.exc)}  # X or m.X
+                if names & refusals:
+                    found.append((path.stem, owner.get(id(node)), *sorted(names & refusals)))
+    assert sorted(found) == [
+        ("core", "_require_nonreal", "RealInputError"),
+        ("core", "_zero_divisor", "NotLightlikeError"),
+        ("core", "_zero_divisor", "ZeroInputError"),
+    ]
+
+
 def test_every_python_file_parses_as_python_3_10():
     # pyproject's floor is 3.10; the interpreter here may be newer, so parse as 3.10 would
     root = SRC.parent
