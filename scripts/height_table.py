@@ -12,7 +12,10 @@ on the exact backend of the checkout the script lives in:
 * ``mul``: ``a * b``;
 * ``mp_inverse``: ``mp_inverse(a)``, a invertible;
 * ``mat_mp_inverse_r4``: ``mat_mp_inverse(L(a) R(b))``, a and b invertible (rank 4);
+* ``mat_mp_inverse_r3``: ``mat_mp_inverse(F @ H)``, F and H of D-digit ratios,
+  F with its last column 0 and H with its last row 0: a 4 x 3 by 3 x 4 product (rank 3);
 * ``mat_mp_inverse_r2``: ``mat_mp_inverse(L(l) R(a))``, l lightlike (rank 2);
+* ``mat_mp_inverse_r1``: ``mat_mp_inverse(F @ H)`` as above, of a 4 x 1 and a 1 x 4 factor (rank 1);
 * ``solve_axb``: ``solve_axb(l, l, l a l).family.dimension``, l lightlike.
 
 Each figure is the best of ``--repeat`` timings of one pass over
@@ -39,7 +42,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import splitquat as sq  # noqa: E402
 
-OPS = ("mul", "mp_inverse", "mat_mp_inverse_r4", "mat_mp_inverse_r2", "solve_axb")
+OPS = (
+    "mul",
+    "mp_inverse",
+    "mat_mp_inverse_r4",
+    "mat_mp_inverse_r3",
+    "mat_mp_inverse_r2",
+    "mat_mp_inverse_r1",
+    "solve_axb",
+)
 
 
 def _int(rng: random.Random, digits: int) -> int:
@@ -67,6 +78,13 @@ def _lightlike(rng: random.Random, digits: int) -> sq.SplitQuaternion:
     return sq.SplitQuaternion(*_circle(rng, digits), *_circle(rng, digits))
 
 
+def _factored(rng: random.Random, digits: int, r: int) -> sq.Mat4:
+    """F @ H with F of 4 x r and H of r x 4 D-digit ratios, each padded with zeros to 4 x 4."""
+    f = [[_ratio(rng, digits) if j < r else 0 for j in range(4)] for _ in range(4)]
+    h = [[_ratio(rng, digits) if i < r else 0 for _ in range(4)] for i in range(4)]
+    return sq.Mat4(f) @ sq.Mat4(h)
+
+
 def calls(digits: int, count: int):
     """{op: [zero-argument callables]} on ``count`` seeded inputs of the given height."""
     rng = random.Random(f"height/{digits}")
@@ -80,6 +98,8 @@ def calls(digits: int, count: int):
         out["mp_inverse"].append(lambda a=a: sq.mp_inverse(a))
         out["mat_mp_inverse_r4"].append(lambda m=lr4: sq.mat_mp_inverse(m))
         out["mat_mp_inverse_r2"].append(lambda m=lr2: sq.mat_mp_inverse(m))
+        for r in (1, 3):
+            out[f"mat_mp_inverse_r{r}"].append(lambda m=_factored(rng, digits, r): sq.mat_mp_inverse(m))
         out["solve_axb"].append(lambda l=l, d=d: sq.solve_axb(l, l, d).family.dimension)
     return out
 

@@ -11,14 +11,16 @@ of the float pseudoinverse, whose bits depend on its reduced rows, reduce
 the rows above each pivot too.  Both return the same (pivots, pivot
 scale, sign) triple.
 
-:func:`adjugate` is the exact backend's inverse: the adjugate and
-determinant of a 4 x 4 integer matrix, or of its leading r x r block, in
-straight-line code with no division and no pivot search.
+:func:`adjugate` is the exact backend's inverse of a 4 x 4 integer
+matrix of full rank: its adjugate and determinant in straight-line code,
+with no division and no pivot search.  The exact pseudoinverse of a
+singular matrix eliminates nothing either: it reads the rank off the
+adjugate and the Gram matrix (see :mod:`.matrices`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .scalars import scalar_is_zero
 
@@ -66,45 +68,23 @@ def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]
     return pivots, prev, sign
 
 
-def adjugate(e: Sequence[int], r: int = 4) -> Tuple[Optional[tuple], int]:
-    """(adjugate, determinant) of the leading r x r block of a flat row-major 4 x 4 integer matrix.
+def adjugate(e: Sequence[int]) -> Tuple[tuple, int]:
+    """(adjugate, determinant) of a flat row-major 4 x 4 integer matrix.
 
-    The adjugate comes back flat and row-major as well, in the same
-    leading block, with zeros around it; it is None when the determinant
-    is 0.  det * block^-1 = adj takes no division, and the exact
-    backend's pseudoinverse inverts with it.  Blocks of 1 to 3 rows
-    take their cofactors written out.  The 4 x 4 matrix takes a
-    straight-line Laplace expansion by complementary minors: the six 2 x 2
-    minors of rows 0-1 and the six of rows 2-3 give the determinant, and
-    each cofactor is three products of an entry with one of them.  A
-    minor can be nonzero when the determinant is 0, so no rank is read
-    from them.
+    The adjugate comes back flat and row-major as well.  det * m^-1 = adj
+    takes no division, and the exact backend's pseudoinverse inverts with
+    it.  Its entries are the 3 x 3 minors, up to sign, so it is 0 exactly
+    when the rank is below 3.  The determinant is a straight-line Laplace
+    expansion by complementary minors: the six 2 x 2 minors of rows 0-1
+    and the six of rows 2-3 give it, and each cofactor is three products
+    of an entry with one of them.
     """
-    if r < 4:
-        if r == 1:
-            adj, det = (1,) + (0,) * 15, e[0]
-        elif r == 2:
-            a0, a1, _, _, a4, a5 = e[:6]
-            adj, det = (a5, -a1, 0, 0, -a4, a0) + (0,) * 10, a0 * a5 - a1 * a4
-        else:
-            a0, a1, a2, _, a4, a5, a6, _, a8, a9, a10 = e[:11]
-            c0, c1, c2 = a5 * a10 - a6 * a9, a6 * a8 - a4 * a10, a4 * a9 - a5 * a8
-            adj = (
-                (c0, a2 * a9 - a1 * a10, a1 * a6 - a2 * a5, 0)
-                + (c1, a0 * a10 - a2 * a8, a2 * a4 - a0 * a6, 0)
-                + (c2, a1 * a8 - a0 * a9, a0 * a5 - a1 * a4, 0)
-                + (0, 0, 0, 0)
-            )
-            det = a0 * c0 + a1 * c1 + a2 * c2
-        return (adj if det else None), det
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = e
     s0, s1, s2 = a0 * a5 - a4 * a1, a0 * a6 - a4 * a2, a0 * a7 - a4 * a3
     s3, s4, s5 = a1 * a6 - a5 * a2, a1 * a7 - a5 * a3, a2 * a7 - a6 * a3
     c0, c1, c2 = a8 * a13 - a12 * a9, a8 * a14 - a12 * a10, a8 * a15 - a12 * a11
     c3, c4, c5 = a9 * a14 - a13 * a10, a9 * a15 - a13 * a11, a10 * a15 - a14 * a11
     det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    if not det:
-        return None, 0
     adj = (
         a5 * c5 - a6 * c4 + a7 * c3,
         -a1 * c5 + a2 * c4 - a3 * c3,

@@ -18,21 +18,19 @@ and ``s_matrix`` are built from them in one step on the numerators of
 both quaternions, with no intermediate matrix, and ``family_matrix``
 from quaternion products on the numerators of all its terms
 (``_family_sum``, which solvers call on the numerators they hold): the
-columns of L(l) times r.  Rank, determinant, nullspace, column basis
-and Moore-Penrose inverse come from the elimination kernel of the
-matrix's backend (see :mod:`.elimination`): fraction-free on the
-numerators, or with partial pivoting and the tolerance ``eps`` on
-floats, picked in one place, ``_eliminate``, which also returns the
-common denominator of the rows it leaves.  Queries that read only the
-pivots stop both kernels at echelon form.  The pseudoinverse takes the
-rows of its first pass as E, echelon rows on the exact kernel and
-reduced ones on the float kernel, and its products run on ``_product``.
-Its exact r x r inverse is an adjugate
-(:func:`~.elimination.adjugate`), so an exact matrix of full rank is
-inverted with no elimination; the float one stays Gauss-Jordan
-elimination.  Elimination is the source of truth for every rank
-decision taken elsewhere in the library; the closed-form spectra and
-determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
+columns of L(l) times r.  Rank, determinant, nullspace and column
+basis come from the elimination kernel of the matrix's backend (see
+:mod:`.elimination`): fraction-free on the numerators, or with partial
+pivoting and the tolerance ``eps`` on floats, picked in one place,
+``_eliminate``, which also returns the common denominator of the rows
+it leaves.  Queries that read only the pivots stop both kernels at
+echelon form.  The exact Moore-Penrose inverse eliminates nothing: it
+is an adjugate (:func:`~.elimination.adjugate`) at full rank and
+Decell's Cayley-Hamilton formula on the Gram matrix below it.  The
+float one factors by rank through Gauss-Jordan elimination, with its
+products on ``_product``.  Elimination is the source of truth for every
+rank decision taken elsewhere in the library; the closed-form spectra
+and determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
 """
 
 from __future__ import annotations
@@ -154,7 +152,7 @@ class Mat4:
 
     def transpose(self) -> "Mat4":
         e = self._e
-        return _mat(tuple(e[i + j] for j in range(4) for i in (0, 4, 8, 12)), self._d)
+        return _mat(e[0::4] + e[1::4] + e[2::4] + e[3::4], self._d)
 
     def isclose(self, other: "Mat4", eps: float = DEFAULT_EPS) -> bool:
         return self == other or _all_zero((self - other)._e, eps)
@@ -311,54 +309,72 @@ def s_matrix(a: SplitQuaternion, b: SplitQuaternion) -> Mat4:
 
 
 def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
-    """Moore-Penrose inverse by full-rank factorization m = B C.
+    """Moore-Penrose inverse: adjugate or Decell's formula if exact, rank factorization on floats.
 
-    B is the pivot columns of m and C the nonzero rows of its reduced
-    echelon form, so the inverse is C^T (C C^T)^-1 (B^T B)^-1 B^T.  That
-    equals E^T (B^T m E^T)^-1 B^T for any E whose rows span the row
-    space of m, and both backends take the echelon rows their elimination
-    left as E, unreduced on the exact one.  The r x r inverse is the
-    adjugate over the determinant on the exact backend
-    (:func:`~.elimination.adjugate`), and one more elimination, of
-    [block | d I] at eps 0, on the float one: Cramer-type formulas are
-    not backward stable in floating point (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 14).  A matrix of full rank
-    is inverted directly, since the Gram matrix squares its condition
-    number; an exact one whose determinant is not 0 takes no elimination
-    at all.  The products run on :func:`_product`, padded with int 0 so
-    that a float zero sums to 0.0, never -0.0.  The zero matrix maps to
-    the zero matrix of its backend.
+    An exact matrix m = e/d is inverted by the adjugate over the
+    determinant (:func:`~.elimination.adjugate`), or, when that is 0, by
+    Decell's Cayley-Hamilton formula (H. P. Decell, *An application of
+    the Cayley-Hamilton theorem to generalized matrix inversion*, SIAM
+    Review 7(4), 1965), with no elimination.  The characteristic
+    polynomial x^4 + c1 x^3 + ... + c4 of the Gram matrix G = e^T e has
+    c_k != 0 exactly for k <= rank r, as G is positive semidefinite.
+    Newton's identities give c1 = -tr G and c2 = (tr(G)^2 - tr G^2)/2,
+    an exact division on ints, and Cauchy-Binet gives c3 as minus the sum
+    of the squared 3 x 3 minors of e, the entries of adj(e): so rank 3 is
+    read off the adjugate, and rank 2 needs no G^2.  Then
+    m+ = -d (G^(r-1) + c1 G^(r-2) + ... + c_(r-1) I) e^T / c_r.
+    Floats take E^T (B^T m E^T)^-1 B^T, the full-rank factorization
+    m = B C with B the pivot columns of m and E the reduced echelon rows
+    of one elimination at eps, and one more elimination, of [block | d I]
+    at eps 0, for the r x r inverse: Cayley-Hamilton and Cramer-type
+    formulas are not backward stable in floating point (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 14).  A float matrix of
+    full rank is inverted directly, since the Gram matrix squares its
+    condition number.  The products run on :func:`_product`, padded with
+    int 0 so that a float zero sums to 0.0, never -0.0.  The zero matrix
+    maps to the zero matrix of its backend.
     """
     e, d = m._e, m._d
-    exact = d.__class__ is not float
-    if exact:
+    if d.__class__ is not float:
         adj, det = elimination.adjugate(e)
         if det:
             return _mat(tuple(x * d for x in adj), det)
+        et = e[0::4] + e[1::4] + e[2::4] + e[3::4]
+        g = _product(et, e)
+        p1, p2 = g[0] + g[5] + g[10] + g[15], _dot(g, g)
+        if not p1:
+            return _zero(d)
+        c2 = (p1 * p1 - p2) // 2
+        if not c2:  # rank 1: e+ = e^T / tr G
+            return _mat(tuple(x * d for x in et), p1)
+        if any(adj):  # rank 3
+            p, c = [x - p1 * y for x, y in zip(_product(g, g), g)], -_dot(adj, adj)
+            for i in (0, 5, 10, 15):
+                p[i] += c2
+        else:
+            p, c = list(g), c2
+            for i in (0, 5, 10, 15):
+                p[i] -= p1
+        return _mat(tuple(x * d for x in _product(p, et)), -c)
     echelon = m._lists()
-    pivots = _eliminate(echelon, d, eps, not exact)[0]
+    pivots = _eliminate(echelon, d, eps, True)[0]
     r = len(pivots)
     if r == 0:
         return _zero(d)
     pad, zero_rows = (0,) * (4 - r), [0] * (16 - 4 * r)
-    if r == 4:  # floats only: an exact matrix of full rank was inverted above
+    if r == 4:
         block = e
     else:
         bt = [x for p in pivots for x in e[p::4]] + zero_rows
         et = [x for col in zip(*echelon[:r]) for x in (*col, *pad)]
         block = _product(bt, _product(e, et))
     # x / scale is d times the inverse of the block: the d cancels the 1/d of m's numerators
-    if exact:
-        # B^T B and C C^T are Gram matrices of independent vectors, so the block is invertible
-        x, scale = elimination.adjugate(block, r)
-        x = [v * d for v in x]
-    else:
-        rows = [list(block[i : i + r]) for i in range(0, 4 * r, 4)]
-        augmented = [row + [d if i == j else 0.0 for j in range(r)] for i, row in enumerate(rows)]
-        pivots, _, scale = _eliminate(augmented, d, 0.0, True)
-        if pivots != list(range(r)):
-            raise NotInvertibleError("matrix is singular")
-        x = [v for row in augmented for v in (*row[r:], *pad)] + zero_rows
+    rows = [list(block[i : i + r]) for i in range(0, 4 * r, 4)]
+    augmented = [row + [d if i == j else 0.0 for j in range(r)] for i, row in enumerate(rows)]
+    pivots, _, scale = _eliminate(augmented, d, 0.0, True)
+    if pivots != list(range(r)):
+        raise NotInvertibleError("matrix is singular")
+    x = [v for row in augmented for v in (*row[r:], *pad)] + zero_rows
     if r < 4:
         x = _product(_product(et, x), bt)
     return _mat(tuple(x), scale)

@@ -201,26 +201,25 @@ def _check_kernel(rows):
             assert [sum(row[p] * w[j] for p, w in zip(pivots, want)) for j in range(len(row))] == row, rows
     if len(rows) == len(rows[0]) == r:
         assert sign * last == fraction_det(rows), rows
-    if len(rows) == len(rows[0]):
+    if len(rows) == len(rows[0]) == 4:
         _check_adjugate(rows)
     return r
 
 
 def _check_adjugate(rows):
-    """The adjugate of square integer rows, as the leading block of a flat 4 x 4 matrix, against Fractions.
+    """The adjugate of 4 x 4 integer rows, as a flat matrix, against Fractions.
 
-    The entries around the block are nonzero, and the kernel must not read them.
+    It is det times the inverse, and the transposed cofactors, which a
+    singular matrix has too.
     """
-    n = len(rows)
-    flat = [rows[i][j] if i < n and j < n else 3 + i - j for i in range(4) for j in range(4)]
-    adj, det = elimination.adjugate(flat, n)
+    flat = [x for row in rows for x in row]
+    adj, det = elimination.adjugate(flat)
     assert type(det) is int and det == fraction_det(rows), rows
-    if not det:
-        assert adj is None, rows
-        return
-    inverse = fraction_inverse(rows)
-    want = [inverse[i][j] * det if i < n and j < n else 0 for i in range(4) for j in range(4)]
-    assert all(type(x) is int for x in adj) and list(adj) == want, rows
+    assert all(type(x) is int for x in adj), rows
+    if det:
+        assert list(adj) == [x * det for row in fraction_inverse(rows) for x in row], rows
+    minor = lambda i, j: fraction_det([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i])
+    assert list(adj) == [(-1) ** (i + j) * minor(j, i) for i in range(4) for j in range(4)], rows
 
 
 def _int_rows(left, right, n: int, zero_rows, zero_cols):

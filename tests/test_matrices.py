@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitquat import (
     I,
@@ -421,6 +423,45 @@ def _inverse_bits(inverse, m: Mat4):
     return (x._e, x._d) if x.is_exact else [repr(v) for row in x.rows for v in row]
 
 
+@st.composite
+def _factored_rows(draw):
+    """Rows of F H, rational F of 4 x r and H of r x 4 with numerators of up to 40 digits.
+
+    The entries of both factors share one denominator, or each has its own.
+    """
+    r = draw(st.integers(0, 4))
+    nums = st.integers(-9, 9) | st.integers(-(10**40), 10**40)
+    dens = st.integers(1, 9) | st.integers(1, 10**40)
+    shared = draw(dens) if draw(st.booleans()) else None
+
+    def entry():
+        return Fraction(draw(nums), shared or draw(dens))
+
+    left = [[entry() for _ in range(r)] for _ in range(4)]
+    right = [[entry() for _ in range(4)] for _ in range(r)]
+    return [[sum((row[t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(4)] for row in left]
+
+
+def _lines_run(fn, *args):
+    """The line numbers of fn's body that one call fn(*args) runs."""
+    lines = set()
+
+    def local(frame, event, arg):
+        lines.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
 class TestMatrixPseudoInverse:
     def test_identity_and_zero(self):
         assert mat_mp_inverse(Mat4.identity()) == Mat4.identity()
@@ -503,6 +544,31 @@ class TestMatrixPseudoInverse:
                         oracle = Mat4(fraction_mp_inverse(m.rows))
                         assert (oracle._e, oracle._d) == want, (a, b)
         assert ranks == {0, 1, 2, 3, 4}
+
+    @given(_factored_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_inverse_of_tall_factored_matrices(self, rows):
+        m = Mat4(rows)
+        x = mat_mp_inverse(m)
+        oracle = Mat4(fraction_mp_inverse(m.rows))
+        assert (x._e, x._d) == (oracle._e, oracle._d)
+        mx, xm = m @ x, x @ m
+        assert mx @ m == m and xm @ x == x
+        assert mx == mx.transpose() and xm == xm.transpose()
+
+    def test_every_exact_branch_is_reached(self):
+        # the exact body has five paths: the zero matrix, Decell's formula at
+        # ranks 1, 2 and 3, and the adjugate at full rank; each rank must take
+        # one path of its own, on every matrix of that rank
+        rng = random.Random(111)
+        paths = {r: set() for r in range(5)}
+        for r in range(5):
+            for _ in range(6):
+                m = random_matrix_of_rank(rng, r)
+                paths[r].add(frozenset(_lines_run(mat_mp_inverse, m)))
+                assert mat_mp_inverse(m) == Mat4(fraction_mp_inverse(m.rows))
+        assert all(len(p) == 1 for p in paths.values()), paths
+        assert len(set().union(*paths.values())) == 5
 
     def test_numerically_singular_float_gram_block_is_a_typed_error(self):
         # float-mixed seed 7: the float Gram block of this rank-3 T matrix
