@@ -17,21 +17,19 @@ or all :class:`float` (approximate backend with absolute tolerance
 factor or divisor of a float value is taken as a float.  Such rounding
 runs through :func:`~.scalars._floats`, which raises
 :class:`~.errors.NonFiniteError` for an exact value past the float
-range.  The product,
-the three quadratic forms, ``classify``, ``is_lightlike`` and
-``inverse`` have one body each, on the numerators of their operands
-over a common denominator (see
+range.  The product, the three quadratic forms, ``classify``,
+``is_lightlike`` and ``inverse`` have one body each, on the numerators
+of their operands over a common denominator (see
 :func:`~.scalars._ratio`): ``int`` numerators on exact values, so no
 Fraction arithmetic runs inside them and each result Fraction is built
-once, and the floats themselves over ``1.0`` on float values.  The
-ring operations, the involutions and ``im``
-already produce four scalars of one backend, so they build their result
-through ``_new``, which skips ``__init__``'s coercion and backend scan
-but keeps its finiteness test.  A float value,
-or a quadratic form of one, that is not finite raises
-:class:`~.errors.NonFiniteError` instead of flowing on as ``inf`` or
-``nan``.  Values are immutable, so they are safe to share between
-threads.
+once, and the floats themselves over ``1.0`` on float values.  A value
+has one door in and one door out: the constructor admits numbers from
+outside through :func:`~.scalars._admit`, and every value the library
+computes is built by ``_new``, which skips that admission but keeps its
+finiteness test.  A float value, or a quadratic form of one, that is
+not finite raises :class:`~.errors.NonFiniteError` instead of flowing
+on as ``inf`` or ``nan``.  Values are immutable, so they are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from .errors import NonFiniteError, NotInvertibleError, NotLightlikeError, RealI
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
+    _admit,
     _all_zero,
     _floats,
     _over,
@@ -73,8 +72,8 @@ class CausalClass(enum.Enum):
 class Frozen:
     """Base of the library's immutable values, which are ``__slots__`` classes.
 
-    A subclass names its fields in ``_fields`` and sets them once, in its
-    own ``__init__``, through ``_assign``.  Values of one class are equal
+    A subclass names its fields in ``_fields`` and sets its ``__slots__``
+    once, in order, through ``_assign``.  Values of one class are equal
     when their fields are, hash by their fields, pickle and copy by
     calling the class on them, and refuse assignment.
     """
@@ -83,7 +82,7 @@ class Frozen:
     _fields: Tuple[str, ...] = ()
 
     def _assign(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -117,12 +116,7 @@ class SplitQuaternion(Frozen):
     __slots__ = _fields = ("q0", "q1", "q2", "q3")
 
     def __init__(self, q0: Scalar, q1: Scalar, q2: Scalar, q3: Scalar):
-        coeffs = tuple(as_scalar(c) for c in (q0, q1, q2, q3))
-        if any(isinstance(c, float) for c in coeffs):
-            coeffs = _floats(coeffs)
-            if not all(map(isfinite, coeffs)):
-                raise NonFiniteError("coefficient is not finite on the float backend")
-        for name, value in zip(self._fields, coeffs):  # _assign, inlined on the hot path
+        for name, value in zip(self._fields, _admit((q0, q1, q2, q3), "coefficient")):  # _assign, inlined
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -307,14 +301,12 @@ class SplitQuaternion(Frozen):
 
     def to_exact(self) -> "SplitQuaternion":
         """Exact view of the float coefficients (binary expansion, no rounding)."""
-        return SplitQuaternion(*(Fraction(c) for c in self.coeffs))
+        return _new(*map(Fraction, self.coeffs))
 
     def to_complex_pair(self) -> Tuple["SplitQuaternion", "SplitQuaternion"]:
         """Split q = z1 + z2*j with z1, z2 in the complex subalgebra R + R*i."""
-        return (
-            SplitQuaternion(self.q0, self.q1, 0 * self.q0, 0 * self.q0),
-            SplitQuaternion(self.q2, self.q3, 0 * self.q0, 0 * self.q0),
-        )
+        z = 0 * self.q0
+        return _new(self.q0, self.q1, z, z), _new(self.q2, self.q3, z, z)
 
     # ------------------------------------------------------------------
     # display

@@ -5,17 +5,18 @@ integer rows (Bareiss 1968, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 22); :func:`rref`
 is the float kernel: Gauss-Jordan elimination with partial pivoting,
 where an entry within the absolute tolerance ``eps`` of zero counts as
-zero.  Rank, determinant, column basis and consistency stop both at
-echelon form; the nullspace, the float block inverse and the first pass
-of the float pseudoinverse, whose bits depend on its reduced rows, reduce
-the rows above each pivot too.  Both return the same (pivots, pivot
-scale, sign) triple.
+zero.  Elimination answers pivot questions: rank, column basis and
+consistency stop both at echelon form; the nullspace, the float block
+inverse and the first pass of the float pseudoinverse, whose bits depend
+on its reduced rows, reduce the rows above each pivot too.  Both return
+the pivot columns, then :func:`eliminate` the last pivot and
+:func:`rref` the product and sign that make the float determinant.
 
-:func:`adjugate` is the exact backend's inverse of a 4 x 4 integer
-matrix of full rank: its adjugate and determinant in straight-line code,
-with no division and no pivot search.  The exact pseudoinverse of a
-singular matrix eliminates nothing either: it reads the rank off the
-adjugate and the Gram matrix (see :mod:`.matrices`).
+:func:`adjugate` is the exact backend's determinant of a 4 x 4 integer
+matrix and its inverse at full rank, in straight-line code with no
+division and no pivot search.  The exact pseudoinverse of a singular
+matrix eliminates nothing either: it reads the rank off the adjugate and
+the Gram matrix (see :mod:`.matrices`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Sequence, Tuple
 from .scalars import scalar_is_zero
 
 
-def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]:
+def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int]:
     """Fraction-free elimination of integer rows, in place.
 
     Each step takes the first row with a nonzero entry p in the next
@@ -36,12 +37,12 @@ def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]
     1968).  Rows above a pivot never reach those below, so ``reduce``
     moves no pivot.  The first r rows end as echelon rows, reduced and
     times the last pivot with ``reduce``; the rest end zero.  Returns
-    (pivot columns, last pivot, sign of the row permutation): a
-    nonsingular square matrix has determinant sign * last pivot.
+    (pivot columns, last pivot), the last pivot being the common
+    denominator of the rows left.
     """
     m, n = len(rows), len(rows[0])
     pivots: List[int] = []
-    prev = sign = 1
+    prev = 1
     for c in range(n):
         r = len(pivots)
         for p in range(r, m):
@@ -51,7 +52,6 @@ def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
         top = rows[r]
         piv = top[c]
         for i in range(0 if reduce else r + 1, m):
@@ -65,7 +65,7 @@ def eliminate(rows: List[List[int]], reduce: bool) -> Tuple[List[int], int, int]
         prev = piv
         if r + 1 == m:
             break
-    return pivots, prev, sign
+    return pivots, prev
 
 
 def adjugate(e: Sequence[int]) -> Tuple[tuple, int]:
@@ -111,8 +111,8 @@ def rref(rows: List[List[float]], eps: float, reduce: bool) -> Tuple[List[int], 
 
     The first r rows end as the echelon rows with unit pivots, and reduced
     with ``reduce``, which moves no pivot.  Returns (pivot columns, product
-    of the pivots, sign of the row permutation), as :func:`eliminate` does:
-    a nonsingular matrix has determinant sign * product.
+    of the pivots, sign of the row permutation): a nonsingular matrix has
+    determinant sign * product, the float backend's determinant.
     """
     m, n = len(rows), len(rows[0])
     pivots: List[int] = []

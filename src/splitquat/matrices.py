@@ -7,30 +7,34 @@ their products over a solution family's terms.  ``t_matrix`` and
 of ``x*a = b*x`` and ``x*a = b*conj(x)``.
 
 A :class:`Mat4` holds sixteen numerators over one denominator: ``int``
-numerators over a positive ``int`` reduced by their ``gcd`` on the
-exact backend, floats over ``1.0`` on the float one (see
-:func:`~.scalars._ratio`).  Sums, products, ``apply`` and the
-representations have one body on the numerators, and ``rows`` builds
-the entries on each read.  An exact matrix meeting a float one is
-rounded to floats once (:func:`~.scalars._common`).  The sign patterns
-of L(q) and R(q) are written once (``_left``, ``_right``); ``t_matrix``
-and ``s_matrix`` are built from them in one step on the numerators of
-both quaternions, with no intermediate matrix, and ``family_matrix``
-from quaternion products on the numerators of all its terms
-(``_family_sum``, which solvers call on the numerators they hold): the
-columns of L(l) times r.  Rank, determinant, nullspace and column
-basis come from the elimination kernel of the matrix's backend (see
+numerators over a positive ``int`` reduced by their ``gcd`` on the exact
+backend, floats over ``1.0`` on the float one (see
+:func:`~.scalars._ratio`).  Outside numbers (entries, and the vectors of
+``apply`` and ``linear_system_consistent``) enter by
+:func:`~.scalars._admit`, and every matrix the library computes leaves
+by ``_mat``, which refuses a non-finite float entry.  Sums, products,
+``apply`` and the representations have one body on the numerators, and
+``rows`` builds the entries on each read.  An exact matrix meeting a
+float one is rounded to floats once (:func:`~.scalars._common`).  The
+sign patterns of L(q) and R(q) are written once (``_left``, ``_right``);
+``t_matrix`` and ``s_matrix`` are built from them in one step on the
+numerators of both quaternions, with no intermediate matrix, and
+``family_matrix`` from quaternion products on the numerators of all its
+terms (``_family_sum``, the columns of L(l) times r, which solvers call
+on their numerators).  Rank, nullspace, column basis and consistency
+come from the elimination kernel of the matrix's backend (see
 :mod:`.elimination`): fraction-free on the numerators, or with partial
 pivoting and the tolerance ``eps`` on floats, picked in one place,
-``_eliminate``, which also returns the common denominator of the rows
-it leaves.  Queries that read only the pivots stop both kernels at
-echelon form.  The exact Moore-Penrose inverse eliminates nothing: it
-is an adjugate (:func:`~.elimination.adjugate`) at full rank and
-Decell's Cayley-Hamilton formula on the Gram matrix below it.  The
-float one factors by rank through Gauss-Jordan elimination, with its
-products on ``_product``.  Elimination is the source of truth for every
-rank decision taken elsewhere in the library; the closed-form spectra
-and determinants of ``t_matrix`` and ``s_matrix`` are test oracles.
+``_eliminate``, which also returns the common denominator of the rows it
+leaves.  The exact determinant and Moore-Penrose inverse eliminate
+nothing: both start from the adjugate (:func:`~.elimination.adjugate`),
+and a singular matrix is inverted by Decell's Cayley-Hamilton formula on
+its Gram matrix.  The float determinant is the signed product of the
+pivots, and the float inverse factors by rank through Gauss-Jordan
+elimination, with its products on ``_product``.  Elimination is the
+source of truth for every rank decision taken elsewhere in the library;
+the closed-form spectra and determinants of ``t_matrix`` and
+``s_matrix`` are test oracles.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .errors import NonFiniteError, NotInvertibleError
 from .scalars import (
     DEFAULT_EPS,
     Scalar,
+    _admit,
     _all_zero,
     _common,
     _floats,
@@ -65,16 +70,10 @@ class Mat4:
     __slots__ = ("_e", "_d")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("Mat4 requires 4 rows of 4 entries")
-        flat = [x for row in rows for x in row]
-        if any(isinstance(x, float) for x in flat):
-            self._e, self._d = _floats(flat), 1.0
-            if not all(map(isfinite, self._e)):
-                raise NonFiniteError("matrix entry is not finite on the float backend")
-        else:
-            self._e, self._d = _ratio(flat)
+        self._e, self._d = _ratio(_admit([x for row in rows for x in row], "matrix entry"))
 
     @classmethod
     def identity(cls) -> "Mat4":
@@ -147,7 +146,7 @@ class Mat4:
         """The column m . v: exact on int numerators, or in floats once any entry is a float."""
         if len(v) != 4:
             raise ValueError("Mat4.apply requires 4 entries")
-        (e, d), (nums, dv) = _common((self._e, self._d), _ratio(v))
+        (e, d), (nums, dv) = _common((self._e, self._d), _ratio(_admit(v, "vector entry")))
         return tuple(_quotient(_dot(e[i : i + 4], nums), d * dv) for i in (0, 4, 8, 12))
 
     def transpose(self) -> "Mat4":
@@ -164,8 +163,10 @@ class Mat4:
         return len(_pivots(self, eps))
 
     def det(self, eps: float = DEFAULT_EPS) -> Scalar:
-        pivots, det, _ = _eliminate(self._lists(), self._d, eps, False)
-        return _quotient(det if len(pivots) == 4 else 0, self._d**4)
+        if self._d.__class__ is float:
+            pivots, product, sign = elimination.rref(self._lists(), eps, False)
+            return sign * product if len(pivots) == 4 else 0.0
+        return _quotient(elimination.adjugate(self._e)[1], self._d**4)
 
     def __str__(self) -> str:
         rows = self.rows
@@ -177,8 +178,11 @@ class Mat4:
 
 
 def _mat(e: Tuple, d: Union[int, float]) -> Mat4:
-    """Matrix of numerators e over d: ints over an int d != 0, reduced here, or floats over 1.0."""
-    if d.__class__ is not float:
+    """Matrix of numerators e over d: ints over an int d != 0, reduced here, or floats over 1.0, each finite."""
+    if d.__class__ is float:
+        if not (isfinite(sum(e)) or all(map(isfinite, e))):  # a sum of floats is finite only if each is
+            raise NonFiniteError("matrix entry is not finite on the float backend")
+    else:
         g = -gcd(d, *e) if d < 0 else gcd(d, *e)
         if g != 1:
             e, d = tuple(x // g for x in e), d // g
@@ -206,20 +210,17 @@ def _product(a: Sequence, b: Sequence) -> tuple:
     return tuple(out)
 
 
-def _eliminate(rows: List[list], d, eps: float, reduce: bool) -> Tuple[List[int], Scalar, Union[int, float]]:
+def _eliminate(rows: List[list], d, eps: float, reduce: bool) -> Tuple[List[int], Union[int, float]]:
     """Eliminate the numerator rows of a matrix over d with its backend's kernel, in place.
 
-    Returns (pivot columns, determinant of the rows if they are square
-    and nonsingular, common denominator of the rows left).  Both kernels
-    leave echelon rows, reduced with ``reduce``: the exact kernel ignores
-    eps and leaves them times the last pivot, and the float kernel leaves
-    them with unit pivots, over 1.0.
+    Returns (pivot columns, common denominator of the rows left).  Both
+    kernels leave echelon rows, reduced with ``reduce``: the exact kernel
+    ignores eps and leaves them times the last pivot, and the float kernel
+    leaves them with unit pivots, over 1.0.
     """
     if d.__class__ is float:
-        pivots, product, sign = elimination.rref(rows, eps, reduce)
-        return pivots, sign * product, 1.0
-    pivots, last, sign = elimination.eliminate(rows, reduce)
-    return pivots, sign * last, last
+        return elimination.rref(rows, eps, reduce)[0], 1.0
+    return elimination.eliminate(rows, reduce)
 
 
 def _zero(d) -> Mat4:
@@ -371,7 +372,7 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
     # x / scale is d times the inverse of the block: the d cancels the 1/d of m's numerators
     rows = [list(block[i : i + r]) for i in range(0, 4 * r, 4)]
     augmented = [row + [d if i == j else 0.0 for j in range(r)] for i, row in enumerate(rows)]
-    pivots, _, scale = _eliminate(augmented, d, 0.0, True)
+    pivots, scale = _eliminate(augmented, d, 0.0, True)
     if pivots != list(range(r)):
         raise NotInvertibleError("matrix is singular")
     x = [v for row in augmented for v in (*row[r:], *pad)] + zero_rows
@@ -387,7 +388,7 @@ def _kernel(m: Mat4, eps: float) -> Tuple[List[list], Union[int, float]]:
     ints over the last pivot, or floats over 1.0.
     """
     reduced = m._lists()
-    pivots, _, d = _eliminate(reduced, m._d, eps, True)
+    pivots, d = _eliminate(reduced, m._d, eps, True)
     basis = []
     for f in range(4):
         if f in pivots:
@@ -423,6 +424,6 @@ def linear_system_consistent(m: Mat4, rhs: Sequence[Scalar], eps: float = DEFAUL
     """
     if len(rhs) != 4:
         raise ValueError("linear_system_consistent requires 4 right-hand entries")
-    (e, d), (rhs, _) = _common((m._e, m._d), _ratio([as_scalar(v) for v in rhs]))
+    (e, d), (rhs, _) = _common((m._e, m._d), _ratio(_admit(rhs, "right-hand entry")))
     rows = [list(e[i : i + 4]) + [v] for i, v in zip((0, 4, 8, 12), rhs)]
     return 4 not in _eliminate(rows, d, eps, False)[0]

@@ -72,8 +72,6 @@ from .errors import ExactnessWarning, NonFiniteError
 from .scalars import DEFAULT_EPS, _digit_limit, _floats, _printable, _ratio, _too_long, scalar_is_zero
 
 _TWO_PI = 2.0 * math.pi
-#: nth_roots scales an exact q with a nonzero coefficient outside [2^-1000, 2^1000] before rounding it
-_TINY, _HUGE = 2.0**-1000, 2.0**1000
 
 
 def power(q: SplitQuaternion, n: int) -> SplitQuaternion:
@@ -193,11 +191,12 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
     |q0| <= eps * hypot(q0, q1), which is |cos(alpha)| <= eps in polar
     form.  Exact inputs are converted to floats since c is generally
     irrational.  The roots of 2^(n*m)*q are 2^m times those of q, so an
-    exact q with a nonzero coefficient outside [2^-1000, 2^1000] once
-    rounded is scaled by the 2^(n*m) that brings its largest coefficient
-    near 1 before it is rounded, and its roots are scaled back; m = 0
-    otherwise, so that 2*q0 cannot overflow.  A root outside the float
-    range raises NonFiniteError.
+    exact q with a nonzero coefficient of size past +-1000 (the bit length
+    of its numerator less that of its denominator: log2 |x| to within one,
+    so either way within one binade of 2^+-1000) is scaled by the 2^(n*m)
+    that brings its largest coefficient near 1 before it is rounded, and
+    its roots are scaled back; m = 0 otherwise, so that 2*q0 cannot
+    overflow.  A root outside the float range raises NonFiniteError.
     """
     if n < 2:
         raise ValueError("root degree must be at least 2")
@@ -209,22 +208,18 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
             ExactnessWarning,
             stacklevel=2,
         )
-        try:
-            floats = _floats(q.coeffs)
-        except NonFiniteError:  # past the float range: scaled below
-            floats = None
-        if floats is None or any(not _TINY <= abs(y) <= _HUGE and x for x, y in zip(q.coeffs, floats)):
-            sizes = [x.numerator.bit_length() - x.denominator.bit_length() for x in q.coeffs if x]  # log2 |x|, +-1
+        sizes = [x.numerator.bit_length() - x.denominator.bit_length() for x in q.coeffs if x]  # log2 |x|, +-1
+        if not -1000 <= min(sizes) <= max(sizes) <= 1000:
             m = -max(sizes) // n
-            floats = _floats((q * Fraction(2) ** (n * m)).coeffs)
-        q = _new(*floats)
+            q = q * Fraction(2) ** (n * m)
+        q = _new(*_floats(q.coeffs))
     q0 = q.q0
     if scalar_is_zero(q0, eps * math.hypot(q0, q.q1)) or (q0 < 0 and n % 2 == 0):
         return []
     try:
         root = abs(2.0 * q0) ** ((1 - n) / n) * q
         if m:
-            root = SplitQuaternion(*(math.ldexp(x, -m) for x in root.coeffs))
+            root = _new(*(math.ldexp(x, -m) for x in root.coeffs))
     except OverflowError:  # q0 is tiny next to the eps that let q count as lightlike, or the root is too large
         raise NonFiniteError("coefficient is not finite on the float backend") from None
     if m and max(map(abs, root.coeffs)) < sys.float_info.min:  # scaled back below the normal range

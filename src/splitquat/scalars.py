@@ -2,29 +2,32 @@
 
 Every coefficient in this library is either a :class:`fractions.Fraction`
 (exact backend) or a :class:`float` (approximate backend, compared up to
-an absolute tolerance ``eps``).  The helpers below centralize the zero
-tests and display rules so the algebra modules stay
-backend-agnostic.  Products, forms, inverses, matrices, families and
-decisions each have one body, which runs on numerators over one common
-denominator taken by :func:`_ratio`: ``int`` numerators over their least
-common denominator on exact values, reduced once per result (Henrici's
-method; Knuth, *TAOCP* vol. 2, 4.5.1), and the floats themselves over
-``1.0`` on float values, so that every multiplication by the denominator
-is exact and a body computes what a float formula would.  What differs
-between the backends is written once: building a result
-(:func:`_quotient`), the zero test, the meeting of an exact operand
-with a float one (:func:`_common`), and the elimination kernel (see
-:mod:`.matrices` and :mod:`.elimination`).  Coefficients are stored
-and read as reduced Fractions or as floats.
+an absolute tolerance ``eps``).  Numbers from outside the library enter
+by :func:`_admit`: a bool or an unknown type raises TypeError, one float
+makes them all floats, and a non-finite float raises NonFiniteError.
+The helpers below centralize the zero tests and display rules so the
+algebra modules stay backend-agnostic.  Products, forms, inverses,
+matrices, families and decisions each have one body, which runs on
+numerators over one common denominator taken by :func:`_ratio`: ``int``
+numerators over their least common denominator on exact values, reduced
+once per result (Henrici's method; Knuth, *TAOCP* vol. 2, 4.5.1), and
+the floats themselves over ``1.0`` on float values, so that every
+multiplication by the denominator is exact and a body computes what a
+float formula would.  What differs between the backends is written
+once: admitting a value (:func:`_admit`), building a result
+(:func:`_quotient`), the zero test, the meeting of an exact operand with
+a float one (:func:`_common`), and the elimination kernel (see
+:mod:`.matrices` and :mod:`.elimination`).  Coefficients are stored and
+read as reduced Fractions or as floats.
 
 The zero test has two bodies: :func:`scalar_is_zero` of one value, and
 :func:`_all_zero` of a sequence of numerators.  Two values are close
-when ``scalar_is_zero(x - y, eps)``.  On floats the test is
-``|x| <= eps``, on exact values ``x == 0``.  Both bodies stay: one
-variadic test in their place made perfbench's float kernel rows 5-27%
-slower (``t_rank`` 18.6 to 23.7 us, ``mat_mp_inverse`` of L(q) 55.9 to
-62.3 us) and its exact ``mp_inverse``, ``solve_axb`` and
-``is_consimilar`` rows 2.5% slower, on CPython 3.11.7 and a 2-core Xeon.
+when ``scalar_is_zero(x - y, eps)``.  On floats the test is ``|x| <=
+eps``, on exact values ``x == 0``.  Both bodies stay: one variadic test
+in their place made perfbench's float kernel rows 5-27% slower
+(``t_rank`` 18.6 to 23.7 us, ``mat_mp_inverse`` of L(q) 55.9 to 62.3
+us) and its exact ``mp_inverse``, ``solve_axb`` and ``is_consimilar``
+rows 2.5% slower, on CPython 3.11.7 and a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -53,6 +56,16 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, float):
         return x
     raise TypeError(f"unsupported scalar type: {type(x).__name__}")
+
+
+def _admit(values: Sequence, what: str) -> tuple:
+    """The values as scalars of one backend, by the module's rules; the NonFiniteError names them what."""
+    values = tuple(map(as_scalar, values))
+    if any(isinstance(x, float) for x in values):
+        values = _floats(values)
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteError(f"{what} is not finite on the float backend")
+    return values
 
 
 def _ratio(values: Sequence[Scalar], *more: Sequence[Scalar]) -> Tuple[Sequence, Union[int, float]]:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul, _require_nonreal
+from .core import Frozen, ONE, SplitQuaternion, _form, _from_ratio, _im_squared, _mul, _new, _require_nonreal
 from .errors import ExactnessWarning, NonFiniteError, NotInvertibleError
 from .matrices import _dot, _family_sum, _mat, _zero, t_matrix
 from .scalars import DEFAULT_EPS, _floats, _over, _ratio, scalar_is_zero
@@ -142,7 +142,7 @@ def _cyclic_witness(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
     m01 = (b01 * a00 - b00 * a01) / det
     m10 = (b10 * a11 - b11 * a10) / det
     m11 = (b11 * a00 - b10 * a01) / det
-    return SplitQuaternion((m00 + m11) / 2, (m10 - m01) / 2, (m00 - m11) / 2, (m01 + m10) / 2)
+    return _new((m00 + m11) / 2, (m10 - m01) / 2, (m00 - m11) / 2, (m01 + m10) / 2)
 
 
 def is_similar(a: SplitQuaternion, b: SplitQuaternion, eps: float = DEFAULT_EPS) -> Verdict:

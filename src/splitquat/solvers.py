@@ -76,7 +76,7 @@ class SolutionFamily(Frozen):
     def __init__(self, constant: SplitQuaternion, terms: Tuple[Term, ...]):
         ratio = _ratio(constant.coeffs)
         matrix = family_matrix(terms) if terms else _zero(ratio[1])  # the zero of the constant's backend
-        _fill(self, ratio, terms, DEFAULT_EPS, matrix, None)
+        self._assign(ratio, terms, DEFAULT_EPS, matrix, None)
 
     def __reduce__(self):
         return (_family, (self._constant_ratio, self.terms, self._eps, self.linear_matrix, self._basis))
@@ -117,11 +117,6 @@ class SolutionFamily(Frozen):
         return list(self._basis)
 
 
-def _fill(family: SolutionFamily, *values) -> None:
-    for name, value in zip(SolutionFamily.__slots__, values):
-        object.__setattr__(family, name, value)
-
-
 def _family(ratio, terms, eps: float, matrix, basis=None) -> SolutionFamily:
     """The family a solver found at eps, with the matrix of its terms and any basis found.
 
@@ -129,7 +124,7 @@ def _family(ratio, terms, eps: float, matrix, basis=None) -> SolutionFamily:
     builds them on first read.
     """
     family = object.__new__(SolutionFamily)
-    _fill(family, ratio, terms, eps, matrix, basis)
+    family._assign(ratio, terms, eps, matrix, basis)
     return family
 
 

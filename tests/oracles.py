@@ -421,7 +421,7 @@ def rank_factor_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
         block = _matmul(bt, _matmul(a, et))
     d, zero = m._d, 0 * m._d
     augmented = [row + [d if i == j else zero for j in range(r)] for i, row in enumerate(block)]
-    pivots, _, scale = _eliminate(augmented, d, 0.0, True)
+    pivots, scale = _eliminate(augmented, d, 0.0, True)
     if pivots != list(range(r)):
         raise NotInvertibleError("matrix is singular")
     x = [row[r:] for row in augmented]

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,17 @@ import pytest
 from splitquat import (
     CanonicalForm,
     LightlikePolar,
+    Mat4,
+    NonFiniteError,
     ONE,
     SolutionFamily,
     SolveOutcome,
     SplitQuaternion,
     Verdict,
     ZERO,
+    left_matrix,
+    linear_system_consistent,
+    mat_mp_inverse,
     parse_quat,
     solve_ax0,
     solve_axb,
@@ -23,6 +29,7 @@ from splitquat import (
     solve_xa_bx,
     solve_xa_bxbar,
     solve_xad,
+    t_matrix,
 )
 
 from conftest import (
@@ -169,3 +176,37 @@ def test_copies_of_every_solver_family_give_its_values():
                 assert value == expected, (family, y)
             else:
                 assert all(abs(u - v) <= 1e-9 * (1 + abs(v)) for u, v in zip(value.coeffs, expected.coeffs))
+
+
+# ----------------------------------------------------------------------
+# one door in, one door out: numbers from outside are admitted by one
+# rule, and every value the library computes is finite
+# ----------------------------------------------------------------------
+
+M = left_matrix(parse_quat("1+2i+3j+4k"))
+#: Each way a number from outside enters a value, called on x
+DOORS = {
+    "SplitQuaternion": lambda x: SplitQuaternion(x, 0, 0, 0),
+    "Mat4": lambda x: Mat4([[x, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    "apply": lambda x: M.apply((x, 0, 0, 0)),
+    "linear_system_consistent": lambda x: linear_system_consistent(M, (x, 0, 0, 0)),
+}
+#: Matrices computed from finite floats that overflow, each called on an ignored argument
+BIG, HUGE = SplitQuaternion(1e200, 1e200, 0, 0), 1e308
+OUT = {
+    "t_matrix": lambda _: t_matrix(SplitQuaternion(HUGE, 0, 1.0, 0), SplitQuaternion(-HUGE, 0, 1.0, 0)),
+    "matmul": lambda _: left_matrix(BIG) @ left_matrix(BIG),
+    "mat_mp_inverse": lambda _: mat_mp_inverse(Mat4.diagonal((1e-320, 1, 1, 1.0)), eps=0.0),
+}
+DOOR_CASES = [
+    pytest.param(DOORS[door], x, error, id=f"{door}-{x!r}")
+    for door in DOORS
+    for x, error in ((True, TypeError), (Decimal("0.5"), TypeError), (float("inf"), NonFiniteError),
+                     (float("nan"), NonFiniteError))
+] + [pytest.param(call, None, NonFiniteError, id=name) for name, call in OUT.items()]
+
+
+@pytest.mark.parametrize("call, x, error", DOOR_CASES)
+def test_every_door_admits_by_one_rule_and_emits_finite_values(call, x, error):
+    with pytest.raises(error):
+        call(x)
