@@ -24,6 +24,8 @@ products of units and kernel vectors (core._mul).
 
 from __future__ import annotations
 
+from operator import add
+
 from .core import SplitQuaternion, _form, _from_ratio, _mul, _require_nonreal
 from .matrices import _kernel, _mat, _zero, s_matrix
 from .scalars import DEFAULT_EPS, _all_zero, _ratio, scalar_is_zero
@@ -60,8 +62,9 @@ def solve_xa_bxbar(
     def terms():
         out = []
         for e, unit in enumerate(_UNITS[d.__class__][1]):
-            products = (_mul(_INVERSE_UNITS[t], _INVERSE_UNITS[e], tuple(n)) for t, n in enumerate(kernel))
-            right = tuple(map(sum, zip(*products)))  # 4 * r_e over d
+            right = (0, 0, 0, 0)  # 4 * r_e over d, added in order from int 0, as sum() added before Python 3.12
+            for t, n in enumerate(kernel):
+                right = tuple(map(add, right, _mul(_INVERSE_UNITS[t], _INVERSE_UNITS[e], tuple(n))))
             if not _all_zero(right, 0.0):
                 out.append((unit, _from_ratio(right, 4 * d)))
         return tuple(out)

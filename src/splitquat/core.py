@@ -13,9 +13,10 @@ the zero divisors, and they are what most of this library is about.
 
 Coefficients are either all :class:`~fractions.Fraction` (exact backend)
 or all :class:`float` (approximate backend with absolute tolerance
-``eps``); mixing converts the whole value to floats, and an ``int``
-factor or divisor of a float value is taken as a float.  Such rounding
-runs through :func:`~.scalars._floats`, which raises
+``eps``); mixing converts the whole value to floats, and a scalar
+factor or divisor enters with the coefficients through
+:func:`~.scalars._admit`, so one float makes them all floats.  Such
+rounding runs through :func:`~.scalars._floats`, which raises
 :class:`~.errors.NonFiniteError` for an exact value past the float
 range.  The product, the three quadratic forms, ``classify``,
 ``is_lightlike`` and ``inverse`` have one body each, on the numerators
@@ -28,7 +29,9 @@ outside through :func:`~.scalars._admit`, and every value the library
 computes is built by ``_new``, which skips that admission but keeps its
 finiteness test.  A float value, or a quadratic form of one, that is
 not finite raises :class:`~.errors.NonFiniteError` instead of flowing
-on as ``inf`` or ``nan``.  Values are immutable, so they are safe to
+on as ``inf`` or ``nan``; the forms are built by
+:func:`~.scalars._quotient`, whose one finiteness test covers every
+scalar the library returns.  Values are immutable, so they are safe to
 share between threads.
 """
 
@@ -46,11 +49,11 @@ from .scalars import (
     Scalar,
     _admit,
     _all_zero,
+    _finite,
     _floats,
     _over,
     _quotient,
     _ratio,
-    as_scalar,
     format_scalar,
     scalar_is_zero,
 )
@@ -179,29 +182,19 @@ class SplitQuaternion(Frozen):
             n, d = _ratio((self.q0, self.q1, self.q2, self.q3, other.q0, other.q1, other.q2, other.q3))
             return _from_ratio(_quat_product(n), d * d)
         try:
-            s = as_scalar(other)
+            s, q0, q1, q2, q3 = _admit((other, self.q0, self.q1, self.q2, self.q3), "scalar factor")
         except TypeError:
             return NotImplemented
-        if s.__class__ is not self.q0.__class__:
-            self, (s,) = self.to_float(), _floats((s,))
-        return _new(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
+        return _new(q0 * s, q1 * s, q2 * s, q3 * s)
 
-    def __rmul__(self, other):
-        # scalars are central, so left and right scaling agree
-        try:
-            s = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return self * s
+    __rmul__ = __mul__  # scalars are central, so left and right scaling agree
 
     def __truediv__(self, other):
         try:
-            s = as_scalar(other)
+            s, q0, q1, q2, q3 = _admit((other, self.q0, self.q1, self.q2, self.q3), "scalar divisor")
         except TypeError:
             return NotImplemented
-        if s.__class__ is not self.q0.__class__:
-            self, (s,) = self.to_float(), _floats((s,))
-        return _new(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
+        return _new(q0 / s, q1 / s, q2 / s, q3 / s)
 
     # ------------------------------------------------------------------
     # involutions and parts
@@ -251,7 +244,7 @@ class SplitQuaternion(Frozen):
     def im_norm_sq(self) -> Scalar:
         """Euclidean q1^2 + q2^2 + q3^2; zero exactly for real values."""
         (n1, n2, n3), d = _ratio((self.q1, self.q2, self.q3))
-        return _quotient(_finite(n1 * n1 + n2 * n2 + n3 * n3, "im_norm_sq"), d * d)
+        return _quotient(n1 * n1 + n2 * n2 + n3 * n3, d * d)
 
     def classify(self, eps: float = DEFAULT_EPS) -> CausalClass:
         """Causal class by the sign of the quadratic form.
@@ -423,13 +416,6 @@ def _from_ratio(nums: tuple, d) -> SplitQuaternion:
     return _new(Fraction(n0, d), Fraction(n1, d), Fraction(n2, d), Fraction(n3, d))
 
 
-def _finite(x: Scalar, what: str) -> Scalar:
-    """x itself, unless it is a float that overflowed to inf or nan."""
-    if isinstance(x, float) and not isfinite(x):
-        raise NonFiniteError(f"{what} is not finite on the float backend ({x!r})")
-    return x
-
-
 def _coerce(x):
     if isinstance(x, SplitQuaternion):
         return x
@@ -446,7 +432,7 @@ def _complex_parts(z) -> Tuple[Scalar, Scalar]:
         return z.q0, z.q1
     if isinstance(z, complex):
         return z.real, z.imag
-    return as_scalar(z), 0
+    return z, 0
 
 
 ZERO = SplitQuaternion(0, 0, 0, 0)

@@ -12,9 +12,14 @@ backend, floats over ``1.0`` on the float one (see
 :func:`~.scalars._ratio`).  Outside numbers (entries, and the vectors of
 ``apply`` and ``linear_system_consistent``) enter by
 :func:`~.scalars._admit`, and every matrix the library computes leaves
-by ``_mat``, which refuses a non-finite float entry.  Sums, products,
-``apply`` and the representations have one body on the numerators, and
-``rows`` builds the entries on each read.  An exact matrix meeting a
+by ``_mat``, which refuses a non-finite float entry; every scalar it
+returns (``rows``, ``apply``, ``det``, ``nullspace_basis``) is built by
+:func:`~.scalars._quotient`, which refuses one too.  Sums, products,
+division by a scalar, ``apply`` and the representations have one body
+on the numerators, and ``rows`` builds the entries on each read.  Float
+sums are added left to right as written (``_dot``, ``_product``), never
+by ``sum()``, which Python 3.12 made compensated, so float bits do not
+depend on the interpreter.  An exact matrix meeting a
 float one is rounded to floats once (:func:`~.scalars._common`).  The
 sign patterns of L(q) and R(q) are written once (``_left``, ``_right``);
 ``t_matrix`` and ``s_matrix`` are built from them in one step on the
@@ -52,10 +57,9 @@ from .scalars import (
     _admit,
     _all_zero,
     _common,
-    _floats,
+    _over,
     _quotient,
     _ratio,
-    as_scalar,
     format_scalar,
 )
 
@@ -138,9 +142,10 @@ class Mat4:
         return _mat(_product(a, b), d * e)
 
     def __truediv__(self, s) -> "Mat4":
-        s = as_scalar(s)
-        rows = [_floats(row) for row in self.rows] if s.__class__ is float else self.rows
-        return Mat4(tuple(tuple(a / s for a in row) for row in rows))
+        (e, d), ((n,), t) = _common((self._e, self._d), _ratio(_admit((s,), "scalar divisor")))
+        if not n:
+            raise ZeroDivisionError("Mat4 division by zero")
+        return _mat(*_over(tuple(x * t for x in e), d * n))
 
     def apply(self, v: Sequence[Scalar]) -> Vec4:
         """The column m . v: exact on int numerators, or in floats once any entry is a float."""
@@ -165,7 +170,7 @@ class Mat4:
     def det(self, eps: float = DEFAULT_EPS) -> Scalar:
         if self._d.__class__ is float:
             pivots, product, sign = elimination.rref(self._lists(), eps, False)
-            return sign * product if len(pivots) == 4 else 0.0
+            return _quotient(sign * product, 1.0) if len(pivots) == 4 else 0.0
         return _quotient(elimination.adjugate(self._e)[1], self._d**4)
 
     def __str__(self) -> str:
@@ -192,7 +197,10 @@ def _mat(e: Tuple, d: Union[int, float]) -> Mat4:
 
 
 def _dot(u: Sequence, v: Sequence):
-    return sum(map(mul, u, v))
+    """u . v of two 4-vectors, added left to right from int 0, as sum() added floats before Python 3.12."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return 0 + u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3
 
 
 def _product(a: Sequence, b: Sequence) -> tuple:
@@ -342,14 +350,14 @@ def mat_mp_inverse(m: Mat4, eps: float = DEFAULT_EPS) -> Mat4:
             return _mat(tuple(x * d for x in adj), det)
         et = e[0::4] + e[1::4] + e[2::4] + e[3::4]
         g = _product(et, e)
-        p1, p2 = g[0] + g[5] + g[10] + g[15], _dot(g, g)
+        p1, p2 = g[0] + g[5] + g[10] + g[15], sum(map(mul, g, g))
         if not p1:
             return _zero(d)
         c2 = (p1 * p1 - p2) // 2
         if not c2:  # rank 1: e+ = e^T / tr G
             return _mat(tuple(x * d for x in et), p1)
         if any(adj):  # rank 3
-            p, c = [x - p1 * y for x, y in zip(_product(g, g), g)], -_dot(adj, adj)
+            p, c = [x - p1 * y for x, y in zip(_product(g, g), g)], -sum(map(mul, adj, adj))
             for i in (0, 5, 10, 15):
                 p[i] += c2
         else:

@@ -69,7 +69,7 @@ from typing import List
 
 from .core import ONE, Frozen, SplitQuaternion, _form, _from_ratio, _new, _zero_divisor
 from .errors import ExactnessWarning, NonFiniteError
-from .scalars import DEFAULT_EPS, _digit_limit, _floats, _printable, _ratio, _too_long, scalar_is_zero
+from .scalars import DEFAULT_EPS, _admit, _digit_limit, _floats, _printable, _ratio, _too_long, scalar_is_zero
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,8 +81,7 @@ def power(q: SplitQuaternion, n: int) -> SplitQuaternion:
     too long to print raises SplitQuaternionError (see the module
     docstring); a float one that overflows raises NonFiniteError.
     """
-    if n < 1:
-        raise ValueError("exponent must be a positive integer")
+    _degree(n, 1, "exponent must be a positive integer")
     nums, d = _ratio(q.coeffs)
     exact = d.__class__ is int
     if exact and _past_limit(nums, d, n):
@@ -137,6 +136,14 @@ def _past_limit(nums: tuple, d: int, n: int) -> bool:
     return n - 1 >= 2 * bound / (math.log2(twice_m) - 1) * (1 + 1e-9) + 1
 
 
+def _degree(n, least: int, message: str) -> None:
+    """TypeError unless the degree n is an int, not a bool, as _admit refuses a scalar; ValueError below least."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"degree must be an int, not {type(n).__name__}")
+    if n < least:
+        raise ValueError(message)
+
+
 def is_nilpotent(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> bool:
     """Zero real part and zero quadratic form; such q already square to zero."""
     return scalar_is_zero(q.q0, eps) and q.is_lightlike(eps)
@@ -174,10 +181,9 @@ def to_polar(q: SplitQuaternion, eps: float = DEFAULT_EPS) -> LightlikePolar:
 
 
 def from_polar(r: float, alpha: float, beta: float) -> SplitQuaternion:
-    """Rebuild r*(e^(i*alpha) + e^(i*beta)*j); always lightlike."""
-    return SplitQuaternion(
-        r * math.cos(alpha), r * math.sin(alpha), r * math.cos(beta), r * math.sin(beta)
-    )
+    """Rebuild r*(e^(i*alpha) + e^(i*beta)*j), always lightlike, from three numbers admitted as coefficients."""
+    r, alpha, beta = _floats(_admit((r, alpha, beta), "polar coordinate"))
+    return _new(r * math.cos(alpha), r * math.sin(alpha), r * math.cos(beta), r * math.sin(beta))
 
 
 def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[SplitQuaternion]:
@@ -198,8 +204,7 @@ def nth_roots(q: SplitQuaternion, n: int, eps: float = DEFAULT_EPS) -> List[Spli
     its roots are scaled back; m = 0 otherwise, so that 2*q0 cannot
     overflow.  A root outside the float range raises NonFiniteError.
     """
-    if n < 2:
-        raise ValueError("root degree must be at least 2")
+    _degree(n, 2, "root degree must be at least 2")
     _zero_divisor(_ratio(q.coeffs)[0], eps, "q")
     m = 0
     if q.is_exact:

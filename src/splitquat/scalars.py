@@ -18,7 +18,9 @@ once: admitting a value (:func:`_admit`), building a result
 (:func:`_quotient`), the zero test, the meeting of an exact operand with
 a float one (:func:`_common`), and the elimination kernel (see
 :mod:`.matrices` and :mod:`.elimination`).  Coefficients are stored and
-read as reduced Fractions or as floats.
+read as reduced Fractions or as floats.  Every scalar the library
+returns is built by :func:`_quotient`, whose float result passes the one
+finiteness test, :func:`_finite`: inf or nan raises NonFiniteError.
 
 The zero test has two bodies: :func:`scalar_is_zero` of one value, and
 :func:`_all_zero` of a sequence of numerators.  Two values are close
@@ -97,8 +99,15 @@ def _ratio(values: Sequence[Scalar], *more: Sequence[Scalar]) -> Tuple[Sequence,
 
 
 def _quotient(n, d: Union[int, float]) -> Scalar:
-    """One result n/d: a reduced Fraction over an int d, a float over a float d."""
-    return n / d if d.__class__ is float else Fraction(n, d)
+    """One result n/d: a reduced Fraction over an int d, a finite float over a float d (see :func:`_finite`)."""
+    return _finite(n / d, "value") if d.__class__ is float else Fraction(n, d)
+
+
+def _finite(x: Scalar, what: str) -> Scalar:
+    """x itself, unless it is a float that overflowed to inf or nan: then NonFiniteError names it what."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise NonFiniteError(f"{what} is not finite on the float backend ({x!r})")
+    return x
 
 
 def _over(nums: Sequence, d: Union[int, float]) -> Tuple[Sequence, Union[int, float]]:

@@ -34,6 +34,8 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import List, Optional, Tuple
 
 from splitquat import Mat4, NotInvertibleError, SplitQuaternion, mp_inverse
@@ -371,7 +373,7 @@ def fraction_det(rows) -> Fraction:
 
 
 def _matmul(a, b) -> Rows:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[reduce(add, (x * y for x, y in zip(row, col)), 0) for col in zip(*b)] for row in a]
 
 
 def _transpose(a) -> Rows:
@@ -480,7 +482,7 @@ def family_rows(terms) -> Rows:
 
 def rows_apply(rows, v) -> tuple:
     """m . v one row at a time: the rows-based body Mat4.apply had before its integer path."""
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+    return tuple(reduce(add, (a * x for a, x in zip(row, v)), 0) for row in rows)
 
 
 def term_at(constant: SplitQuaternion, terms, y: SplitQuaternion) -> SplitQuaternion:

@@ -244,6 +244,16 @@ class TestApply:
         assert m.apply((1, 2, 3, 4)) == rows_apply(m.rows, (1, 2, 3, 4)) == (5, 0, 6, 20)
         assert _bits(m.apply((1.5, 0, 0, 0.25))) == _bits(rows_apply(m.rows, (1.5, 0, 0, 0.25)))
 
+    def test_float_sums_add_in_the_written_order(self):
+        # left to right from 0 on every interpreter: ((1e16 + 1) - 1e16) + 1 is 1.0,
+        # where the compensated sum() of Python 3.12 and later gives 2.0
+        row = (1e16, 1.0, -1e16, 1.0)
+        assert Mat4([row, [0] * 4, [0] * 4, [0] * 4]).apply((1.0,) * 4)[0] == 1.0
+        # L(l) has the row (l0, -l1, l2, l3), so the family's matrix has it too
+        family = SolutionFamily(ZERO.to_float(), ((SplitQuaternion(1e16, -1.0, -1e16, 1.0), ONE.to_float()),))
+        assert family.linear_matrix.rows[0] == row
+        assert family.at(SplitQuaternion(1.0, 1.0, 1.0, 1.0)).q0 == 1.0
+
     @pytest.mark.parametrize("v", [(), (1, 2, 3), (1, 2, 3, 4, 5), (1.0, 2.0, 3.0)])
     def test_vectors_of_other_lengths_are_rejected(self, v):
         for m in (Mat4.identity(), Mat4.zero(), Mat4.diagonal((1.0, 2.0, 3.0, 4.0))):

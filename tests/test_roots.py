@@ -71,6 +71,13 @@ class TestPower:
         with pytest.raises(ValueError):
             power(ONE, 0)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, Fraction(2), "2"])
+    def test_degree_must_be_an_int(self, n):
+        # a degree is refused by its type, as a scalar is: a bool or any other non-int
+        for call in (power, nth_roots):
+            with pytest.raises(TypeError, match="degree must be an int"):
+                call(parse_quat("1+j"), n)
+
     def test_takes_no_tolerance(self):
         # no branch of power tests a tolerance, so it has no eps to pass
         assert list(inspect.signature(power).parameters) == ["q", "n"]

@@ -19,9 +19,11 @@ from splitquat import (
     SplitQuaternion,
     Verdict,
     ZERO,
+    from_polar,
     left_matrix,
     linear_system_consistent,
     mat_mp_inverse,
+    nullspace_basis,
     parse_quat,
     solve_ax0,
     solve_axb,
@@ -190,13 +192,21 @@ DOORS = {
     "Mat4": lambda x: Mat4([[x, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
     "apply": lambda x: M.apply((x, 0, 0, 0)),
     "linear_system_consistent": lambda x: linear_system_consistent(M, (x, 0, 0, 0)),
+    "q*x": lambda x: Q * x,
+    "x*q": lambda x: x * Q,
+    "q/x": lambda x: Q / x,
+    "m/x": lambda x: M / x,
+    "from_polar": lambda x: from_polar(x, 0, 0),
 }
-#: Matrices computed from finite floats that overflow, each called on an ignored argument
+#: Matrices and scalars computed from finite floats that overflow, each called on an ignored argument
 BIG, HUGE = SplitQuaternion(1e200, 1e200, 0, 0), 1e308
 OUT = {
     "t_matrix": lambda _: t_matrix(SplitQuaternion(HUGE, 0, 1.0, 0), SplitQuaternion(-HUGE, 0, 1.0, 0)),
     "matmul": lambda _: left_matrix(BIG) @ left_matrix(BIG),
     "mat_mp_inverse": lambda _: mat_mp_inverse(Mat4.diagonal((1e-320, 1, 1, 1.0)), eps=0.0),
+    "det": lambda _: Mat4.diagonal((1e200, 1e200, 1.0, 1.0)).det(),
+    "apply-result": lambda _: left_matrix(SplitQuaternion(1e200, 0, 0, 0)).apply((1e200, 0, 0, 0)),
+    "nullspace_basis": lambda _: nullspace_basis(Mat4([[1e-8, 1e302, 0, 0], [0] * 4, [0] * 4, [0] * 4])),
 }
 DOOR_CASES = [
     pytest.param(DOORS[door], x, error, id=f"{door}-{x!r}")
